@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from pathlib import Path
 
@@ -91,23 +90,6 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("BLOCKSCOPE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise BlockscopeError(
-            f"BLOCKSCOPE_THREADS must be a non-negative integer, got {raw!r}"
-        )
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
 def _metric_list(args: argparse.Namespace) -> tuple[str, ...]:
     if args.metrics is None:
         metrics = ["area", "delay"] + (["power"] if args.profile else [])
@@ -130,7 +112,6 @@ def _analyze(args: argparse.Namespace) -> int:
         raise BlockscopeError("power metric requires --profile")
     if args.group_depth is not None and args.group_depth < 1:
         raise BlockscopeError("group depth must be at least 1")
-    threads = _thread_count()
 
     netlist_bytes = _read(args.netlist)
     netlist = parse_netlist(netlist_bytes).body
@@ -165,7 +146,6 @@ def _analyze(args: argparse.Namespace) -> int:
         profile=profile,
         group_depth=args.group_depth,
         include_block_nets=not args.block_delay_nodes_only,
-        threads=threads,
         metadata=metadata,
     )
     sys.stdout.buffer.write(_RENDERERS[args.fmt](report))

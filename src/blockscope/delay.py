@@ -21,7 +21,6 @@ with their maximum in-scope delay, matching the exhaustive oracle exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -55,13 +54,6 @@ class Subgraph:
     netlist: Netlist = field(compare=False, repr=False)
     nodes: frozenset[str]
     edges: tuple[Net, ...]
-
-
-def annotated_nodes(registry: BlockRegistry, block: BlockLabel) -> frozenset[str]:
-    try:
-        return registry.blocks[block]
-    except KeyError:
-        raise BlockscopeError(f"unknown block {block}") from None
 
 
 def expand_paths(netlist: Netlist, seeds: Iterable[str]) -> Subgraph:
@@ -262,31 +254,18 @@ def delay_report(
     registry: BlockRegistry,
     *,
     include_block_nets: bool = True,
-    threads: int = 1,
 ) -> DelayReport:
     """Per-block system/block delays, the global critical path, and the blocks
-    it crosses. Blocks are independent, so they may be solved on a thread
-    pool; results are assembled in registry order either way."""
-    jobs: list[tuple[BlockLabel | None, frozenset[str]]] = [
-        (label, cells) for label, cells in registry.blocks.items()
-    ]
-    if registry.unannotated:
-        jobs.append((None, registry.unannotated))
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_solve_block, netlist, cells, include_block_nets) for _, cells in jobs]
-            solved = [f.result() for f in futures]
-    else:
-        solved = [_solve_block(netlist, cells, include_block_nets) for _, cells in jobs]
-
-    per_block: dict[BlockLabel, BlockDelay] = {}
-    unannotated: BlockDelay | None = None
-    for (label, _), result in zip(jobs, solved):
-        if label is None:
-            unannotated = result
-        else:
-            per_block[label] = result
+    it crosses."""
+    per_block = {
+        label: _solve_block(netlist, cells, include_block_nets)
+        for label, cells in registry.blocks.items()
+    }
+    unannotated = (
+        _solve_block(netlist, registry.unannotated, include_block_nets)
+        if registry.unannotated
+        else None
+    )
 
     full = expand_paths(netlist, frozenset(netlist.cell_ids()))
     global_critical = longest_path(full, None, WeightingMode.SYSTEM)

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .area import RESOURCE_KINDS, AreaWeights
-from .formats import ParseError, _nat_field, _num_field, _scan, _take_header, _want
+from .area import AreaWeights
+from .formats import ParseError, parse_coefficients
 from .model import Cell, CellKind, Netlist
 from .power import PowerModel
 
@@ -65,53 +65,12 @@ def builtin_device(name: str) -> DeviceProfile:
 
 def load_device_file(path: Path) -> DeviceProfile:
     base = builtin_device("virtex7")
-    data = path.read_bytes()
-    lines = _take_header(_scan(data), DEVICE_HEADER)
     delays = dict(base.logic_delays)
     weights = dict(base.weights.weights)
-    static = dict(base.power.static_uw)
-    dynamic = dict(base.power.dynamic_pj)
-    frequency = base.power.frequency_hz
-    seen: set[tuple[str, str]] = set()
-    for lineno, tokens in lines:
-        keyword = tokens[0][0]
-        if keyword == "delay":
-            _want(tokens, 3, lineno, "delay <CELL_KIND> <ps>")
-            kind_text, kind_col = tokens[1]
-            try:
-                kind = CellKind[kind_text]
-            except KeyError:
-                raise ParseError(f"unknown cell kind {kind_text}", lineno, kind_col) from None
-            ps = _nat_field(tokens[2], lineno, "logic delay")
-            if kind.is_source and ps != 0:
-                raise ParseError(f"{kind.value} is a path source and must keep delay 0", lineno, kind_col)
-            if ("delay", kind_text) in seen:
-                raise ParseError(f"duplicate delay entry for {kind_text}", lineno, kind_col)
-            seen.add(("delay", kind_text))
-            delays[kind] = ps
-        elif keyword in ("weight", "static", "dynamic"):
-            _want(tokens, 3, lineno, f"{keyword} <RESOURCE_KIND> <value>")
-            kind_text, kind_col = tokens[1]
-            if kind_text not in RESOURCE_KINDS:
-                raise ParseError(f"unknown resource kind {kind_text}", lineno, kind_col)
-            value = _num_field(tokens[2], lineno, f"{keyword} value")
-            if (keyword, kind_text) in seen:
-                raise ParseError(f"duplicate {keyword} entry for {kind_text}", lineno, kind_col)
-            seen.add((keyword, kind_text))
-            {"weight": weights, "static": static, "dynamic": dynamic}[keyword][kind_text] = value
-        elif keyword == "frequency":
-            _want(tokens, 2, lineno, "frequency <Hz>")
-            if ("frequency", "") in seen:
-                raise ParseError("duplicate frequency directive", lineno, tokens[0][1])
-            seen.add(("frequency", ""))
-            frequency = _num_field(tokens[1], lineno, "frequency")
-            if not frequency > 0:
-                raise ParseError("frequency must be positive", lineno, tokens[1][1])
-        else:
-            raise ParseError(f"unknown directive {keyword!r}", lineno, tokens[0][1])
-    return DeviceProfile(
-        path.stem, delays, AreaWeights(weights), PowerModel(static, dynamic, frequency)
+    power = parse_coefficients(
+        path.read_bytes(), base.power, header=DEVICE_HEADER, delays=delays, weights=weights
     )
+    return DeviceProfile(path.stem, delays, AreaWeights(weights), power)
 
 
 def resolve_device(name_or_path: str) -> DeviceProfile:

@@ -20,6 +20,9 @@ Power model (no header)::
     dynamic <RESOURCE_KIND> <pJ>
     frequency <Hz>
 
+Device files (see ``devices``) add ``delay`` and ``weight`` lines to these and
+are read by the same loop, ``parse_coefficients``.
+
 ``#`` starts a comment anywhere; blank lines are ignored. Unknown directives,
 malformed fields and dangling references are errors, and every error carries
 the line holding the offending token. Serializers emit one canonical byte
@@ -33,6 +36,7 @@ import re
 from dataclasses import dataclass
 
 from .annotation import AnnotationError, BlockLabel
+from .area import RESOURCE_KINDS
 from .model import (
     BlockscopeError,
     Cell,
@@ -71,9 +75,13 @@ def _scan(data: bytes | str) -> list[tuple[int, list[Token]]]:
     """Significant lines as (lineno, tokens); comments and blanks dropped."""
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8-sig")  # a leading byte order mark is dropped
         except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc.reason}", 1) from None
+            # locate the bad byte the way the lines below are numbered
+            before = (exc.object[: exc.start].decode("utf-8") + "?").splitlines()
+            raise ParseError(
+                f"input is not valid UTF-8: {exc.reason}", len(before), len(before[-1])
+            ) from None
     else:
         text = data
     lines: list[tuple[int, list[Token]]] = []
@@ -355,32 +363,51 @@ def serialize_profile(profile: ActivityProfile) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
-# --- power model -----------------------------------------------------------
+# --- power model and device coefficients -----------------------------------
 
 
-def parse_power_model(data: bytes | str, base: PowerModel | None = None) -> PowerModel:
-    """Overlay static/dynamic/frequency directives on a base model (defaults)."""
-    from .area import RESOURCE_KINDS
+def parse_coefficients(
+    data: bytes | str,
+    base: PowerModel,
+    *,
+    header: str | None = None,
+    delays: dict[CellKind, int] | None = None,
+    weights: dict[str, float] | None = None,
+) -> PowerModel:
+    """Overlay static/dynamic/frequency directives on a base model.
 
-    if base is None:
-        base = PowerModel.default()
+    The one loop behind power-model and device files: ``delay`` and ``weight``
+    lines are accepted only when their table is given, and update it in place.
+    """
+    lines = _scan(data) if header is None else _take_header(_scan(data), header)
     static = dict(base.static_uw)
     dynamic = dict(base.dynamic_pj)
     frequency = base.frequency_hz
+    tables = {"static": static, "dynamic": dynamic}
+    if weights is not None:
+        tables["weight"] = weights
     seen: set[tuple[str, str]] = set()
     saw_frequency = False
-    for lineno, tokens in _scan(data):
+    for lineno, tokens in lines:
         keyword = tokens[0][0]
-        if keyword in ("static", "dynamic"):
+        if keyword in tables:
             _want(tokens, 3, lineno, f"{keyword} <RESOURCE_KIND> <value>")
-            kind, kind_col = tokens[1]
-            if kind not in RESOURCE_KINDS:
-                raise ParseError(f"unknown resource kind {kind}", lineno, kind_col)
+            kind_text, kind_col = tokens[1]
+            if kind_text not in RESOURCE_KINDS:
+                raise ParseError(f"unknown resource kind {kind_text}", lineno, kind_col)
             value = _num_field(tokens[2], lineno, f"{keyword} coefficient")
-            if (keyword, kind) in seen:
-                raise ParseError(f"duplicate {keyword} entry for {kind}", lineno, kind_col)
-            seen.add((keyword, kind))
-            (static if keyword == "static" else dynamic)[kind] = value
+            table, key = tables[keyword], kind_text
+        elif keyword == "delay" and delays is not None:
+            _want(tokens, 3, lineno, "delay <CELL_KIND> <ps>")
+            kind_text, kind_col = tokens[1]
+            try:
+                kind = CellKind[kind_text]
+            except KeyError:
+                raise ParseError(f"unknown cell kind {kind_text}", lineno, kind_col) from None
+            value = _nat_field(tokens[2], lineno, "logic delay")
+            if kind.is_source and value != 0:
+                raise ParseError(f"{kind.value} is a path source and must keep delay 0", lineno, kind_col)
+            table, key = delays, kind
         elif keyword == "frequency":
             _want(tokens, 2, lineno, "frequency <Hz>")
             if saw_frequency:
@@ -389,6 +416,16 @@ def parse_power_model(data: bytes | str, base: PowerModel | None = None) -> Powe
             frequency = _num_field(tokens[1], lineno, "frequency")
             if not frequency > 0:
                 raise ParseError("frequency must be positive", lineno, tokens[1][1])
+            continue
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno, tokens[0][1])
+        if (keyword, kind_text) in seen:
+            raise ParseError(f"duplicate {keyword} entry for {kind_text}", lineno, kind_col)
+        seen.add((keyword, kind_text))
+        table[key] = value
     return PowerModel(static, dynamic, frequency)
+
+
+def parse_power_model(data: bytes | str, base: PowerModel | None = None) -> PowerModel:
+    """Overlay static/dynamic/frequency directives on a base model (defaults)."""
+    return parse_coefficients(data, PowerModel.default() if base is None else base)

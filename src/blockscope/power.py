@@ -162,20 +162,6 @@ def average_power_uw(static_uw: float, dynamic_pj: float, alpha: float, frequenc
     return static_uw + dynamic_pj * alpha * frequency_hz * 1e-6
 
 
-def static_power(
-    block: BlockLabel, registry: BlockRegistry, netlist: Netlist, model: PowerModel
-) -> float:
-    counts, _ = resource_counts(registry.blocks[block], netlist)
-    return sum(counts[kind] * model.static_of(kind) for kind in RESOURCE_KINDS)
-
-
-def dynamic_coefficient(
-    block: BlockLabel, registry: BlockRegistry, netlist: Netlist, model: PowerModel
-) -> float:
-    counts, _ = resource_counts(registry.blocks[block], netlist)
-    return sum(counts[kind] * model.dynamic_of(kind) for kind in RESOURCE_KINDS)
-
-
 @dataclass(frozen=True)
 class BlockPower:
     static_uw: float

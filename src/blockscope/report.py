@@ -1,7 +1,8 @@
 """Render combined area/delay/power results as text, CSV, or canonical JSON.
 
 Every renderer is a pure function of the report, so identical inputs give
-byte-identical output. The structured form (schema ``blockscope-report v1``)
+byte-identical output. Text and CSV render the structured document, so all
+three formats agree on every number by construction. The structured form (schema ``blockscope-report v1``)
 sorts keys, keeps delays as integer picoseconds, and fixes decimal places
 (power 3, alpha 4), which makes render -> json.loads -> render a fixpoint.
 """
@@ -62,7 +63,6 @@ def build_report(
     profile: ActivityProfile | None = None,
     group_depth: int | None = None,
     include_block_nets: bool = True,
-    threads: int = 1,
     metadata: ReportMetadata | None = None,
 ) -> CombinedReport:
     """Run the requested analyses over one registry so all sections share the
@@ -83,7 +83,7 @@ def build_report(
                                   block_delay_nets=include_block_nets)
     area = area_report(netlist, registry, weights) if "area" in metrics else None
     delay = (
-        delay_report(netlist, registry, include_block_nets=include_block_nets, threads=threads)
+        delay_report(netlist, registry, include_block_nets=include_block_nets)
         if "delay" in metrics
         else None
     )
@@ -108,17 +108,6 @@ def _labels(report: CombinedReport) -> list[BlockLabel]:
         if section is not None:
             return sorted(section.per_block, key=str)
     return []
-
-
-def _has_unannotated(report: CombinedReport) -> bool:
-    # every section derives from the same registry, so any one of them decides
-    if report.delay is not None:
-        return report.delay.unannotated is not None
-    if report.power is not None:
-        return report.power.unannotated is not None
-    if report.area is not None:
-        return sum(report.area.unannotated.counts.values()) > 0
-    return False
 
 
 # --- canonical JSON ----------------------------------------------------------
@@ -272,7 +261,29 @@ def render_structured(report: CombinedReport) -> bytes:
     return canonical_json(report_document(report))
 
 
-# --- text --------------------------------------------------------------------
+# --- text and csv: renderings of the structured document ---------------------
+
+_POWER_KEYS = ("static_uw", "dynamic_pj", "alpha", "active_cycles", "events", "average_uw")
+
+
+def _entries(section: dict) -> list[dict]:
+    """Block rows, plus the (unannotated) row exactly when the document has one."""
+    extra = section["unannotated"]
+    return section["blocks"] + ([] if extra is None else [extra])
+
+
+def _area_cells(entry: dict) -> list[str]:
+    return [*(str(entry["counts"][k]) for k in RESOURCE_KINDS),
+            _fmt_scalar(entry["weighted_area"], "weighted_area")]
+
+
+def _delay_cells(entry: dict) -> list[str]:
+    return [str(entry[part][key]) for part in ("system", "block_delay")
+            for key in ("total_ps", "logic_ps", "network_ps")]
+
+
+def _power_cells(entry: dict) -> list[str]:
+    return [_fmt_scalar(entry[key], key) for key in _POWER_KEYS]
 
 
 def _table(rows: list[list[str]], right_from: int = 1) -> list[str]:
@@ -287,100 +298,53 @@ def _table(rows: list[list[str]], right_from: int = 1) -> list[str]:
     return out
 
 
-def _fmt_path(result: PathResult) -> str:
-    return " -> ".join(result.path) if result.path else "(none)"
-
-
 def render_text(report: CombinedReport) -> bytes:
-    meta = report.metadata
+    doc = report_document(report)
+    meta = doc["metadata"]
     lines = [
         SCHEMA,
-        f"tool: {meta.tool_version}",
-        f"device: {meta.device}",
-        f"netlist-digest: {meta.netlist_digest or '(none)'}",
-        f"profile-digest: {meta.profile_digest or '(none)'}",
-        f"group-depth: {meta.group_depth if meta.group_depth is not None else '(none)'}",
-        f"block-delay-nets: {'included' if meta.block_delay_nets else 'nodes-only'}",
+        f"tool: {meta['tool']}",
+        f"device: {meta['device']}",
+        f"netlist-digest: {meta['netlist_digest'] or '(none)'}",
+        f"profile-digest: {meta['profile_digest'] or '(none)'}",
+        f"group-depth: {meta['group_depth'] if meta['group_depth'] is not None else '(none)'}",
+        f"block-delay-nets: {'included' if meta['block_delay_nets'] else 'nodes-only'}",
     ]
-    labels = _labels(report)
-    show_unannotated = _has_unannotated(report)
 
-    if report.area is not None:
-        a = report.area
+    area = doc["area"]
+    if area is not None:
         lines += ["", "AREA"]
         rows = [["block", *[k.lower() for k in RESOURCE_KINDS], "weighted"]]
-
-        def area_row(name: str, entry: BlockArea) -> list[str]:
-            return [name, *[str(entry.counts[k]) for k in RESOURCE_KINDS], f"{entry.weighted_area:.3f}"]
-
-        for label in labels:
-            rows.append(area_row(str(label), a.per_block[label]))
-        if show_unannotated:
-            rows.append(area_row(UNANNOTATED_LABEL, a.unannotated))
-        rows.append(area_row("total", a.totals))
+        rows += [[e["block"], *_area_cells(e)] for e in _entries(area) + [area["totals"]]]
         lines += _table(rows)
-        if a.totals.unpaired_ff:
-            lines.append("unpaired-ff: " + " ".join(a.totals.unpaired_ff))
+        if area["totals"]["unpaired_ff"]:
+            lines.append("unpaired-ff: " + " ".join(area["totals"]["unpaired_ff"]))
 
-    if report.delay is not None:
-        d = report.delay
+    delay = doc["delay"]
+    if delay is not None:
         lines += ["", "DELAY (* = on global critical path)"]
+        critical = set(delay["critical_blocks"])
         rows = [["block", "", "system_ps", "logic", "net", "block_ps", "logic", "net"]]
-
-        def delay_row(name: str, mark: str, entry: BlockDelay) -> list[str]:
-            return [
-                name,
-                mark,
-                str(entry.system.total_delay),
-                str(entry.system.logic_delay),
-                str(entry.system.network_delay),
-                str(entry.block.total_delay),
-                str(entry.block.logic_delay),
-                str(entry.block.network_delay),
-            ]
-
-        for label in labels:
-            mark = "*" if label in d.critical_blocks else ""
-            rows.append(delay_row(str(label), mark, d.per_block[label]))
-        if show_unannotated and d.unannotated is not None:
-            rows.append(delay_row(UNANNOTATED_LABEL, "", d.unannotated))
+        rows += [[e["block"], "*" if e["block"] in critical else "", *_delay_cells(e)]
+                 for e in _entries(delay)]
         lines += _table(rows, right_from=2)
-        lines.append(f"global-critical: {d.global_critical.total_delay} ps "
-                     f"({d.global_critical.logic_delay} logic + {d.global_critical.network_delay} net)")
-        lines.append("critical-path: " + _fmt_path(d.global_critical))
-        lines.append(
-            "critical-blocks: "
-            + (" ".join(sorted(str(l) for l in d.critical_blocks)) or "(none)")
-        )
+        g = delay["global_critical"]
+        lines.append(f"global-critical: {g['total_ps']} ps "
+                     f"({g['logic_ps']} logic + {g['network_ps']} net)")
+        lines.append("critical-path: " + (" -> ".join(g["path"]) or "(none)"))
+        lines.append("critical-blocks: " + (" ".join(delay["critical_blocks"]) or "(none)"))
 
-    if report.power is not None:
-        p = report.power
-        lines += ["", "POWER (" + POWER_BANNER + ")"]
+    power = doc["power"]
+    if power is not None:
+        lines += ["", f"POWER ({power['note']})"]
         rows = [["block", "p_s_uw", "p_d_pj", "alpha", "active", "events", "p_avg_uw", "profiled"]]
-
-        def power_row(name: str, entry: BlockPower) -> list[str]:
-            return [
-                name,
-                f"{entry.static_uw:.3f}",
-                f"{entry.dynamic_pj:.3f}",
-                f"{entry.alpha:.4f}",
-                str(entry.active_cycles),
-                str(entry.events),
-                f"{entry.average_uw:.3f}",
-                "yes" if entry.profiled else "no",
-            ]
-
-        for label in labels:
-            rows.append(power_row(str(label), p.per_block[label]))
-        if show_unannotated and p.unannotated is not None:
-            rows.append(power_row(UNANNOTATED_LABEL, p.unannotated))
+        rows += [[e["block"], *_power_cells(e), "yes" if e["profiled"] else "no"]
+                 for e in _entries(power)]
         lines += _table(rows)
-        lines.append("ranking: " + (" ".join(str(l) for l in p.ranking) or "(none)"))
+        lines.append("ranking: " + (" ".join(power["ranking"]) or "(none)"))
 
     return ("\n".join(lines) + "\n").encode("utf-8")
 
-
-# --- csv ---------------------------------------------------------------------
 
 CSV_HEADER = [
     "section",
@@ -402,74 +366,29 @@ CSV_HEADER = [
     "p_avg_uw",
 ]
 
-_N_COLS = len(CSV_HEADER)
-
-
-def _csv_row(section: str, block: str, **fields: str) -> list[str]:
-    row = [""] * _N_COLS
-    row[0] = section
-    row[1] = block
-    for key, value in fields.items():
-        row[CSV_HEADER.index(key)] = value
-    return row
+# section -> (first CSV column it fills, its cells in column order)
+_CSV_SECTIONS = {
+    "area": (CSV_HEADER.index(RESOURCE_KINDS[0].lower()), _area_cells),
+    "delay": (CSV_HEADER.index("system_total_ps"), _delay_cells),
+    "power": (CSV_HEADER.index("p_s_uw"), _power_cells),
+}
 
 
 def render_csv(report: CombinedReport) -> bytes:
+    doc = report_document(report)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    labels = _labels(report)
-    names = [str(l) for l in labels]
-    if _has_unannotated(report):
-        names.append(UNANNOTATED_LABEL)
-
-    if report.area is not None:
-        entries = {str(l): report.area.per_block[l] for l in labels}
-        if report.area.unannotated is not None:
-            entries[UNANNOTATED_LABEL] = report.area.unannotated
-        for name in names:
-            e = entries[name]
-            fields = {k.lower(): str(e.counts[k]) for k in RESOURCE_KINDS}
-            fields["weighted_area"] = f"{e.weighted_area:.3f}"
-            writer.writerow(_csv_row("area", name, **fields))
-    if report.delay is not None:
-        d = report.delay
-        entries = {str(l): d.per_block[l] for l in labels}
-        if d.unannotated is not None:
-            entries[UNANNOTATED_LABEL] = d.unannotated
-        critical = {str(l) for l in d.critical_blocks}
-        for name in names:
-            e = entries[name]
-            writer.writerow(
-                _csv_row(
-                    "delay",
-                    name,
-                    critical="*" if name in critical else "",
-                    system_total_ps=str(e.system.total_delay),
-                    system_logic_ps=str(e.system.logic_delay),
-                    system_network_ps=str(e.system.network_delay),
-                    block_total_ps=str(e.block.total_delay),
-                    block_logic_ps=str(e.block.logic_delay),
-                    block_network_ps=str(e.block.network_delay),
-                )
-            )
-    if report.power is not None:
-        p = report.power
-        entries = {str(l): p.per_block[l] for l in labels}
-        if p.unannotated is not None:
-            entries[UNANNOTATED_LABEL] = p.unannotated
-        for name in names:
-            e = entries[name]
-            writer.writerow(
-                _csv_row(
-                    "power",
-                    name,
-                    p_s_uw=f"{e.static_uw:.3f}",
-                    p_d_pj=f"{e.dynamic_pj:.3f}",
-                    alpha=f"{e.alpha:.4f}",
-                    active_cycles=str(e.active_cycles),
-                    events=str(e.events),
-                    p_avg_uw=f"{e.average_uw:.3f}",
-                )
-            )
+    critical = set(doc["delay"]["critical_blocks"]) if doc["delay"] is not None else set()
+    for section, (first, cells) in _CSV_SECTIONS.items():
+        if doc[section] is None:
+            continue
+        for e in _entries(doc[section]):
+            row = [""] * len(CSV_HEADER)
+            row[0], row[1] = section, e["block"]
+            if section == "delay" and e["block"] in critical:
+                row[2] = "*"
+            values = cells(e)
+            row[first:first + len(values)] = values
+            writer.writerow(row)
     return buf.getvalue().encode("utf-8")

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
+from blockscope.cli import main
 from blockscope.devices import DEVICE_HEADER
-from blockscope.fixtures import gen_gcd
+from blockscope.fixtures import gen_fig6, gen_gcd, gen_random, gen_random_profile
 from blockscope.formats import NETLIST_HEADER, parse_netlist, serialize_netlist, serialize_profile
 
 
@@ -124,26 +125,13 @@ def test_usage_errors_exit_1():
     assert result.returncode == 1
 
 
-def test_bad_thread_env_exits_1(gcd_files):
-    bnl, _ = gcd_files
-    import os
-
-    env = dict(os.environ, BLOCKSCOPE_THREADS="many")
-    result = run_cli("analyze", "--netlist", str(bnl), env=env)
-    assert result.returncode == 1
-    assert b"BLOCKSCOPE_THREADS" in result.stderr
-
-
 def test_byte_determinism_across_runs_and_threads(gcd_files):
-    import os
-
     bnl, bpf = gcd_files
     reference = None
-    for cap in ("1", "4", "0"):
-        env = dict(os.environ, BLOCKSCOPE_THREADS=cap)
+    for _ in range(3):
         out = run_cli(
             "analyze", "--netlist", str(bnl), "--profile", str(bpf),
-            "--format", "structured", env=env,
+            "--format", "structured",
         ).stdout
         if reference is None:
             reference = out
@@ -215,3 +203,82 @@ def test_power_model_overlay(gcd_files, tmp_path):
     # 4 LUT4 at 10 uW + 1 LUT3 at the default 0.3
     assert sub["static_uw"] == pytest.approx(40.3)
     assert doc["power"]["frequency_hz"] == 1e6
+
+
+# sha256 of every report for fixed inputs: the report bytes are the contract,
+# so a change that moves one byte of text, CSV or JSON output fails here.
+GOLDEN_REPORTS = {
+    "gcd plain text": "8771327282a65fd32e935e34c27e44ef03b103f8cb7512fb6e55581819d55cdf",
+    "gcd plain csv": "07e76600a60ac50f9994ee358d52ea17c269853f4b8b54cc5f2012188fdda82e",
+    "gcd plain structured": "d37219dd142e33df1ddc3c4ed46461b23385891b82ea94ae92d090ef97ea617c",
+    "gcd depth1 text": "388aaab61211afbd3d58fc5bf1e92d1e50a2f5cdd5efd0e59f3c29f90fd69f79",
+    "gcd depth1 csv": "07e76600a60ac50f9994ee358d52ea17c269853f4b8b54cc5f2012188fdda82e",
+    "gcd depth1 structured": "ca63f2e046f82d83950eb38abaf0fb6186592e39fcad7f7b9cde7a3c55932882",
+    "gcd nodes-only text": "3fe13b19277c4f0d628c28cb0911b0ec8da8838098ce453d55c64cdb62e92383",
+    "gcd nodes-only csv": "af46f17206b4905a9295e779a7c1756b4c84bff889125abca8c9b833ff3573f5",
+    "gcd nodes-only structured": "847485e164b8e67a6d885a56d9c9a42dc9f52f3c0294b3e0e1dadef63e275caf",
+    "fig6 plain text": "5061f8893454acd38b22d042135f057abd706de3c0a7f7a0825389a0a54dc1f6",
+    "fig6 plain csv": "f9118abd96c20d77de87f9336cfe3eb005489c529cb8e09d34a6cde7ffe1d859",
+    "fig6 plain structured": "bb98d323f72f1f663b31d70a79e9399f82df994501b5ce3fefc7b5eceb245c6c",
+    "fig6 depth1 text": "2e4d45f9c09dd559b60e44e0ea62f1285f21c4e89d5c2cba7592c31137666258",
+    "fig6 depth1 csv": "f9118abd96c20d77de87f9336cfe3eb005489c529cb8e09d34a6cde7ffe1d859",
+    "fig6 depth1 structured": "5d7cfd651fe3d038aa83630468c03fa9ef18316052df2f5a5b02195abde82767",
+    "fig6 nodes-only text": "932788082a5e0ff340a74575e042899969db30df313e546cbcd21482d6fe5a64",
+    "fig6 nodes-only csv": "f9118abd96c20d77de87f9336cfe3eb005489c529cb8e09d34a6cde7ffe1d859",
+    "fig6 nodes-only structured": "cf520944e9bc3fc6484b179abfc4b82c41b121d94997eb63a2d71078a26461d3",
+    "random2 plain text": "31ca5fa3e953bb113acb7913212296b452ced0532d618d0adad1888e6b229871",
+    "random2 plain csv": "c7ddddf784686abdbada10fe48456a2324c075a8dbd98d163e1cc553ca3cb5e0",
+    "random2 plain structured": "08e4cd3c27b54ec2ff4cfb9b4f45507805aada5fef4a29e56c51ff1ff544e35e",
+    "random2 depth1 text": "435e885d04f463467c0b58db14b2b9d0c2ca70edbea4edc8d73930a2dee6000f",
+    "random2 depth1 csv": "7b0cf4a5facb74efa6e5cd510770c456443f07cf49a112ee89795598d5bba274",
+    "random2 depth1 structured": "0d00bb1a4e8c19397b569f4e8a8be7f87886bc4bffca5373bbf986502b2461e5",
+    "random2 nodes-only text": "4ffd8d63eeabe9fe43b207102fe4bb8fadb4e75a704004e4d0834cca418eb5a0",
+    "random2 nodes-only csv": "c7ddddf784686abdbada10fe48456a2324c075a8dbd98d163e1cc553ca3cb5e0",
+    "random2 nodes-only structured": "2c4abf5d45f6d7bb841c7713412dc9cc2633f85d83a3c6f9990f18a88ba69c33",
+    "random4 plain text": "fc1f54d5342af868868cfe539cffe55065990b2d585a0b62189d0d7a31eb2c5f",
+    "random4 plain csv": "2e29b7f45cbbe7aee5db8a6ee920e79a2f228516e33f5d22318404c43fb95750",
+    "random4 plain structured": "f55af1f3d0d37a955d195eae0a6c095720d9c4142caf0c7dd71022788e790e46",
+    "random4 depth1 text": "a3c6837c78f167e4d59d97f54a37879a26d9fdffdf8b57f420724b7c0f172c6b",
+    "random4 depth1 csv": "8376876291fba8260ff206071c6f7aac41b0122c7e699ceed207c2eea3ef622a",
+    "random4 depth1 structured": "0dd491d453756fbf541b27bfcda63f172e4266badc8f71bf59ee6ef23d69a1ed",
+    "random4 nodes-only text": "3fc9442d57c7c417a9b2f367a3bcb4ca494088794870e40baf0c28a64c967903",
+    "random4 nodes-only csv": "bf71641d6e886e2957bd32c9ae2e0d810f253fb04dfc59b7a32aeff16047a781",
+    "random4 nodes-only structured": "39d8c00182572ff551e7c71fd649e858b7b94c4cc386aa89a2e65acd3f8deb3d",
+    "random11 plain text": "638700b4f8375398bdcd854e976ad3f14a14f518b296bacf8d2d5a0098ed7861",
+    "random11 plain csv": "c3eb6bb0a55185c199c98e043f6f24a75f988df7f1ffbafb030a0bcf27b88d92",
+    "random11 plain structured": "c21ff6d558dfaed1e6eb89567880fa8a6117933af1331badf0d924ca2ff92f05",
+    "random11 depth1 text": "b729c9012e1789eb7d964eb8257873ce53b40425453390d593102f3fa71bbed3",
+    "random11 depth1 csv": "f8ce2a9f1bfa529fae18ada4a0767170825eb58de07bc7b63e1024448de8bef5",
+    "random11 depth1 structured": "02d9db839fbaa6580dd13b1051d19cfd63340507b68fc98bf5f5cfde5ff73863",
+    "random11 nodes-only text": "4df5d7297c8bf45424d57d184bcb6f7f7b95cf70799f4bc7f0ef52a77ad9ba27",
+    "random11 nodes-only csv": "2d740362595389dd6175aacedaef6104953416835f2b46c783adff9075cef9af",
+    "random11 nodes-only structured": "e069473df89039df35cce5e95ca0900eaa417f322ad029c1bf005bda68da2e0b",
+}
+
+
+def _golden_inputs(outdir):
+    gcd_nl, gcd_profile = gen_gcd()
+    cases = {"gcd": (gcd_nl, gcd_profile), "fig6": (gen_fig6(), None)}
+    for seed in (2, 4, 11):  # each has unannotated cells and multi-segment labels
+        cases[f"random{seed}"] = (gen_random(seed, 24), gen_random_profile(seed))
+    args = {}
+    for name, (netlist, profile) in cases.items():
+        (outdir / f"{name}.bnl").write_bytes(serialize_netlist(netlist))
+        args[name] = ["--netlist", str(outdir / f"{name}.bnl")]
+        if profile is not None:
+            (outdir / f"{name}.bpf").write_bytes(serialize_profile(profile))
+            args[name] += ["--profile", str(outdir / f"{name}.bpf")]
+    return args
+
+
+def test_report_bytes_match_frozen_digests(tmp_path, capsysbinary):
+    variants = {"plain": [], "depth1": ["--group-depth", "1"],
+                "nodes-only": ["--block-delay-nodes-only"]}
+    got = {}
+    for case, inputs in _golden_inputs(tmp_path).items():
+        for variant, flags in variants.items():
+            for fmt in ("text", "csv", "structured"):
+                assert main(["analyze", *inputs, *flags, "--format", fmt]) == 0
+                out = capsysbinary.readouterr().out
+                got[f"{case} {variant} {fmt}"] = hashlib.sha256(out).hexdigest()
+    assert got == GOLDEN_REPORTS

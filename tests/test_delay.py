@@ -175,14 +175,6 @@ def test_gcd_critical_path_and_dominance():
         assert report.per_block[label].system.total_delay == report.global_critical.total_delay
 
 
-def test_threaded_report_matches_sequential():
-    for nl in (gen_gcd()[0], gen_random(11, 18)):
-        registry = build_registry(nl)
-        seq = delay_report(nl, registry, threads=1)
-        par = delay_report(nl, registry, threads=4)
-        assert seq == par
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 12))
 def test_expansion_matches_path_enumeration(seed, n):

@@ -92,6 +92,16 @@ def test_malformed_fields_rejected():
             parse_netlist(f"{NETLIST_HEADER}\n{line}\n")
         assert fragment in str(err.value), line
         assert err.value.line == 2
+    # undecodable bytes are located by line and column too
+    with pytest.raises(ParseError) as err:
+        parse_netlist(f"{NETLIST_HEADER}\ncell a IN 0\n".encode() + b"cell \xff IN 0\n")
+    assert "not valid UTF-8" in str(err.value)
+    assert (err.value.line, err.value.column) == (3, 6)
+
+
+def test_utf8_byte_order_mark_before_header_is_accepted():
+    plain = serialize_netlist(gen_gcd()[0])
+    assert parse_netlist(b"\xef\xbb\xbf" + plain).body == parse_netlist(plain).body
 
 
 def test_duplicate_cell_id_caught_at_parse():

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from blockscope.annotation import BlockLabel, build_registry
-from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
+from blockscope.fixtures import gen_fig6, gen_gcd, gen_random, gen_random_profile
 from blockscope.model import BlockscopeError
 from blockscope.report import (
     CSV_HEADER,
@@ -125,19 +125,30 @@ def test_csv_layout():
 
 
 def test_formats_agree_on_every_number():
-    report = gcd_report()
-    doc = parse_structured(render_structured(report))
-    rows = list(csv.reader(io.StringIO(render_csv(report).decode())))
-    by_key = {(row[0], row[1]): row for row in rows[1:]}
-    text = render_text(report).decode()
-    for entry in doc["delay"]["blocks"]:
-        row = by_key[("delay", entry["block"])]
-        assert row[CSV_HEADER.index("system_total_ps")] == str(entry["system"]["total_ps"])
-        assert row[CSV_HEADER.index("block_total_ps")] == str(entry["block_delay"]["total_ps"])
-    for entry in doc["power"]["blocks"]:
-        row = by_key[("power", entry["block"])]
-        assert row[CSV_HEADER.index("p_avg_uw")] == f"{entry['average_uw']:.3f}"
-        assert f"{entry['average_uw']:.3f}" in text
+    all_metrics = ("area", "delay", "power")
+    reports = [
+        gcd_report(),
+        build_report(gen_fig6(), metrics=all_metrics, metadata=META),
+        build_report(gen_random(42, 20), metrics=all_metrics, profile=gen_random_profile(42),
+                     group_depth=1, metadata=META),
+    ]
+
+    def entries(doc, section):  # block rows plus the (unannotated) row, if any
+        return doc[section]["blocks"] + [e for e in [doc[section]["unannotated"]] if e]
+
+    for report in reports:
+        doc = parse_structured(render_structured(report))
+        rows = list(csv.reader(io.StringIO(render_csv(report).decode())))
+        by_key = {(row[0], row[1]): row for row in rows[1:]}
+        text = render_text(report).decode()
+        for entry in entries(doc, "delay"):
+            row = by_key[("delay", entry["block"])]
+            assert row[CSV_HEADER.index("system_total_ps")] == str(entry["system"]["total_ps"])
+            assert row[CSV_HEADER.index("block_total_ps")] == str(entry["block_delay"]["total_ps"])
+        for entry in entries(doc, "power"):
+            row = by_key[("power", entry["block"])]
+            assert row[CSV_HEADER.index("p_avg_uw")] == f"{entry['average_uw']:.3f}"
+            assert f"{entry['average_uw']:.3f}" in text
 
 
 def test_group_depth_applies_to_all_sections():
