@@ -150,6 +150,9 @@ def _analyze(args: argparse.Namespace) -> int:
     )
     sys.stdout.buffer.write(_RENDERERS[args.fmt](report))
     sys.stdout.buffer.flush()
+    for label in report.power.unknown_blocks if report.power is not None else ():
+        print(f"blockscope: warning: profile block {label} matches no netlist block; "
+              "its activity is ignored", file=sys.stderr)
     return 0
 
 

@@ -1,9 +1,7 @@
 """Back-annotate post-synthesis timing onto blocks.
 
-Pipeline per block: take its annotated cells as seeds, expand them to the
-union of all maximal source-to-sink paths that cross at least one seed, split
-that subgraph into weakly connected sets, and take the longest path over each
-set under two weightings:
+Each block's annotated cells are seeds; its delay is the longest complete
+source-to-sink path crossing at least one seed, under two weightings:
 
 * system delay: every node contributes its logic_delay and every edge its
   net_delay, measuring the full paths the block sits on;
@@ -11,12 +9,14 @@ set under two weightings:
   default) only edges with both endpoints inside the block contribute
   net_delay, measuring the block's own share of those paths.
 
-Only paths that cross the block compete: the union subgraph can contain
-composite source-to-sink walks that dodge every seed (two half-paths glued at
-a shared fan node), so the search carries a "crossed a seed" state instead of
-maximizing over the raw subgraph. Ties break toward the lexicographically
-smallest cell-id sequence, and parallel nets between the same two cells count
-with their maximum in-scope delay, matching the exhaustive oracle exactly.
+`DelayGraph` indexes the netlist once per report, with one topological sort
+and parallel nets collapsed to their maximum delay. Each block then runs one
+dynamic program over its cone (the seeds' ancestors and descendants), in
+O(cone V+E): a state records whether the path must still cross a seed and
+keeps only its best weight and next node. Ties go to the smallest next cell
+id, which yields the lexicographically smallest cell-id sequence, because the
+candidates at one node all start with distinct successors. `expand_paths` and
+`connected_sets` remain as diagnostics of the union of crossing paths.
 """
 
 from __future__ import annotations
@@ -66,38 +66,25 @@ def expand_paths(netlist: Netlist, seeds: Iterable[str]) -> Subgraph:
     """
     seed_set = frozenset(seeds)
     order = topological_order(netlist)
-    src_ok: dict[str, bool] = {}
-    seed_src: dict[str, bool] = {}
-    for cid in order:
-        reachable = netlist.cell(cid).kind.is_source or any(
-            src_ok[n.src] for n in netlist.in_nets(cid)
-        )
-        src_ok[cid] = reachable
-        seed_src[cid] = (cid in seed_set and reachable) or any(
-            seed_src[n.src] for n in netlist.in_nets(cid)
-        )
-    sink_ok: dict[str, bool] = {}
-    seed_sink: dict[str, bool] = {}
-    for cid in reversed(order):
-        reaches = netlist.cell(cid).kind.is_sink or any(
-            sink_ok[n.dst] for n in netlist.out_nets(cid)
-        )
-        sink_ok[cid] = reaches
-        seed_sink[cid] = (cid in seed_set and reaches) or any(
-            seed_sink[n.dst] for n in netlist.out_nets(cid)
-        )
-    edges = tuple(
-        sorted(
-            (
-                n
-                for n in netlist.nets
-                if (seed_src[n.src] and sink_ok[n.dst]) or (src_ok[n.src] and seed_sink[n.dst])
-            ),
-            key=lambda n: (n.src, n.dst, n.net_delay),
-        )
-    )
+
+    def sweep(cells, nets, is_end, far) -> tuple[dict[str, bool], dict[str, bool]]:
+        ok: dict[str, bool] = {}  # reaches an end
+        hit: dict[str, bool] = {}  # reaches an end through a seed
+        for cid in cells:
+            near = [far(n) for n in nets(cid)]
+            ok[cid] = is_end(netlist.cell(cid).kind) or any(ok[x] for x in near)
+            hit[cid] = (cid in seed_set and ok[cid]) or any(hit[x] for x in near)
+        return ok, hit
+
+    src_ok, seed_src = sweep(order, netlist.in_nets, lambda k: k.is_source, lambda n: n.src)
+    sink_ok, seed_sink = sweep(reversed(order), netlist.out_nets, lambda k: k.is_sink, lambda n: n.dst)
+
+    def on_crossing_path(n: Net) -> bool:
+        return (seed_src[n.src] and sink_ok[n.dst]) or (src_ok[n.src] and seed_sink[n.dst])
+
+    edges = sorted(filter(on_crossing_path, netlist.nets), key=lambda n: (n.src, n.dst, n.net_delay))
     nodes = frozenset(n.src for n in edges) | frozenset(n.dst for n in edges)
-    return Subgraph(netlist, nodes, edges)
+    return Subgraph(netlist, nodes, tuple(edges))
 
 
 def connected_sets(sub: Subgraph) -> list[Subgraph]:
@@ -125,26 +112,50 @@ def connected_sets(sub: Subgraph) -> list[Subgraph]:
     return out
 
 
-def _scoped_adjacency(
-    sub: Subgraph, block_cells: frozenset[str] | None, mode: WeightingMode, include_block_nets: bool
-) -> dict[str, dict[str, int]]:
-    """dst -> effective weight per source node; parallels keep the max in scope."""
-    adj: dict[str, dict[str, int]] = {}
-    for n in sub.edges:
-        if mode is WeightingMode.SYSTEM:
-            w = n.net_delay
-        elif include_block_nets and block_cells is not None and n.src in block_cells and n.dst in block_cells:
-            w = n.net_delay
-        else:
-            w = 0
-        row = adj.setdefault(n.src, {})
-        if w > row.get(n.dst, -1):
-            row[n.dst] = w
-    return adj
+class DelayGraph:
+    """Integer-indexed view of a netlist, built once per delay report.
+
+    Cell i is the i-th id in sorted order, so comparing indices compares ids.
+    succ[i] maps each successor index, ascending, to the maximum delay of the
+    parallel nets into it; rank[i] is i's position in the topological order.
+    """
+
+    def __init__(self, netlist: Netlist) -> None:
+        self.ids = ids = netlist.cell_ids()
+        self.index = index = {cid: i for i, cid in enumerate(ids)}
+        self.order = [index[cid] for cid in topological_order(netlist)]
+        self.rank = [0] * len(ids)
+        for r, i in enumerate(self.order):
+            self.rank[i] = r
+        cells = [netlist.cell(cid) for cid in ids]
+        self.logic = [c.logic_delay for c in cells]
+        self.source = [c.kind.is_source for c in cells]
+        self.sink = [c.kind.is_sink for c in cells]
+        self.succ: list[dict[int, int]] = [{} for _ in ids]
+        self.pred: list[list[int]] = [[] for _ in ids]
+        for n in sorted(netlist.nets, key=lambda n: n.dst):
+            i, j = index[n.src], index[n.dst]
+            row = self.succ[i]
+            if j not in row:
+                self.pred[j].append(i)
+            if n.net_delay > row.get(j, -1):
+                row[j] = n.net_delay
+
+
+def _reach(starts: set[int], adj) -> set[int]:
+    """Every node reachable from starts along adj, starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for j in adj[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
 
 
 def longest_path(
-    sub: Subgraph,
+    graph: DelayGraph,
     block_cells: frozenset[str] | None,
     mode: WeightingMode,
     include_block_nets: bool = True,
@@ -154,70 +165,63 @@ def longest_path(
     block_cells None lifts the crossing constraint (and is only meaningful
     for SYSTEM weighting, used for the global critical path). The winner is
     the maximum weight, ties broken by lexicographically smallest cell-id
-    sequence; an empty or crossing-free subgraph yields the zero result.
+    sequence; a netlist with no crossing path yields the zero result.
     """
     if mode is WeightingMode.BLOCK and block_cells is None:
         raise BlockscopeError("block-delay weighting needs the block cell set")
-    if not sub.nodes:
+    g, system = graph, mode is WeightingMode.SYSTEM
+    if block_cells is None:
+        seeds, down, up = set(), g.order, []
+    else:
+        seeds = {g.index[cid] for cid in block_cells}
+        down, up = (sorted(_reach(seeds, adj), key=g.rank.__getitem__) for adj in (g.succ, g.pred))
+
+    def node(i: int) -> int:
+        return g.logic[i] if system or i in seeds else 0
+
+    def edge(i: int, j: int) -> int:
+        in_scope = system or (include_block_nets and i in seeds and j in seeds)
+        return g.succ[i][j] if in_scope else 0
+
+    # free[i] / bound[i] = (weight, next node) of the best suffix from i to a
+    # sink; a bound suffix must still cross a seed. Only the seeds'
+    # descendants can continue a crossed path and only their ancestors can
+    # still reach a seed, so each state lives on that half of the cone.
+    free: dict[int, tuple[int, int]] = {}
+    bound: dict[int, tuple[int, int]] = {}
+    for nodes, states in ((down, free), (up, bound)):
+        for i in reversed(nodes):
+            if states is bound and i in seeds:
+                if i in free:
+                    bound[i] = free[i]
+            elif g.sink[i]:
+                free[i] = (node(i), -1)
+            else:
+                best_w = best_j = -1
+                for j, w in g.succ[i].items():
+                    if j in states:
+                        w = (w if system else edge(i, j)) + states[j][0]
+                        if w > best_w:
+                            best_w, best_j = w, j
+                if best_j >= 0:
+                    states[i] = (node(i) + best_w, best_j)
+
+    states = free if block_cells is None else bound
+    roots = [(w, -i) for i, (w, _) in states.items() if g.source[i]]
+    if not roots:
         return ZERO_PATH
-    netlist = sub.netlist
-    seeds = sub.nodes if block_cells is None else frozenset(block_cells)
-
-    def node_weight(cid: str) -> int:
-        if mode is WeightingMode.SYSTEM or cid in block_cells:  # type: ignore[operator]
-            return netlist.cell(cid).logic_delay
-        return 0
-
-    adj = _scoped_adjacency(sub, block_cells, mode, include_block_nets)
-    order = [cid for cid in topological_order(netlist) if cid in sub.nodes]
-    # suffix[cid][need] = best (weight, path) from cid to a sink, where need=1
-    # means the suffix must still cross a seed; None marks no valid suffix.
-    suffix: dict[str, list[tuple[int, tuple[str, ...]] | None]] = {}
-    for cid in reversed(order):
-        w = node_weight(cid)
-        is_sink = netlist.cell(cid).kind.is_sink
-        entry: list[tuple[int, tuple[str, ...]] | None] = [None, None]
-        for need in (0, 1):
-            need_after = 0 if cid in seeds else need
-            if is_sink:
-                if need_after == 0:
-                    entry[need] = (w, (cid,))
-                continue
-            best: tuple[int, tuple[str, ...]] | None = None
-            for dst, edge_w in adj.get(cid, {}).items():
-                cont = suffix.get(dst)
-                if cont is None or cont[need_after] is None:
-                    continue
-                cw, cpath = cont[need_after]  # type: ignore[misc]
-                cand = (w + edge_w + cw, (cid,) + cpath)
-                if best is None or (-cand[0], cand[1]) < (-best[0], best[1]):
-                    best = cand
-            entry[need] = best
-        suffix[cid] = entry
-
-    best: tuple[int, tuple[str, ...]] | None = None
-    for cid in order:
-        if not netlist.cell(cid).kind.is_source:
-            continue
-        cand = suffix[cid][1]
-        if cand is None:
-            continue
-        if best is None or (-cand[0], cand[1]) < (-best[0], best[1]):
-            best = cand
-    if best is None:
-        return ZERO_PATH
-    total, path = best
-    logic = sum(node_weight(cid) for cid in path)
-    network = sum(adj[a][b] for a, b in zip(path, path[1:]))
+    total, root = max(roots)  # heaviest, then smallest source id
+    path, i = [], -root
+    while i >= 0:
+        path.append(i)
+        if i in seeds:
+            states = free
+        i = states[i][1]
+    logic = sum(node(i) for i in path)
+    network = sum(edge(i, j) for i, j in zip(path, path[1:]))
     if logic + network != total:
         raise RuntimeError("internal error: path decomposition does not match its total")
-    return PathResult(total, logic, network, path)
-
-
-def _better(a: PathResult, b: PathResult) -> PathResult:
-    if (-a.total_delay, a.path) <= (-b.total_delay, b.path):
-        return a
-    return b
+    return PathResult(total, logic, network, tuple(g.ids[i] for i in path))
 
 
 @dataclass(frozen=True)
@@ -234,21 +238,6 @@ class DelayReport:
     critical_blocks: frozenset[BlockLabel]
 
 
-def _solve_block(
-    netlist: Netlist, cells: frozenset[str], include_block_nets: bool
-) -> BlockDelay:
-    sub = expand_paths(netlist, cells)
-    sets = connected_sets(sub)
-    system = ZERO_PATH if not sets else None
-    block = ZERO_PATH if not sets else None
-    for s in sets:
-        sys_r = longest_path(s, cells, WeightingMode.SYSTEM)
-        blk_r = longest_path(s, cells, WeightingMode.BLOCK, include_block_nets)
-        system = sys_r if system is None else _better(system, sys_r)
-        block = blk_r if block is None else _better(block, blk_r)
-    return BlockDelay(system, block)  # type: ignore[arg-type]
-
-
 def delay_report(
     netlist: Netlist,
     registry: BlockRegistry,
@@ -257,23 +246,20 @@ def delay_report(
 ) -> DelayReport:
     """Per-block system/block delays, the global critical path, and the blocks
     it crosses."""
-    per_block = {
-        label: _solve_block(netlist, cells, include_block_nets)
-        for label, cells in registry.blocks.items()
-    }
-    unannotated = (
-        _solve_block(netlist, registry.unannotated, include_block_nets)
-        if registry.unannotated
-        else None
-    )
+    graph = DelayGraph(netlist)
 
-    full = expand_paths(netlist, frozenset(netlist.cell_ids()))
-    global_critical = longest_path(full, None, WeightingMode.SYSTEM)
-    label_of: dict[str, BlockLabel] = {}
-    for label, cells in registry.blocks.items():
-        for cid in cells:
-            label_of[cid] = label
+    def solve(cells: frozenset[str]) -> BlockDelay:
+        return BlockDelay(
+            longest_path(graph, cells, WeightingMode.SYSTEM),
+            longest_path(graph, cells, WeightingMode.BLOCK, include_block_nets),
+        )
+
+    per_block = {label: solve(cells) for label, cells in registry.blocks.items()}
+    unannotated = solve(registry.unannotated) if registry.unannotated else None
+    global_critical = longest_path(graph, None, WeightingMode.SYSTEM)
     critical_blocks = frozenset(
-        label_of[cid] for cid in global_critical.path if cid in label_of
+        label
+        for label, cells in registry.blocks.items()
+        if not cells.isdisjoint(global_critical.path)
     )
     return DelayReport(per_block, unannotated, global_critical, critical_blocks)

@@ -50,6 +50,7 @@ from .power import ActivityProfile, PowerModel
 
 NETLIST_HEADER = "blockscope-netlist v1"
 PROFILE_HEADER = "blockscope-profile v1"
+_MAX_INT = 2**53  # integer fields stay below it, so every consumer of a double reads them exactly
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
 _NAT_RE = re.compile(r"[0-9]+\Z")
@@ -83,7 +84,7 @@ def _scan(data: bytes | str) -> list[tuple[int, list[Token]]]:
                 f"input is not valid UTF-8: {exc.reason}", len(before), len(before[-1])
             ) from None
     else:
-        text = data
+        text = data.removeprefix("\ufeff")
     lines: list[tuple[int, list[Token]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -125,7 +126,11 @@ def _nat_field(tok: Token, lineno: int, what: str) -> int:
     text, col = tok
     if not _NAT_RE.match(text):
         raise ParseError(f"malformed {what} {text!r}, expected a non-negative integer", lineno, col)
-    return int(text)
+    # int() refuses huge strings; any 17 significant digits are already >= 2^53
+    value = int(text) if len(text) <= 16 else int(text.lstrip("0")[:17] or "0")
+    if value >= _MAX_INT:
+        raise ParseError(f"{what} out of range, must be below 2^53", lineno, col)
+    return value
 
 
 def _num_field(tok: Token, lineno: int, what: str) -> float:
@@ -283,7 +288,7 @@ def parse_profile(data: bytes | str) -> ActivityProfile:
                     raise ParseError(
                         f"malformed firing cycle {part!r} in {list_text!r}", lineno, list_col
                     )
-                values.append(int(part))
+                values.append(int(part) if len(part) <= 16 else int(part.lstrip("0")[:17] or "0"))
             for a, b in zip(values, values[1:]):
                 if b <= a:
                     raise ParseError(

@@ -1,15 +1,25 @@
-"""Brute-force reference implementations used only by the test suite.
+"""Reference implementations used only by the test suite.
 
-Each oracle recomputes a result by direct enumeration or literal replay so the
-production code paths can be checked against something with no shared logic.
-All enumeration is exponential and guarded by a cell-count limit.
+Each oracle recomputes a result by direct enumeration, literal replay or an
+independent algorithm, so the production code paths can be checked against
+something with no shared logic. All enumeration is exponential and guarded by
+a cell-count limit; the reference delay pipeline is polynomial and has none.
 """
 
 from __future__ import annotations
 
-from .annotation import BlockLabel
-from .delay import WeightingMode, ZERO_PATH, PathResult
-from .model import BlockscopeError, CellKind, Netlist
+from .annotation import BlockLabel, BlockRegistry
+from .delay import (
+    BlockDelay,
+    DelayReport,
+    PathResult,
+    Subgraph,
+    WeightingMode,
+    ZERO_PATH,
+    connected_sets,
+    expand_paths,
+)
+from .model import BlockscopeError, CellKind, Netlist, topological_order
 from .power import ActivityProfile
 
 MAX_ORACLE_CELLS = 14
@@ -108,6 +118,90 @@ def oracle_expand(
             nodes.update(path)
             edges.update(zip(path, path[1:]))
     return frozenset(nodes), frozenset(edges)
+
+
+def _suffix_longest_path(
+    sub: Subgraph, block_cells: frozenset[str] | None, mode: WeightingMode, include_block_nets: bool
+) -> PathResult:
+    """Longest crossing path over one subgraph, keeping every node's whole
+    best suffix as a tuple and comparing (-weight, path) directly."""
+    netlist = sub.netlist
+    seeds = sub.nodes if block_cells is None else block_cells
+
+    def node_weight(cid: str) -> int:
+        if mode is WeightingMode.SYSTEM or cid in seeds:
+            return netlist.cell(cid).logic_delay
+        return 0
+
+    adj: dict[str, dict[str, int]] = {}
+    for n in sub.edges:
+        in_scope = mode is WeightingMode.SYSTEM or (
+            include_block_nets and n.src in seeds and n.dst in seeds
+        )
+        row = adj.setdefault(n.src, {})
+        row[n.dst] = max(row.get(n.dst, -1), n.net_delay if in_scope else 0)
+    order = [cid for cid in topological_order(netlist) if cid in sub.nodes]
+    # suffix[cid][need]: best (weight, path) to a sink; need=1 means the
+    # suffix must still cross a seed; None marks no valid suffix.
+    suffix: dict[str, list[tuple[int, tuple[str, ...]] | None]] = {}
+    for cid in reversed(order):
+        w = node_weight(cid)
+        entry: list[tuple[int, tuple[str, ...]] | None] = [None, None]
+        for need in (0, 1):
+            need_after = 0 if cid in seeds else need
+            if netlist.cell(cid).kind.is_sink:
+                entry[need] = (w, (cid,)) if need_after == 0 else None
+                continue
+            cands = [
+                (w + edge_w + suffix[dst][need_after][0], (cid,) + suffix[dst][need_after][1])
+                for dst, edge_w in adj.get(cid, {}).items()
+                if suffix[dst][need_after] is not None
+            ]
+            entry[need] = min(cands, key=lambda c: (-c[0], c[1]), default=None)
+        suffix[cid] = entry
+    roots = [suffix[c][1] for c in order if netlist.cell(c).kind.is_source and suffix[c][1]]
+    if not roots:
+        return ZERO_PATH
+    total, path = min(roots, key=lambda c: (-c[0], c[1]))
+    logic = sum(node_weight(cid) for cid in path)
+    return PathResult(total, logic, total - logic, path)
+
+
+def _reference_block(
+    netlist: Netlist, cells: frozenset[str], include_block_nets: bool
+) -> BlockDelay:
+    results = {mode: ZERO_PATH for mode in WeightingMode}
+    sets = connected_sets(expand_paths(netlist, cells))
+    for mode in WeightingMode:
+        found = [_suffix_longest_path(s, cells, mode, include_block_nets) for s in sets]
+        if found:
+            results[mode] = min(found, key=lambda r: (-r.total_delay, r.path))
+    return BlockDelay(results[WeightingMode.SYSTEM], results[WeightingMode.BLOCK])
+
+
+def reference_delay_report(
+    netlist: Netlist, registry: BlockRegistry, *, include_block_nets: bool = True
+) -> DelayReport:
+    """The delay report by the original pipeline: expand each block's seeds to
+    the union of its crossing paths, split that into weakly connected sets,
+    run the tuple-suffix search on every set and keep the best result."""
+    per_block = {
+        label: _reference_block(netlist, cells, include_block_nets)
+        for label, cells in registry.blocks.items()
+    }
+    unannotated = (
+        _reference_block(netlist, registry.unannotated, include_block_nets)
+        if registry.unannotated
+        else None
+    )
+    full = expand_paths(netlist, netlist.cell_ids())
+    global_critical = _suffix_longest_path(full, None, WeightingMode.SYSTEM, True)
+    critical_blocks = frozenset(
+        label
+        for label, cells in registry.blocks.items()
+        if any(cid in cells for cid in global_critical.path)
+    )
+    return DelayReport(per_block, unannotated, global_critical, critical_blocks)
 
 
 def oracle_replay(profile: ActivityProfile) -> dict[BlockLabel, frozenset[int]]:

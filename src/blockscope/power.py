@@ -179,6 +179,7 @@ class PowerScore:
     unannotated: BlockPower | None
     ranking: tuple[BlockLabel, ...]
     frequency_hz: float
+    unknown_blocks: tuple[BlockLabel, ...] = ()  # profile blocks absent from the netlist
 
 
 def power_score(
@@ -217,4 +218,5 @@ def power_score(
     ranking = tuple(
         sorted(per_block, key=lambda label: (-per_block[label].average_uw, str(label)))
     )
-    return PowerScore(per_block, unannotated, ranking, model.frequency_hz)
+    unknown = tuple(sorted(known - per_block.keys(), key=str))
+    return PowerScore(per_block, unannotated, ranking, model.frequency_hz, unknown)

@@ -282,3 +282,47 @@ def test_report_bytes_match_frozen_digests(tmp_path, capsysbinary):
                 out = capsysbinary.readouterr().out
                 got[f"{case} {variant} {fmt}"] = hashlib.sha256(out).hexdigest()
     assert got == GOLDEN_REPORTS
+
+
+def test_out_of_range_delay_exits_1(tmp_path, capsys):
+    bnl = tmp_path / "big.bnl"
+    bnl.write_text(f"{NETLIST_HEADER}\ncell i IN 0\ncell a LUT1 {'9' * 30}\ncell o OUT 0\n"
+                   "net i -> a 1\nnet a -> o 1\n")
+    assert main(["analyze", "--netlist", str(bnl), "--metrics", "delay"]) == 1
+    assert capsys.readouterr().err == (
+        "blockscope: error: logic delay out of range, must be below 2^53 (line 3, col 13)\n"
+    )
+
+
+def test_profile_block_missing_from_netlist_warns(gcd_files, tmp_path):
+    bnl, bpf = gcd_files
+    ghost = tmp_path / "ghost.bpf"
+    ghost.write_bytes(bpf.read_bytes() + b"rule rg block ghost\nfires rg 0,1\n")
+    reports = {}
+    for profile in (bpf, ghost):
+        result = run_cli("analyze", "--netlist", str(bnl), "--profile", str(profile),
+                         "--format", "structured")
+        assert result.returncode == 0
+        reports[profile] = json.loads(result.stdout)
+        reports[profile]["metadata"].pop("profile_digest")
+    assert result.stderr == (
+        b"blockscope: warning: profile block ghost matches no netlist block; "
+        b"its activity is ignored\n"
+    )
+    assert reports[ghost] == reports[bpf]  # the report itself is untouched
+
+
+def test_frozen_digest_inputs_warn_only_for_absent_profile_blocks(tmp_path, capsys):
+    # the random profiles name some labels that only exist once the netlist
+    # is grouped to depth 1; gcd and fig6 never warn
+    absent = {"random2": ["u1", "u1.c"], "random11": ["u0.a", "u2", "u2.c"]}
+    for case, inputs in _golden_inputs(tmp_path).items():
+        for flags in ([], ["--group-depth", "1"]):
+            assert main(["analyze", *inputs, *flags]) == 0
+            warned = capsys.readouterr().err.splitlines()
+            expected = [] if flags else absent.get(case, [])
+            assert warned == [
+                f"blockscope: warning: profile block {label} matches no netlist block; "
+                "its activity is ignored"
+                for label in expected
+            ], (case, flags)

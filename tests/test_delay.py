@@ -1,11 +1,14 @@
 """Path expansion, connected sets, and longest-path scoring in both modes."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockscope.annotation import BlockLabel, build_registry
 from blockscope.delay import (
+    DelayGraph,
     WeightingMode,
     ZERO_PATH,
     connected_sets,
@@ -15,7 +18,7 @@ from blockscope.delay import (
 )
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist
-from blockscope.oracles import oracle_expand, oracle_longest_path
+from blockscope.oracles import oracle_expand, oracle_longest_path, reference_delay_report
 
 CORE = BlockLabel.parse("core")
 
@@ -63,7 +66,7 @@ def test_expansion_of_disconnected_seed_is_empty():
     )
     sub = expand_paths(nl, {"b__lone"})
     assert sub.nodes == frozenset() and sub.edges == ()
-    assert longest_path(sub, frozenset({"b__lone"}), WeightingMode.SYSTEM) == ZERO_PATH
+    assert longest_path(DelayGraph(nl), frozenset({"b__lone"}), WeightingMode.SYSTEM) == ZERO_PATH
 
 
 def test_composite_walks_that_dodge_every_seed_cannot_win():
@@ -95,7 +98,7 @@ def test_composite_walks_that_dodge_every_seed_cannot_win():
     seeds = frozenset({"blk__s1", "blk__s2"})
     sub = expand_paths(nl, seeds)
     assert {"q2", "x2", "y", "d1"} <= sub.nodes  # the trap is present
-    got = longest_path(sub, seeds, WeightingMode.SYSTEM)
+    got = longest_path(DelayGraph(nl), seeds, WeightingMode.SYSTEM)
     assert got.total_delay == 111
     assert got.path == ("q1", "blk__s1", "m", "y", "d1")
     assert got == oracle_longest_path(nl, seeds, WeightingMode.SYSTEM)
@@ -111,7 +114,7 @@ def test_ties_break_to_smallest_path():
     nets = [Net("i", "a", 1), Net("i", "b", 1), Net("a", "o", 1), Net("b", "o", 1)]
     nl = Netlist(cells, nets)
     seeds = frozenset({"a", "b"})
-    got = longest_path(expand_paths(nl, seeds), seeds, WeightingMode.SYSTEM)
+    got = longest_path(DelayGraph(nl), seeds, WeightingMode.SYSTEM)
     assert got.path == ("i", "a", "o")
     assert got == oracle_longest_path(nl, seeds, WeightingMode.SYSTEM)
 
@@ -121,12 +124,12 @@ def test_parallel_nets_score_their_maximum():
     nets = [Net("i", "b__l", 3), Net("i", "b__l", 9), Net("b__l", "o", 1)]
     nl = Netlist(cells, nets)
     seeds = frozenset({"b__l"})
-    sub = expand_paths(nl, seeds)
-    got = longest_path(sub, seeds, WeightingMode.SYSTEM)
+    graph = DelayGraph(nl)
+    got = longest_path(graph, seeds, WeightingMode.SYSTEM)
     assert got.total_delay == 9 + 2 + 1
     assert got.network_delay == 10
     # block weighting: i is outside, so the parallel pair contributes nothing
-    blk = longest_path(sub, seeds, WeightingMode.BLOCK)
+    blk = longest_path(graph, seeds, WeightingMode.BLOCK)
     assert blk.total_delay == 2 and blk.network_delay == 0
 
 
@@ -140,10 +143,10 @@ def test_intra_block_nets_flag():
     nets = [Net("i", "b__u", 1), Net("b__u", "b__v", 7), Net("b__v", "o", 1)]
     nl = Netlist(cells, nets)
     seeds = frozenset({"b__u", "b__v"})
-    sub = expand_paths(nl, seeds)
-    with_nets = longest_path(sub, seeds, WeightingMode.BLOCK)
+    graph = DelayGraph(nl)
+    with_nets = longest_path(graph, seeds, WeightingMode.BLOCK)
     assert (with_nets.total_delay, with_nets.network_delay) == (12, 7)
-    nodes_only = longest_path(sub, seeds, WeightingMode.BLOCK, include_block_nets=False)
+    nodes_only = longest_path(graph, seeds, WeightingMode.BLOCK, include_block_nets=False)
     assert (nodes_only.total_delay, nodes_only.network_delay) == (5, 0)
     assert nodes_only == oracle_longest_path(nl, seeds, WeightingMode.BLOCK, include_block_nets=False)
 
@@ -151,7 +154,7 @@ def test_intra_block_nets_flag():
 def test_block_mode_requires_cells():
     nl, core = fig6_core()
     with pytest.raises(BlockscopeError):
-        longest_path(expand_paths(nl, core), None, WeightingMode.BLOCK)
+        longest_path(DelayGraph(nl), None, WeightingMode.BLOCK)
 
 
 def test_gcd_critical_path_and_dominance():
@@ -215,3 +218,59 @@ def test_global_critical_is_the_partition_maximum(seed, n):
         assert best <= report.global_critical.total_delay
     if partition_best:
         assert max(partition_best) == report.global_critical.total_delay
+
+
+@pytest.mark.parametrize(
+    "netlist",
+    [pytest.param(lambda width=width: gen_gcd(width)[0], id=f"gcd{width}") for width in range(1, 9)]
+    + [pytest.param(gen_fig6, id="fig6")]
+    # seeds with 2-4 blocks each; seed 0 yields a single block
+    + [
+        pytest.param(lambda seed=seed, n=n: gen_random(seed, n), id=f"random{seed}-{n}")
+        for seed, n in ((1, 500), (4, 500), (3, 1000), (6, 1000), (5, 2000), (7, 2000))
+    ],
+)
+def test_delay_report_matches_reference_pipeline(netlist):
+    # beyond the 14-cell enumeration limit the reference is the expansion,
+    # connected-set and tuple-suffix pipeline, which shares no search code
+    nl = netlist()
+    registry = build_registry(nl)
+    for include_nets in (True, False):
+        got = delay_report(nl, registry, include_block_nets=include_nets)
+        assert got == reference_delay_report(nl, registry, include_block_nets=include_nets)
+
+
+def _lut_chain(n_cells, n_blocks):
+    """IN -> n_cells LUTs split into n_blocks consecutive runs -> OUT."""
+    size = n_cells // n_blocks
+    ids = [f"b{k // size:03d}__c{k:05d}" for k in range(n_cells)]
+    cells = [Cell("in", CellKind.IN), Cell("out", CellKind.OUT)]
+    cells += [Cell(cid, CellKind.LUT1, 1 + k % 7) for k, cid in enumerate(ids)]
+    chain = ["in", *ids, "out"]
+    nets = [Net(a, b, k % 5) for k, (a, b) in enumerate(zip(chain, chain[1:]))]
+    return Netlist(cells, nets), chain
+
+
+@pytest.mark.parametrize("n_cells, n_blocks", [(1_000, 200), (20_000, 1)])
+def test_long_chains_have_analytic_delays(n_cells, n_blocks):
+    # 20,000 cells deep is far past the recursion limit, so nothing may recurse
+    nl, chain = _lut_chain(n_cells, n_blocks)
+    registry = build_registry(nl)
+    started = time.perf_counter()
+    report = delay_report(nl, registry)
+    assert time.perf_counter() - started < 5.0
+    delay_of = {c.id: c.logic_delay for c in nl.cells}
+    net_of = {(n.src, n.dst): n.net_delay for n in nl.nets}
+    whole = sum(delay_of.values()) + sum(net_of.values())
+    assert len(report.per_block) == n_blocks
+    for label, cells in registry.blocks.items():
+        bd = report.per_block[label]
+        assert bd.system.path == tuple(chain)
+        assert bd.system.total_delay == whole
+        own = sum(delay_of[c] for c in cells)
+        inside = sum(d for (a, b), d in net_of.items() if a in cells and b in cells)
+        assert (bd.block.logic_delay, bd.block.network_delay) == (own, inside)
+        assert bd.block.total_delay == own + inside
+    system_best = max(bd.system.total_delay for bd in report.per_block.values())
+    assert report.global_critical.total_delay == system_best == whole
+    assert report.global_critical.path == tuple(chain)

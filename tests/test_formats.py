@@ -86,12 +86,20 @@ def test_malformed_fields_rejected():
         ("net a => b 1", "expected '->'"),
         ("net a -> b 1.5", "malformed net delay"),
         ("gadget a b", "unknown directive"),
+        ("cell a LUT1 9007199254740992", "logic delay out of range, must be below 2^53"),
+        ("net a -> b 9007199254740992", "net delay out of range, must be below 2^53"),
     ]
     for line, fragment in cases:
         with pytest.raises(ParseError) as err:
             parse_netlist(f"{NETLIST_HEADER}\n{line}\n")
         assert fragment in str(err.value), line
         assert err.value.line == 2
+    # a 30-digit delay is located at its column; 2^53 - 1 is still accepted
+    with pytest.raises(ParseError) as err:
+        parse_netlist(f"{NETLIST_HEADER}\ncell a LUT1 {'9' * 30}\n")
+    assert (err.value.line, err.value.column) == (2, 13)
+    big = parse_netlist(f"{NETLIST_HEADER}\ncell a LUT1 9007199254740991\n")
+    assert big.body.cell("a").logic_delay == 2**53 - 1
     # undecodable bytes are located by line and column too
     with pytest.raises(ParseError) as err:
         parse_netlist(f"{NETLIST_HEADER}\ncell a IN 0\n".encode() + b"cell \xff IN 0\n")
@@ -102,6 +110,7 @@ def test_malformed_fields_rejected():
 def test_utf8_byte_order_mark_before_header_is_accepted():
     plain = serialize_netlist(gen_gcd()[0])
     assert parse_netlist(b"\xef\xbb\xbf" + plain).body == parse_netlist(plain).body
+    assert parse_netlist("\ufeff" + plain.decode()).body == parse_netlist(plain).body
 
 
 def test_duplicate_cell_id_caught_at_parse():
@@ -168,6 +177,8 @@ def test_profile_reference_and_shape_errors():
         ("cycles 2\nrule r0 block b\nfires r0 0,0", "strictly increasing"),
         ("cycles 2\nrule r0 block b\nfires r0 2", "out of range"),
         ("cycles 2\nrule r0 block b\nfires r0 1,x", "malformed firing cycle"),
+        ("cycles 2\nrule r0 block b\nfires r0 1," + "1" * 5000, "out of range"),
+        ("cycles " + "9" * 30, "cycle count out of range"),
         ("cycles 2\nwrites r9 s", "undeclared rule r9"),
         ("cycles 2\nrule r0 block b\nwrites r0 s\nwrites r0 s", "duplicate writes"),
         ("cycles 2\nrule r0 block b\nwrites r0 s\nreads c s", "undeclared block c"),
