@@ -199,8 +199,10 @@ def gen_random(seed: int, n_cells: int) -> Netlist:
         cells.append(Cell(cid, kind, 0 if kind.is_source else delay()))
 
     nets: list[Net] = []
+    cands = [j for j in range(n_src) if not cells[j].kind.is_sink]  # non-sink cells below i
     for i in range(n_src, n_cells):
-        cands = [j for j in range(i) if not cells[j].kind.is_sink]
+        if i > n_src and not cells[i - 1].kind.is_sink:
+            cands.append(i - 1)
         if not cands:
             continue
         for j in rng.sample(cands, rng.randint(1, min(3, len(cands)))):

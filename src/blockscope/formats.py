@@ -32,6 +32,7 @@ sorted) so serialize(parse(x)) is byte-identical on canonical input.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -55,6 +56,8 @@ _MAX_INT = 2**53  # integer fields stay below it, so every consumer of a double 
 _ID_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
 _NAT_RE = re.compile(r"[0-9]+\Z")
 _NUM_RE = re.compile(r"[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?\Z")
+# a fires list whose every cycle int() reads exactly; anything else is walked part by part
+_FIRES_RE = re.compile(r"[0-9]{1,16}(?:,[0-9]{1,16})*\Z")
 
 
 class ParseError(BlockscopeError):
@@ -69,11 +72,15 @@ class VersionError(ParseError):
     pass
 
 
-Token = tuple[str, int]  # text, 1-based column
+Line = tuple[int, str, list[str]]  # line number, text before any '#', its tokens
 
 
-def _scan(data: bytes | str) -> list[tuple[int, list[Token]]]:
-    """Significant lines as (lineno, tokens); comments and blanks dropped."""
+def _scan(data: bytes | str) -> list[Line]:
+    """Significant lines as (lineno, text, tokens); comments and blanks dropped.
+
+    Tokens are what ``str.split()`` gives. Columns are not kept: ``_error``
+    works one out from the line's text only when an error is raised.
+    """
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8-sig")  # a leading byte order mark is dropped
@@ -85,59 +92,70 @@ def _scan(data: bytes | str) -> list[tuple[int, list[Token]]]:
             ) from None
     else:
         text = data.removeprefix("\ufeff")
-    lines: list[tuple[int, list[Token]]] = []
+    lines: list[Line] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", body)]
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
         if tokens:
-            lines.append((lineno, tokens))
+            lines.append((lineno, raw, tokens))
     return lines
 
 
-def _take_header(lines: list[tuple[int, list[Token]]], expected: str) -> list[tuple[int, list[Token]]]:
+def _error(line: Line, index: int, message: str) -> ParseError:
+    """ParseError located at the line's index-th token (1-based column)."""
+    starts = [m.start() for m in re.finditer(r"\S+", line[1])]
+    return ParseError(message, line[0], starts[index] + 1)
+
+
+def _take_header(lines: list[Line], expected: str) -> list[Line]:
     if not lines:
         raise ParseError(f"empty input, expected header {expected!r}", 1)
-    lineno, tokens = lines[0]
-    got = " ".join(t for t, _ in tokens)
+    lineno, _, tokens = lines[0]
+    got = " ".join(tokens)
     if got == expected:
         return lines[1:]
     name = expected.split()[0]
-    if tokens[0][0] == name:
+    if tokens[0] == name:
         raise VersionError(f"unsupported version {got!r}, expected {expected!r}", lineno)
     raise ParseError(f"expected header {expected!r}, found {got!r}", lineno)
 
 
-def _want(
-    tokens: list[Token], count: int, lineno: int, usage: str
-) -> list[Token]:
-    if len(tokens) != count:
-        raise ParseError(f"expected {usage}", lineno, tokens[0][1])
-    return tokens
+def _want(line: Line, count: int, usage: str) -> None:
+    if len(line[2]) != count:
+        raise _error(line, 0, f"expected {usage}")
 
 
-def _id_field(tok: Token, lineno: int, what: str) -> str:
-    text, col = tok
+def _id_field(line: Line, index: int, what: str) -> str:
+    text = line[2][index]
     if not _ID_RE.match(text):
-        raise ParseError(f"malformed {what} {text!r}", lineno, col)
+        raise _error(line, index, f"malformed {what} {text!r}")
     return text
 
 
-def _nat_field(tok: Token, lineno: int, what: str) -> int:
-    text, col = tok
-    if not _NAT_RE.match(text):
-        raise ParseError(f"malformed {what} {text!r}, expected a non-negative integer", lineno, col)
+def _int(digits: str) -> int:
     # int() refuses huge strings; any 17 significant digits are already >= 2^53
-    value = int(text) if len(text) <= 16 else int(text.lstrip("0")[:17] or "0")
+    return int(digits) if len(digits) <= 16 else int(digits.lstrip("0")[:17] or "0")
+
+
+def _nat_field(line: Line, index: int, what: str) -> int:
+    text = line[2][index]
+    if not _NAT_RE.match(text):
+        raise _error(line, index, f"malformed {what} {text!r}, expected a non-negative integer")
+    value = _int(text)
     if value >= _MAX_INT:
-        raise ParseError(f"{what} out of range, must be below 2^53", lineno, col)
+        raise _error(line, index, f"{what} out of range, must be below 2^53")
     return value
 
 
-def _num_field(tok: Token, lineno: int, what: str) -> float:
-    text, col = tok
+def _num_field(line: Line, index: int, what: str) -> float:
+    text = line[2][index]
     if not _NUM_RE.match(text):
-        raise ParseError(f"malformed {what} {text!r}, expected a non-negative number", lineno, col)
-    return float(text)
+        raise _error(line, index, f"malformed {what} {text!r}, expected a non-negative number")
+    value = float(text)
+    if not math.isfinite(value):
+        raise _error(line, index, f"{what} out of range, must be finite")
+    return value
 
 
 # --- netlist ---------------------------------------------------------------
@@ -184,39 +202,38 @@ def parse_netlist(data: bytes | str) -> NetlistDocument:
     cell_lines: dict[str, int] = {}
     net_lines: dict[tuple[str, str], int] = {}
     pair_lines: dict[tuple[str, str], int] = {}
-    for lineno, tokens in lines:
-        keyword = tokens[0][0]
+    for line in lines:
+        lineno, _, tokens = line
+        keyword = tokens[0]
         if keyword == "cell":
-            _want(tokens, 4, lineno, "cell <id> <kind> <delay_ps>")
-            cid = _id_field(tokens[1], lineno, "cell id")
-            kind_text, kind_col = tokens[2]
+            _want(line, 4, "cell <id> <kind> <delay_ps>")
+            cid = _id_field(line, 1, "cell id")
             try:
-                kind = CellKind[kind_text]
+                kind = CellKind[tokens[2]]
             except KeyError:
-                raise ParseError(f"unknown cell kind {kind_text}", lineno, kind_col) from None
-            delay = _nat_field(tokens[3], lineno, "logic delay")
+                raise _error(line, 2, f"unknown cell kind {tokens[2]}") from None
+            delay = _nat_field(line, 3, "logic delay")
             if cid in cell_lines:
-                raise ParseError(f"duplicate cell id {cid}", lineno, tokens[1][1])
+                raise _error(line, 1, f"duplicate cell id {cid}")
             cell_lines[cid] = lineno
             cells.append(Cell(cid, kind, delay))
         elif keyword == "net":
-            _want(tokens, 5, lineno, "net <src> -> <dst> <delay_ps>")
-            src = _id_field(tokens[1], lineno, "net source id")
-            arrow, arrow_col = tokens[2]
-            if arrow != "->":
-                raise ParseError(f"expected '->', found {arrow!r}", lineno, arrow_col)
-            dst = _id_field(tokens[3], lineno, "net destination id")
-            delay = _nat_field(tokens[4], lineno, "net delay")
+            _want(line, 5, "net <src> -> <dst> <delay_ps>")
+            src = _id_field(line, 1, "net source id")
+            if tokens[2] != "->":
+                raise _error(line, 2, f"expected '->', found {tokens[2]!r}")
+            dst = _id_field(line, 3, "net destination id")
+            delay = _nat_field(line, 4, "net delay")
             net_lines.setdefault((src, dst), lineno)
             nets.append(Net(src, dst, delay))
         elif keyword == "ffpair":
-            _want(tokens, 3, lineno, "ffpair <d_id> <q_id>")
-            d = _id_field(tokens[1], lineno, "ffpair D id")
-            q = _id_field(tokens[2], lineno, "ffpair Q id")
+            _want(line, 3, "ffpair <d_id> <q_id>")
+            d = _id_field(line, 1, "ffpair D id")
+            q = _id_field(line, 2, "ffpair Q id")
             pair_lines.setdefault((d, q), lineno)
             pairs.append((d, q))
         else:
-            raise ParseError(f"unknown directive {keyword!r}", lineno, tokens[0][1])
+            raise _error(line, 0, f"unknown directive {keyword!r}")
     doc = NetlistDocument(NETLIST_HEADER, Netlist(cells, nets, pairs), cell_lines, net_lines, pair_lines)
     report = validate(doc.body)
     if not report.ok:
@@ -241,116 +258,111 @@ def serialize_netlist(obj: Netlist | NetlistDocument) -> bytes:
 # --- activity profile ------------------------------------------------------
 
 
-def _label_field(tok: Token, lineno: int) -> BlockLabel:
-    text, col = tok
+def _label_field(line: Line, index: int) -> BlockLabel:
+    text = line[2][index]
     try:
         return BlockLabel.parse(text)
     except AnnotationError as exc:
-        raise ParseError(f"malformed block label {text!r}: {exc}", lineno, col) from None
+        raise _error(line, index, f"malformed block label {text!r}: {exc}") from None
+
+
+def _fires_field(line: Line, index: int) -> tuple[int, ...]:
+    """Strictly increasing firing cycles; the parts are walked one by one
+    only when the one-regex check fails, so the error names the bad part."""
+    text = line[2][index]
+    if _FIRES_RE.match(text):
+        values = tuple(map(int, text.split(",")))
+    else:
+        parts = text.split(",")
+        for part in parts:
+            if not _NAT_RE.match(part):
+                raise _error(line, index, f"malformed firing cycle {part!r} in {text!r}")
+        values = tuple(map(_int, parts))
+    for a, b in zip(values, values[1:]):
+        if b <= a:
+            raise _error(line, index, f"firing cycles must be strictly increasing, found {a} then {b}")
+    return values
 
 
 def parse_profile(data: bytes | str) -> ActivityProfile:
     """Parse one activity profile; reference checks are order-independent."""
     lines = _take_header(_scan(data), PROFILE_HEADER)
     cycles: int | None = None
-    cycles_line = 0
-    rules: dict[str, tuple[BlockLabel, int]] = {}
-    fires: list[tuple[str, tuple[int, ...], int, int]] = []  # rid, cycles, line, col
-    writes: list[tuple[str, str, int, int]] = []
-    reads: list[tuple[BlockLabel, str, int, int]] = []
-    for lineno, tokens in lines:
-        keyword = tokens[0][0]
+    rules: dict[str, BlockLabel] = {}
+    fires: list[tuple[str, tuple[int, ...], Line]] = []
+    writes: list[tuple[str, str, Line]] = []
+    reads: list[tuple[BlockLabel, str, Line]] = []
+    for line in lines:
+        tokens = line[2]
+        keyword = tokens[0]
         if keyword == "cycles":
-            _want(tokens, 2, lineno, "cycles <N>")
+            _want(line, 2, "cycles <N>")
             if cycles is not None:
-                raise ParseError("duplicate cycles directive", lineno, tokens[0][1])
-            cycles = _nat_field(tokens[1], lineno, "cycle count")
+                raise _error(line, 0, "duplicate cycles directive")
+            cycles = _nat_field(line, 1, "cycle count")
             if cycles < 1:
-                raise ParseError("cycle count must be >= 1", lineno, tokens[1][1])
-            cycles_line = lineno
+                raise _error(line, 1, "cycle count must be >= 1")
         elif keyword == "rule":
-            _want(tokens, 4, lineno, "rule <rule_id> block <block_label>")
-            rid = _id_field(tokens[1], lineno, "rule id")
-            lit, lit_col = tokens[2]
-            if lit != "block":
-                raise ParseError(f"expected 'block', found {lit!r}", lineno, lit_col)
-            label = _label_field(tokens[3], lineno)
+            _want(line, 4, "rule <rule_id> block <block_label>")
+            rid = _id_field(line, 1, "rule id")
+            if tokens[2] != "block":
+                raise _error(line, 2, f"expected 'block', found {tokens[2]!r}")
+            label = _label_field(line, 3)
             if rid in rules:
-                raise ParseError(f"duplicate rule declaration {rid}", lineno, tokens[1][1])
-            rules[rid] = (label, lineno)
+                raise _error(line, 1, f"duplicate rule declaration {rid}")
+            rules[rid] = label
         elif keyword == "fires":
-            _want(tokens, 3, lineno, "fires <rule_id> <c1,c2,...>")
-            rid = _id_field(tokens[1], lineno, "rule id")
-            list_text, list_col = tokens[2]
-            values: list[int] = []
-            for part in list_text.split(","):
-                if not _NAT_RE.match(part):
-                    raise ParseError(
-                        f"malformed firing cycle {part!r} in {list_text!r}", lineno, list_col
-                    )
-                values.append(int(part) if len(part) <= 16 else int(part.lstrip("0")[:17] or "0"))
-            for a, b in zip(values, values[1:]):
-                if b <= a:
-                    raise ParseError(
-                        f"firing cycles must be strictly increasing, found {a} then {b}",
-                        lineno,
-                        list_col,
-                    )
-            fires.append((rid, tuple(values), lineno, tokens[1][1]))
+            _want(line, 3, "fires <rule_id> <c1,c2,...>")
+            rid = _id_field(line, 1, "rule id")
+            fires.append((rid, _fires_field(line, 2), line))
         elif keyword == "writes":
-            _want(tokens, 3, lineno, "writes <rule_id> <state_id>")
-            rid = _id_field(tokens[1], lineno, "rule id")
-            sid = _id_field(tokens[2], lineno, "state id")
-            writes.append((rid, sid, lineno, tokens[1][1]))
+            _want(line, 3, "writes <rule_id> <state_id>")
+            rid = _id_field(line, 1, "rule id")
+            sid = _id_field(line, 2, "state id")
+            writes.append((rid, sid, line))
         elif keyword == "reads":
-            _want(tokens, 3, lineno, "reads <block_label> <state_id>")
-            label = _label_field(tokens[1], lineno)
-            sid = _id_field(tokens[2], lineno, "state id")
-            reads.append((label, sid, lineno, tokens[1][1]))
+            _want(line, 3, "reads <block_label> <state_id>")
+            label = _label_field(line, 1)
+            sid = _id_field(line, 2, "state id")
+            reads.append((label, sid, line))
         else:
-            raise ParseError(f"unknown directive {keyword!r}", lineno, tokens[0][1])
+            raise _error(line, 0, f"unknown directive {keyword!r}")
 
     if cycles is None:
         raise ParseError("missing cycles directive", 1)
 
     firings: dict[str, tuple[int, ...]] = {rid: () for rid in rules}
-    for rid, values, lineno, col in fires:
+    for rid, values, line in fires:
         if rid not in rules:
-            raise ParseError(f"fires references undeclared rule {rid}", lineno, col)
+            raise _error(line, 1, f"fires references undeclared rule {rid}")
         if firings[rid]:
-            raise ParseError(f"duplicate fires directive for rule {rid}", lineno, col)
-        for t in values:
-            if t >= cycles:
-                raise ParseError(f"cycle {t} out of range, profile has {cycles} cycles", lineno, col)
+            raise _error(line, 1, f"duplicate fires directive for rule {rid}")
+        if values and values[-1] >= cycles:
+            t = next(t for t in values if t >= cycles)
+            raise _error(line, 1, f"cycle {t} out of range, profile has {cycles} cycles")
         firings[rid] = values
 
     write_set: set[tuple[str, str]] = set()
-    for rid, sid, lineno, col in writes:
+    for rid, sid, line in writes:
         if rid not in rules:
-            raise ParseError(f"writes references undeclared rule {rid}", lineno, col)
+            raise _error(line, 1, f"writes references undeclared rule {rid}")
         if (rid, sid) in write_set:
-            raise ParseError(f"duplicate writes {rid} {sid}", lineno, col)
+            raise _error(line, 1, f"duplicate writes {rid} {sid}")
         write_set.add((rid, sid))
 
-    declared_blocks = {label for label, _ in rules.values()}
+    declared_blocks = set(rules.values())
     written_states = {sid for _, sid in write_set}
     read_set: set[tuple[BlockLabel, str]] = set()
-    for label, sid, lineno, col in reads:
+    for label, sid, line in reads:
         if label not in declared_blocks:
-            raise ParseError(f"reads references undeclared block {label}", lineno, col)
+            raise _error(line, 1, f"reads references undeclared block {label}")
         if sid not in written_states:
-            raise ParseError(f"reads references unwritten state {sid}", lineno, col)
+            raise _error(line, 1, f"reads references unwritten state {sid}")
         if (label, sid) in read_set:
-            raise ParseError(f"duplicate reads {label} {sid}", lineno, col)
+            raise _error(line, 1, f"duplicate reads {label} {sid}")
         read_set.add((label, sid))
 
-    return ActivityProfile(
-        cycles,
-        {rid: label for rid, (label, _) in rules.items()},
-        firings,
-        frozenset(write_set),
-        frozenset(read_set),
-    )
+    return ActivityProfile(cycles, rules, firings, frozenset(write_set), frozenset(read_set))
 
 
 def serialize_profile(profile: ActivityProfile) -> bytes:
@@ -393,39 +405,40 @@ def parse_coefficients(
         tables["weight"] = weights
     seen: set[tuple[str, str]] = set()
     saw_frequency = False
-    for lineno, tokens in lines:
-        keyword = tokens[0][0]
+    for line in lines:
+        tokens = line[2]
+        keyword = tokens[0]
         if keyword in tables:
-            _want(tokens, 3, lineno, f"{keyword} <RESOURCE_KIND> <value>")
-            kind_text, kind_col = tokens[1]
+            _want(line, 3, f"{keyword} <RESOURCE_KIND> <value>")
+            kind_text = tokens[1]
             if kind_text not in RESOURCE_KINDS:
-                raise ParseError(f"unknown resource kind {kind_text}", lineno, kind_col)
-            value = _num_field(tokens[2], lineno, f"{keyword} coefficient")
+                raise _error(line, 1, f"unknown resource kind {kind_text}")
+            value = _num_field(line, 2, f"{keyword} coefficient")
             table, key = tables[keyword], kind_text
         elif keyword == "delay" and delays is not None:
-            _want(tokens, 3, lineno, "delay <CELL_KIND> <ps>")
-            kind_text, kind_col = tokens[1]
+            _want(line, 3, "delay <CELL_KIND> <ps>")
+            kind_text = tokens[1]
             try:
                 kind = CellKind[kind_text]
             except KeyError:
-                raise ParseError(f"unknown cell kind {kind_text}", lineno, kind_col) from None
-            value = _nat_field(tokens[2], lineno, "logic delay")
+                raise _error(line, 1, f"unknown cell kind {kind_text}") from None
+            value = _nat_field(line, 2, "logic delay")
             if kind.is_source and value != 0:
-                raise ParseError(f"{kind.value} is a path source and must keep delay 0", lineno, kind_col)
+                raise _error(line, 1, f"{kind.value} is a path source and must keep delay 0")
             table, key = delays, kind
         elif keyword == "frequency":
-            _want(tokens, 2, lineno, "frequency <Hz>")
+            _want(line, 2, "frequency <Hz>")
             if saw_frequency:
-                raise ParseError("duplicate frequency directive", lineno, tokens[0][1])
+                raise _error(line, 0, "duplicate frequency directive")
             saw_frequency = True
-            frequency = _num_field(tokens[1], lineno, "frequency")
+            frequency = _num_field(line, 1, "frequency")
             if not frequency > 0:
-                raise ParseError("frequency must be positive", lineno, tokens[1][1])
+                raise _error(line, 1, "frequency must be positive")
             continue
         else:
-            raise ParseError(f"unknown directive {keyword!r}", lineno, tokens[0][1])
+            raise _error(line, 0, f"unknown directive {keyword!r}")
         if (keyword, kind_text) in seen:
-            raise ParseError(f"duplicate {keyword} entry for {kind_text}", lineno, kind_col)
+            raise _error(line, 1, f"duplicate {keyword} entry for {kind_text}")
         seen.add((keyword, kind_text))
         table[key] = value
     return PowerModel(static, dynamic, frequency)

@@ -205,34 +205,41 @@ def validate(netlist: Netlist) -> ValidationReport:
             )
 
     structural = True
+    by_id = netlist._by_id
     for n in netlist.nets:
+        # endpoints are read once; the key and a Violation exist only for a broken net
+        src = by_id.get(n.src)
+        dst = by_id.get(n.dst)
+        if src is None or dst is None:
+            key = f"{n.src}->{n.dst}"
+            side, missing = ("src", n.src) if src is None else ("dst", n.dst)
+            out.append(Violation(f"dangling-net-{side}", key, f"net {key} references unknown cell {missing}"))
+            structural = False
+            continue
+        bad_delay = not isinstance(n.net_delay, int) or n.net_delay < 0
+        into_source = dst.kind in SOURCE_KINDS
+        from_sink = src.kind in SINK_KINDS
+        if not (bad_delay or into_source or from_sink):
+            continue
         key = f"{n.src}->{n.dst}"
-        if not netlist.has_cell(n.src):
-            out.append(Violation("dangling-net-src", key, f"net {key} references unknown cell {n.src}"))
-            structural = False
-            continue
-        if not netlist.has_cell(n.dst):
-            out.append(Violation("dangling-net-dst", key, f"net {key} references unknown cell {n.dst}"))
-            structural = False
-            continue
-        if not isinstance(n.net_delay, int) or n.net_delay < 0:
+        if bad_delay:
             out.append(
                 Violation("negative-delay", key, f"net {key} net_delay must be a non-negative integer")
             )
-        if netlist.cell(n.dst).kind.is_source:
+        if into_source:
             out.append(
                 Violation(
                     "edge-into-source-kind",
                     key,
-                    f"net {key} drives {n.dst} of source kind {netlist.cell(n.dst).kind.value}",
+                    f"net {key} drives {n.dst} of source kind {dst.kind.value}",
                 )
             )
-        if netlist.cell(n.src).kind.is_sink:
+        if from_sink:
             out.append(
                 Violation(
                     "edge-from-sink-kind",
                     key,
-                    f"net {key} leaves {n.src} of sink kind {netlist.cell(n.src).kind.value}",
+                    f"net {key} leaves {n.src} of sink kind {src.kind.value}",
                 )
             )
 

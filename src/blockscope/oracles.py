@@ -204,26 +204,42 @@ def reference_delay_report(
     return DelayReport(per_block, unannotated, global_critical, critical_blocks)
 
 
-def oracle_replay(profile: ActivityProfile) -> dict[BlockLabel, frozenset[int]]:
-    """Literal cycle-by-cycle replay of the activity rules.
+def _replay_causes(profile: ActivityProfile):
+    """Literal cycle-by-cycle replay of the activity rules, yielding one
+    (block, cycle) pair per cause.
 
     A block is active on a cycle when one of its rules fires, and on the
     cycle after any rule writes a state the block reads (when that next
     cycle is still observed).
     """
-    active: dict[BlockLabel, set[int]] = {b: set() for b in profile.blocks()}
     for t in range(profile.cycles):
         for rid, fires in profile.firings.items():
             if t not in fires:
                 continue
-            active[profile.rule_block[rid]].add(t)
+            yield profile.rule_block[rid], t
             for writer, state in profile.writes:
                 if writer != rid:
                     continue
                 for reader, read_state in profile.reads:
                     if read_state == state and t + 1 < profile.cycles:
-                        active[reader].add(t + 1)
+                        yield reader, t + 1
+
+
+def oracle_replay(profile: ActivityProfile) -> dict[BlockLabel, frozenset[int]]:
+    """Active cycles of every profile block, by literal replay."""
+    active: dict[BlockLabel, set[int]] = {b: set() for b in profile.blocks()}
+    for block, t in _replay_causes(profile):
+        active[block].add(t)
     return {b: frozenset(ts) for b, ts in active.items()}
+
+
+def oracle_events(profile: ActivityProfile) -> dict[BlockLabel, int]:
+    """Raw activation events of every profile block, by literal replay: one
+    per cause, so causes hitting the same cycle all count."""
+    events = {b: 0 for b in profile.blocks()}
+    for block, _ in _replay_causes(profile):
+        events[block] += 1
+    return events
 
 
 def oracle_resource_counts(netlist: Netlist) -> dict[str, int]:

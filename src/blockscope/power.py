@@ -12,6 +12,7 @@ profiles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -117,6 +118,44 @@ class ActivityProfile:
         )
 
 
+class _ActivityIndex:
+    """Which rules belong to each block, which rules write each state and
+    which states each block reads, built once per profile."""
+
+    def __init__(self, profile: ActivityProfile) -> None:
+        self.profile = profile
+        self.rules_of: dict[BlockLabel, list[str]] = {}
+        for rule, block in profile.rule_block.items():
+            self.rules_of.setdefault(block, []).append(rule)
+        self.writers_of: dict[str, list[str]] = {}
+        for rule, state in profile.writes:
+            self.writers_of.setdefault(state, []).append(rule)
+        self.reads_of: dict[BlockLabel, list[str]] = {}
+        for block, state in profile.reads:
+            self.reads_of.setdefault(block, []).append(state)
+
+    def activity(self, block: BlockLabel) -> tuple[set[int], int]:
+        """The block's active cycles (see ``active_cycles``) and its raw event
+        count, which keeps every (cause, cycle) pair: a rule writing two
+        states the block reads counts twice."""
+        firings, last = self.profile.firings, self.profile.cycles - 1
+        active: set[int] = set()
+        events = 0
+        for rule in self.rules_of.get(block, ()):
+            fired = firings.get(rule, ())
+            active.update(fired)
+            events += len(fired)
+        writes_read: dict[str, int] = {}  # writer rule -> states it writes that the block reads
+        for state in self.reads_of.get(block, ()):
+            for rule in self.writers_of.get(state, ()):
+                writes_read[rule] = writes_read.get(rule, 0) + 1
+        for rule, states in writes_read.items():
+            shifted = [t + 1 for t in firings.get(rule, ()) if t < last]
+            active.update(shifted)
+            events += states * len(shifted)
+        return active, events
+
+
 def active_cycles(block: BlockLabel, profile: ActivityProfile) -> frozenset[int]:
     """Cycles in which the block is active.
 
@@ -124,31 +163,12 @@ def active_cycles(block: BlockLabel, profile: ActivityProfile) -> frozenset[int]
     reads lands in the next cycle. A firing in the last cycle propagates no
     dependent activity.
     """
-    active: set[int] = set()
-    for rule, cycles in profile.firings.items():
-        if profile.rule_block[rule] == block:
-            active.update(cycles)
-    read_states = {s for b, s in profile.reads if b == block}
-    if read_states:
-        for rule, state in profile.writes:
-            if state in read_states:
-                for t in profile.firings.get(rule, ()):
-                    if t + 1 < profile.cycles:
-                        active.add(t + 1)
-    return frozenset(active)
+    return frozenset(_ActivityIndex(profile).activity(block)[0])
 
 
 def activity_events(block: BlockLabel, profile: ActivityProfile) -> int:
     """Raw activation event count, keeping per-cycle multiplicity."""
-    events = 0
-    for rule, cycles in profile.firings.items():
-        if profile.rule_block[rule] == block:
-            events += len(cycles)
-    read_states = {s for b, s in profile.reads if b == block}
-    for rule, state in profile.writes:
-        if state in read_states:
-            events += sum(1 for t in profile.firings.get(rule, ()) if t + 1 < profile.cycles)
-    return events
+    return _ActivityIndex(profile).activity(block)[1]
 
 
 def switching_factor(block: BlockLabel, profile: ActivityProfile) -> float:
@@ -196,6 +216,7 @@ def power_score(
     if model is None:
         model = PowerModel.default()
     known = profile.blocks() if profile is not None else frozenset()
+    index = _ActivityIndex(profile) if profile is not None else None
 
     def score(cells: frozenset[str], label: BlockLabel | None) -> BlockPower:
         counts, _ = resource_counts(cells, netlist)
@@ -203,15 +224,16 @@ def power_score(
         p_d = sum(counts[kind] * model.dynamic_of(kind) for kind in RESOURCE_KINDS)
         profiled = profile is not None and label is not None and label in known
         if profiled:
-            active = active_cycles(label, profile)
-            alpha = len(active) / profile.cycles
-            events = activity_events(label, profile)
+            active, events = index.activity(label)  # one block's cycle set alive at a time
             n_active = len(active)
+            alpha = n_active / profile.cycles
         else:
             alpha, events, n_active = 0.0, 0, 0
-        return BlockPower(
-            p_s, p_d, alpha, n_active, events, average_power_uw(p_s, p_d, alpha, model.frequency_hz), profiled
-        )
+        average = average_power_uw(p_s, p_d, alpha, model.frequency_hz)
+        if not math.isfinite(average):
+            name = "the unannotated cells" if label is None else f"block {label}"
+            raise PowerError(f"average power of {name} overflows; lower its coefficients or the frequency")
+        return BlockPower(p_s, p_d, alpha, n_active, events, average, profiled)
 
     per_block = {label: score(cells, label) for label, cells in registry.blocks.items()}
     unannotated = score(registry.unannotated, None) if registry.unannotated else None

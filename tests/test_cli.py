@@ -205,6 +205,41 @@ def test_power_model_overlay(gcd_files, tmp_path):
     assert doc["power"]["frequency_hz"] == 1e6
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+def test_non_finite_power_numbers_exit_1(gcd_files, tmp_path):
+    bnl, bpf = gcd_files
+    cases = [
+        ("--power-model", "static LUT3 1e400\n",
+         b"static coefficient out of range, must be finite (line 1, col 13)"),
+        ("--power-model", "static FF 1\nfrequency " + "9" * 400 + "\n",
+         b"frequency out of range, must be finite (line 2, col 11)"),
+        ("--device", f"{DEVICE_HEADER}\ndynamic LUT4 1e999\n",
+         b"dynamic coefficient out of range, must be finite (line 2, col 14)"),
+        # finite coefficients whose products overflow
+        ("--power-model", "dynamic LUT4 1e300\nfrequency 1e300\n",
+         b"average power of block subtract overflows"),
+        ("--power-model", "static LUT3 1e308\n", b"average power of block swap overflows"),
+    ]
+    for flag, text, message in cases:
+        path = tmp_path / "coefficients"
+        path.write_text(text)
+        result = run_cli("analyze", "--netlist", str(bnl), "--profile", str(bpf),
+                         flag, str(path), "--format", "structured")
+        assert result.returncode == 1, text
+        assert message in result.stderr, text
+        assert result.stdout == b""
+    # huge coefficients that do not overflow still give strict JSON
+    path.write_text("static LUT3 1e307\ndynamic LUT3 1e290\n")
+    result = run_cli("analyze", "--netlist", str(bnl), "--metrics", "power", "--profile", str(bpf),
+                     "--power-model", str(path), "--format", "structured")
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout, parse_constant=_reject_constant)
+    assert max(b["static_uw"] for b in doc["power"]["blocks"]) == 2e307  # swap's two LUT3s
+
+
 # sha256 of every report for fixed inputs: the report bytes are the contract,
 # so a change that moves one byte of text, CSV or JSON output fails here.
 GOLDEN_REPORTS = {

@@ -1,5 +1,7 @@
 """Properties of the bundled fixture generators themselves."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,24 @@ def test_random_netlist_is_deterministic():
     assert a == b
     assert serialize_netlist(a) == serialize_netlist(b)
     assert serialize_netlist(gen_random(124, 15)) != serialize_netlist(a)
+
+
+# sha256 of serialize_netlist(gen_random(seed, n)) for the sizes the delay
+# reference test uses, recorded before generation was made linear, so its bytes stay pinned
+RANDOM_NETLIST_DIGESTS = {
+    (1, 500): "d1b5a08c1f05807b0a5b0f0010096c1251016ff33798485bae92e062a483c158",
+    (4, 500): "07dffe328271c6ba5bb3c55f56a8d14ad7939929f1c2f7632e5467d5ee18344d",
+    (3, 1000): "1b6b0df4c0b305b60ae37c28538b5d8766a15add2bef296589ea4a3ba31573e7",
+    (6, 1000): "5bfc27a82b04797c32e1efecd1c8c2e1b343c2f27ed1653438fd71b87653440f",
+    (5, 2000): "925f62f245a554bda63c4fa3eb5a088c451494e11b38e9db6b705a904e9fc948",
+    (7, 2000): "7b298dac8e0e6e8dc4351d5d93e667f6de6e5a84dd1c9e775cf1c201698fe611",
+}
+
+
+@pytest.mark.parametrize("seed, n", sorted(RANDOM_NETLIST_DIGESTS))
+def test_random_netlist_bytes_are_pinned(seed, n):
+    blob = serialize_netlist(gen_random(seed, n))
+    assert hashlib.sha256(blob).hexdigest() == RANDOM_NETLIST_DIGESTS[(seed, n)]
 
 
 def test_random_netlist_minimum_size():

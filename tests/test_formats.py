@@ -1,21 +1,28 @@
 """Wire format parsing strictness, error positions, and canonical round-trips."""
 
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockscope.fixtures import gen_fig6, gen_gcd, gen_random, gen_random_profile
+from blockscope.devices import DEVICE_HEADER, builtin_device
+from blockscope.fixtures import gcd_profile, gen_fig6, gen_gcd, gen_random, gen_random_profile
 from blockscope.formats import (
     NETLIST_HEADER,
     PROFILE_HEADER,
     ParseError,
     VersionError,
+    _error,
+    _scan,
+    parse_coefficients,
     parse_netlist,
     parse_power_model,
     parse_profile,
     serialize_netlist,
     serialize_profile,
 )
+from blockscope.model import BlockscopeError
 from blockscope.power import PowerModel
 
 GOOD_NETLIST = """\
@@ -269,9 +276,127 @@ def test_power_model_errors():
         ("frequency 0", "frequency must be positive"),
         ("frequency 1e8\nfrequency 2e8", "duplicate frequency"),
         ("static LUT3 -1", "malformed static coefficient"),
+        ("static LUT3 1e400", "static coefficient out of range, must be finite"),
         ("voltage 1.2", "unknown directive"),
     ]
     for body, fragment in cases:
         with pytest.raises(ParseError) as err:
             parse_power_model(body)
         assert fragment in str(err.value), body
+
+
+# --- tokenizer and parser robustness ----------------------------------------
+
+
+def _regex_scan(text: str):
+    """The tokenizer str.split() replaced, kept as the reference: one
+    re.finditer(r"\\S+") per line, each token with its 1-based column."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", body)]
+        if tokens:
+            lines.append((lineno, tokens))
+    return lines
+
+
+# separators str.splitlines(), str.split() and re's \s treat specially
+_AWKWARD = list("ab1_.,->#") + [" ", "\t", "\n", "\r", "\r\n", "\n\n\n", "\x0b", "\x0c",
+                                 "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680",
+                                 "\u2028", "\u2029", "\u200b", "\u3000", "\ufeff"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_AWKWARD), st.characters()), max_size=60).map("".join))
+@example("a\tb # c\x1cd\x85 e\u2028\u3000f\n\n\n  g#")
+def test_scan_matches_the_regex_tokenizer(text):
+    got = _scan(text)
+    want = _regex_scan(text.removeprefix("\ufeff"))
+    assert [(lineno, tokens) for lineno, _, tokens in got] == [
+        (lineno, [t for t, _ in tokens]) for lineno, tokens in want
+    ]
+    for line, (_, tokens) in zip(got, want):
+        for index, (_, column) in enumerate(tokens):
+            err = _error(line, index, "probe")
+            assert (err.line, err.column) == (line[0], column)
+
+
+def test_split_and_regex_agree_on_every_whitespace_code_point():
+    space = re.compile(r"\s")
+    assert all(ch.isspace() == bool(space.match(ch)) for ch in map(chr, range(0x110000)))
+
+
+def _parse_device(data):
+    base = builtin_device("virtex7")
+    return parse_coefficients(
+        data, base.power, header=DEVICE_HEADER,
+        delays=dict(base.logic_delays), weights=dict(base.weights.weights),
+    )
+
+
+_PARSERS = (parse_netlist, parse_profile, parse_power_model, _parse_device)
+
+
+def _parses_or_fails_cleanly(data):
+    """Every parser either accepts data or raises a BlockscopeError; a
+    ParseError points at a line of the input and a column inside it."""
+    text = data.decode("utf-8", "replace") if isinstance(data, bytes) else data
+    lines = text.removeprefix("\ufeff").splitlines() or [""]
+    for parse in _PARSERS:
+        try:
+            parse(data)
+        except ParseError as err:
+            assert 1 <= err.line <= len(lines), (parse.__name__, str(err))
+            if err.column is not None:
+                assert 1 <= err.column <= len(lines[err.line - 1]), (parse.__name__, str(err))
+        except BlockscopeError:
+            pass
+
+
+_HEADERS = [b"", f"{NETLIST_HEADER}\n".encode(), f"{PROFILE_HEADER}\n".encode(),
+            f"{DEVICE_HEADER}\n".encode(), b"\xef\xbb\xbf"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_HEADERS), st.binary(max_size=200))
+def test_arbitrary_bytes_parse_or_fail_cleanly(header, body):
+    _parses_or_fails_cleanly(header + body)
+
+
+_SAMPLES = {
+    "gcd netlist": serialize_netlist(gen_gcd()[0]).decode(),
+    "fig6 netlist": serialize_netlist(gen_fig6()).decode(),
+    "gcd profile": serialize_profile(gcd_profile()).decode(),
+    "random profile": serialize_profile(gen_random_profile(3)).decode(),
+    "device": f"{DEVICE_HEADER}\ndelay LUT6 40\nweight FF 2\nstatic LUT3 0.3\n"
+              "dynamic FF 1\nfrequency 1e8\n",
+}
+_REPLACEMENTS = ["", "#", "->", "-1", "0", "1.5", "1e400", "9" * 30, "1" * 5000, "1," + "1" * 5000,
+                 "0,0", "2,1", "LUT9", "FF_Q", "a..b", "__x", "x__", "cell", "net", "fires",
+                 "block", "\ufeff", "\xff", "\x85", "nan", "inf"]
+
+
+def _token_mutations(text: str, replacements):
+    """Every variant of text with one token replaced by one of replacements."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        for j in range(len(tokens)):
+            for new in replacements:
+                mutated = " ".join(tokens[:j] + [new] + tokens[j + 1:])
+                yield "\n".join(lines[:i] + [mutated] + lines[i + 1:]) + "\n"
+
+
+@pytest.mark.parametrize("sample", sorted(_SAMPLES))
+def test_every_single_token_mutation_parses_or_fails_cleanly(sample):
+    for text in _token_mutations(_SAMPLES[sample], _REPLACEMENTS):
+        _parses_or_fails_cleanly(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_SAMPLES)), st.integers(0, 10**6), st.text(max_size=6))
+def test_random_token_mutations_parse_or_fail_cleanly(sample, pick, replacement):
+    variants = list(_token_mutations(_SAMPLES[sample], [replacement]))
+    text = variants[pick % len(variants)]
+    _parses_or_fails_cleanly(text)
+    _parses_or_fails_cleanly(text.encode())

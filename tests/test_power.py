@@ -1,13 +1,13 @@
 """Activity replay, switching factors, and the average-power score."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockscope.annotation import BlockLabel, build_registry
 from blockscope.fixtures import gcd_profile, gen_gcd, gen_random_profile
 from blockscope.model import Cell, CellKind, Netlist
-from blockscope.oracles import oracle_replay
+from blockscope.oracles import oracle_events, oracle_replay
 from blockscope.power import (
     ActivityProfile,
     PowerError,
@@ -128,18 +128,43 @@ def test_profile_truncation_merges_reads():
     assert cut.blocks() == frozenset({top})
 
 
+def _double_writes(profile: ActivityProfile) -> bool:
+    """Some firing rule writes two states that one block reads."""
+    reads: dict[BlockLabel, set[str]] = {}
+    for block, state in profile.reads:
+        reads.setdefault(block, set()).add(state)
+    for rule, fired in profile.firings.items():
+        written = {s for r, s in profile.writes if r == rule}
+        if fired and any(len(written & states) >= 2 for states in reads.values()):
+            return True
+    return False
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 20_000))
+@example(3)  # seeds 3 and 20 have a rule writing two states one block reads
+@example(20)
 def test_active_cycles_match_literal_replay(seed):
-    profile = gen_random_profile(seed)
-    replay = oracle_replay(profile)
-    for block in profile.blocks():
-        active = active_cycles(block, profile)
-        assert active == replay[block]
-        assert all(0 <= t < profile.cycles for t in active)
-        alpha = switching_factor(block, profile)
-        assert 0.0 <= alpha <= 1.0
-        assert activity_events(block, profile) >= len(active)
+    full = gen_random_profile(seed)
+    if seed in (3, 20):
+        assert _double_writes(full)
+    for profile in (full, full.truncated(1)):
+        replay = oracle_replay(profile)
+        events = oracle_events(profile)
+        blocks = sorted(profile.blocks(), key=str)
+        # one cell per profile block, so power_score scores every one of them
+        nl = Netlist([Cell(f"{block}__c", CellKind.LUT1, 1) for block in blocks])
+        score = power_score(nl, build_registry(nl), profile=profile)
+        for block in blocks:
+            active = active_cycles(block, profile)
+            assert active == replay[block]
+            assert all(0 <= t < profile.cycles for t in active)
+            alpha = switching_factor(block, profile)
+            assert 0.0 <= alpha <= 1.0
+            assert activity_events(block, profile) == events[block] >= len(active)
+            bp = score.per_block[block]
+            assert (bp.active_cycles, bp.events) == (len(replay[block]), events[block])
+            assert bp.alpha == alpha
 
 
 @settings(max_examples=100, deadline=None)
