@@ -104,17 +104,21 @@ class BlockRegistry:
 
 
 def build_registry(netlist: Netlist) -> BlockRegistry:
-    """Group cells by extracted label, scanning ids in ascending order."""
-    blocks: dict[BlockLabel, set[str]] = {}
+    """Group cells by extracted label, scanning ids in ascending order.
+
+    Each distinct ``__`` prefix is parsed once, from its smallest cell id, so
+    a malformed prefix is reported for the same cell as a per-cell parse.
+    """
+    by_prefix: dict[str, list[str]] = {}
     unannotated: set[str] = set()
     for cid in netlist.cell_ids():
-        label = extract_block_label(cid)
-        if label is None:
+        pos = cid.find("__")
+        if pos < 0:
             unannotated.add(cid)
         else:
-            blocks.setdefault(label, set()).add(cid)
+            by_prefix.setdefault(cid[:pos], []).append(cid)
     return BlockRegistry(
-        {label: frozenset(cells) for label, cells in blocks.items()},
+        {extract_block_label(cells[0]): frozenset(cells) for cells in by_prefix.values()},
         frozenset(unannotated),
     )
 

@@ -10,6 +10,7 @@ the same table drives static power sizing downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -148,12 +149,19 @@ def area_report(
             raise AreaError(f"registry references unknown cell {cid}")
     pair_map = _pair_map(netlist)
 
-    def block_area(cells: frozenset[str]) -> BlockArea:
-        counts, unpaired = resource_counts(cells, netlist, pair_map)
-        return BlockArea(counts, weighted_area(counts, weights), unpaired)
+    def finite(area: float, name: str) -> float:
+        if not math.isfinite(area):
+            raise AreaError(f"weighted area of {name} overflows; lower the area weights")
+        return area
 
-    per_block = {label: block_area(cells) for label, cells in registry.blocks.items()}
-    unannotated = block_area(registry.unannotated)
+    def block_area(cells: frozenset[str], name: str) -> BlockArea:
+        counts, unpaired = resource_counts(cells, netlist, pair_map)
+        return BlockArea(counts, finite(weighted_area(counts, weights), name), unpaired)
+
+    per_block = {
+        label: block_area(cells, f"block {label}") for label, cells in registry.blocks.items()
+    }
+    unannotated = block_area(registry.unannotated, "the unannotated cells")
     total_counts = {kind: 0 for kind in RESOURCE_KINDS}
     total_unpaired: list[str] = []
     for ba in list(per_block.values()) + [unannotated]:
@@ -161,6 +169,8 @@ def area_report(
             total_counts[kind] += ba.counts[kind]
         total_unpaired.extend(ba.unpaired_ff)
     totals = BlockArea(
-        total_counts, weighted_area(total_counts, weights), tuple(sorted(total_unpaired))
+        total_counts,
+        finite(weighted_area(total_counts, weights), "the totals"),
+        tuple(sorted(total_unpaired)),
     )
     return AreaReport(per_block, unannotated, totals)

@@ -9,14 +9,15 @@ source-to-sink path crossing at least one seed, under two weightings:
   default) only edges with both endpoints inside the block contribute
   net_delay, measuring the block's own share of those paths.
 
-`DelayGraph` indexes the netlist once per report, with one topological sort
-and parallel nets collapsed to their maximum delay. Each block then runs one
-dynamic program over its cone (the seeds' ancestors and descendants), in
-O(cone V+E): a state records whether the path must still cross a seed and
-keeps only its best weight and next node. Ties go to the smallest next cell
-id, which yields the lexicographically smallest cell-id sequence, because the
-candidates at one node all start with distinct successors. `expand_paths` and
-`connected_sets` remain as diagnostics of the union of crossing paths.
+`DelayGraph` indexes the netlist once per report, with the netlist's one
+topological order (kept from validation) and parallel nets collapsed to
+their maximum delay. Each block then runs one dynamic program over its cone
+(the seeds' ancestors and descendants), in O(cone V+E): a state records
+whether the path must still cross a seed and keeps only its best weight and
+next node. Ties go to the smallest next cell id, which yields the
+lexicographically smallest cell-id sequence, because the candidates at one
+node all start with distinct successors. `expand_paths` and `connected_sets`
+remain as diagnostics of the union of crossing paths.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .area import AreaWeights
 from .formats import ParseError, parse_coefficients
-from .model import Cell, CellKind, Netlist
+from .model import CellKind, Netlist
 from .power import PowerModel
 
 DEVICE_HEADER = "blockscope-device v1"
@@ -48,10 +48,7 @@ class DeviceProfile:
 
     def apply_delays(self, netlist: Netlist) -> Netlist:
         """Netlist with every cell's logic delay replaced by this profile's."""
-        cells = tuple(
-            Cell(c.id, c.kind, self.logic_delays[c.kind]) for c in netlist.cells
-        )
-        return Netlist(cells, netlist.nets, netlist.ff_pairs)
+        return netlist.with_logic_delays(self.logic_delays)
 
 
 BUILTIN_DEVICES = tuple(sorted(_LUT6_PS))

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .annotation import AnnotationError, BlockLabel
 from .area import RESOURCE_KINDS
@@ -75,11 +76,12 @@ class VersionError(ParseError):
 Line = tuple[int, str, list[str]]  # line number, text before any '#', its tokens
 
 
-def _scan(data: bytes | str) -> list[Line]:
-    """Significant lines as (lineno, text, tokens); comments and blanks dropped.
+def _scan(data: bytes | str) -> Iterator[Line]:
+    """Yield significant lines as (lineno, text, tokens); comments and blanks dropped.
 
     Tokens are what ``str.split()`` gives. Columns are not kept: ``_error``
-    works one out from the line's text only when an error is raised.
+    works one out from the line's text only when an error is raised. Lines
+    are yielded one at a time, so a parser holds only what it keeps.
     """
     if isinstance(data, bytes):
         try:
@@ -92,14 +94,12 @@ def _scan(data: bytes | str) -> list[Line]:
             ) from None
     else:
         text = data.removeprefix("\ufeff")
-    lines: list[Line] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw[: raw.index("#")]
         tokens = raw.split()
         if tokens:
-            lines.append((lineno, raw, tokens))
-    return lines
+            yield lineno, raw, tokens
 
 
 def _error(line: Line, index: int, message: str) -> ParseError:
@@ -108,13 +108,15 @@ def _error(line: Line, index: int, message: str) -> ParseError:
     return ParseError(message, line[0], starts[index] + 1)
 
 
-def _take_header(lines: list[Line], expected: str) -> list[Line]:
-    if not lines:
+def _take_header(lines: Iterator[Line], expected: str) -> Iterator[Line]:
+    """Check the first significant line and return the rest of the iterator."""
+    first = next(lines, None)
+    if first is None:
         raise ParseError(f"empty input, expected header {expected!r}", 1)
-    lineno, _, tokens = lines[0]
+    lineno, _, tokens = first
     got = " ".join(tokens)
     if got == expected:
-        return lines[1:]
+        return lines
     name = expected.split()[0]
     if tokens[0] == name:
         raise VersionError(f"unsupported version {got!r}, expected {expected!r}", lineno)
@@ -163,46 +165,43 @@ def _num_field(line: Line, index: int, what: str) -> float:
 
 @dataclass(frozen=True)
 class NetlistDocument:
-    """Parsed netlist plus source line positions for diagnostics."""
+    """Parsed netlist plus the line of each cell declaration."""
 
     header: str
     body: Netlist
     cell_lines: dict[str, int]
-    net_lines: dict[tuple[str, str], int]
-    pair_lines: dict[tuple[str, str], int]
 
-    def violation_line(self, violation: Violation) -> int:
-        subj = violation.subject
-        if subj in self.cell_lines:
-            return self.cell_lines[subj]
-        if "->" in subj:
-            src, dst = subj.split("->", 1)
-            if (src, dst) in self.net_lines:
-                return self.net_lines[(src, dst)]
-        if "/" in subj:
-            d, q = subj.split("/", 1)
-            if (d, q) in self.pair_lines:
-                return self.pair_lines[(d, q)]
-        if violation.cells:  # cycle: point at its first edge
-            edge = (violation.cells[0], violation.cells[1 % len(violation.cells)])
-            if edge in self.net_lines:
-                return self.net_lines[edge]
-        for (d, q), line in self.pair_lines.items():
-            if subj in (d, q):
-                return line
+
+def _violation_line(data: bytes | str, cell_lines: dict[str, int], violation: Violation) -> int:
+    """Source line of a violation: its cell's declaration, else the first net
+    or ffpair line it names (a cycle names its first edge), found by scanning
+    the input again; this runs only when the netlist is being rejected."""
+    subj = violation.subject
+    if subj in cell_lines:
+        return cell_lines[subj]
+    if "->" in subj:
+        keyword, (a, b) = "net", subj.split("->", 1)
+    elif "/" in subj:
+        keyword, (a, b) = "ffpair", subj.split("/", 1)
+    elif violation.cells:  # cycle
+        keyword, a, b = "net", violation.cells[0], violation.cells[1 % len(violation.cells)]
+    else:
         return 1
+    at = 3 if keyword == "net" else 2  # net <src> -> <dst> <delay> | ffpair <d> <q>
+    for lineno, _, tokens in _take_header(_scan(data), NETLIST_HEADER):
+        if tokens[0] == keyword and tokens[1] == a and tokens[at] == b:
+            return lineno
+    return 1
 
 
 def parse_netlist(data: bytes | str) -> NetlistDocument:
-    """Parse and fully validate one netlist file."""
-    lines = _take_header(_scan(data), NETLIST_HEADER)
+    """Parse and fully validate one netlist file in a single pass over its lines."""
     cells: list[Cell] = []
     nets: list[Net] = []
     pairs: list[tuple[str, str]] = []
     cell_lines: dict[str, int] = {}
-    net_lines: dict[tuple[str, str], int] = {}
-    pair_lines: dict[tuple[str, str], int] = {}
-    for line in lines:
+    ids: dict[str, str] = {}  # each endpoint reuses its cell's id string
+    for line in _take_header(_scan(data), NETLIST_HEADER):
         lineno, _, tokens = line
         keyword = tokens[0]
         if keyword == "cell":
@@ -216,6 +215,7 @@ def parse_netlist(data: bytes | str) -> NetlistDocument:
             if cid in cell_lines:
                 raise _error(line, 1, f"duplicate cell id {cid}")
             cell_lines[cid] = lineno
+            ids[cid] = cid
             cells.append(Cell(cid, kind, delay))
         elif keyword == "net":
             _want(line, 5, "net <src> -> <dst> <delay_ps>")
@@ -224,22 +224,20 @@ def parse_netlist(data: bytes | str) -> NetlistDocument:
                 raise _error(line, 2, f"expected '->', found {tokens[2]!r}")
             dst = _id_field(line, 3, "net destination id")
             delay = _nat_field(line, 4, "net delay")
-            net_lines.setdefault((src, dst), lineno)
-            nets.append(Net(src, dst, delay))
+            nets.append(Net(ids.get(src, src), ids.get(dst, dst), delay))
         elif keyword == "ffpair":
             _want(line, 3, "ffpair <d_id> <q_id>")
             d = _id_field(line, 1, "ffpair D id")
             q = _id_field(line, 2, "ffpair Q id")
-            pair_lines.setdefault((d, q), lineno)
-            pairs.append((d, q))
+            pairs.append((ids.get(d, d), ids.get(q, q)))
         else:
             raise _error(line, 0, f"unknown directive {keyword!r}")
-    doc = NetlistDocument(NETLIST_HEADER, Netlist(cells, nets, pairs), cell_lines, net_lines, pair_lines)
-    report = validate(doc.body)
+    body = Netlist(cells, nets, pairs)
+    report = validate(body)
     if not report.ok:
         first = report.violations[0]
-        raise ParseError(first.message, doc.violation_line(first))
-    return doc
+        raise ParseError(first.message, _violation_line(data, cell_lines, first))
+    return NetlistDocument(NETLIST_HEADER, body, cell_lines)
 
 
 def serialize_netlist(obj: Netlist | NetlistDocument) -> bytes:

@@ -13,8 +13,9 @@ All delays are exact integers; no floating point enters the graph layer.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, unique
+from typing import Mapping
 
 
 class BlockscopeError(Exception):
@@ -37,6 +38,10 @@ class CellKind(Enum):
     IN = "IN"
     OUT = "OUT"
     MEM_IN = "MEM_IN"
+
+    # members are singletons and compare by identity, so the identity hash is
+    # consistent and skips Enum's Python-level __hash__ on every set lookup
+    __hash__ = object.__hash__
 
     @property
     def is_source(self) -> bool:
@@ -64,7 +69,7 @@ LUT_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One netlist node. logic_delay is in integer picoseconds."""
 
@@ -73,7 +78,7 @@ class Cell:
     logic_delay: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Net:
     """Directed edge src -> dst with a routing delay in integer picoseconds.
 
@@ -85,6 +90,13 @@ class Net:
     net_delay: int = 0
 
 
+def _first_by_id(cells: tuple[Cell, ...]) -> dict[str, Cell]:
+    by_id: dict[str, Cell] = {}
+    for c in cells:
+        by_id.setdefault(c.id, c)
+    return by_id
+
+
 class Netlist:
     """Immutable-by-convention container for cells, nets and flip-flop pairs.
 
@@ -93,7 +105,7 @@ class Netlist:
     validates; call validate() for a structured report.
     """
 
-    __slots__ = ("cells", "nets", "ff_pairs", "_by_id", "_in", "_out")
+    __slots__ = ("cells", "nets", "ff_pairs", "_by_id", "_in", "_out", "_order")
 
     def __init__(
         self,
@@ -104,10 +116,7 @@ class Netlist:
         self.cells: tuple[Cell, ...] = tuple(cells)
         self.nets: tuple[Net, ...] = tuple(nets)
         self.ff_pairs: tuple[tuple[str, str], ...] = tuple((d, q) for d, q in ff_pairs)
-        by_id: dict[str, Cell] = {}
-        for c in self.cells:
-            by_id.setdefault(c.id, c)
-        self._by_id = by_id
+        self._by_id = _first_by_id(self.cells)
         ins: dict[str, list[Net]] = {}
         outs: dict[str, list[Net]] = {}
         for n in self.nets:
@@ -115,6 +124,20 @@ class Netlist:
             ins.setdefault(n.dst, []).append(n)
         self._in = {k: tuple(v) for k, v in ins.items()}
         self._out = {k: tuple(v) for k, v in outs.items()}
+        self._order: list[str] | None = None  # set by _kahn once it sorts every cell
+
+    def with_logic_delays(self, delays: Mapping[CellKind, int]) -> "Netlist":
+        """This netlist with each cell's logic delay replaced by its kind's.
+
+        Only the cells are new: nets, ff_pairs, the adjacency maps and any
+        cached topological order are shared, since ids and edges are unchanged.
+        """
+        new = Netlist.__new__(Netlist)
+        new.cells = tuple(Cell(c.id, c.kind, delays[c.kind]) for c in self.cells)
+        new._by_id = _first_by_id(new.cells)
+        new.nets, new.ff_pairs = self.nets, self.ff_pairs
+        new._in, new._out, new._order = self._in, self._out, self._order
+        return new
 
     def cell(self, cell_id: str) -> Cell:
         return self._by_id[cell_id]
@@ -270,19 +293,24 @@ def validate(netlist: Netlist) -> ValidationReport:
     if structural and len(seen) == len(netlist.cells):
         cycle = _find_cycle(netlist)
         if cycle:
-            out.append(
-                Violation(
-                    "combinational-cycle",
-                    ",".join(cycle),
-                    "combinational cycle through " + ", ".join(cycle),
-                    cells=tuple(cycle),
-                )
-            )
+            out.append(_cycle_violation(cycle))
     return ValidationReport(tuple(out))
 
 
+def _cycle_violation(cycle: list[str]) -> Violation:
+    return Violation(
+        "combinational-cycle",
+        ",".join(cycle),
+        "combinational cycle through " + ", ".join(cycle),
+        cells=tuple(cycle),
+    )
+
+
 def _kahn(netlist: Netlist) -> tuple[list[str], dict[str, int]]:
-    """Kahn's algorithm with a heap so ties pop in ascending id order."""
+    """Kahn's algorithm with a heap so ties pop in ascending id order.
+
+    A complete order is cached on the netlist for topological_order.
+    """
     indeg = {cid: 0 for cid in netlist._by_id}
     for n in netlist.nets:
         if n.dst in indeg and n.src in indeg:
@@ -298,6 +326,8 @@ def _kahn(netlist: Netlist) -> tuple[list[str], dict[str, int]]:
                 indeg[n.dst] -= 1
                 if indeg[n.dst] == 0:
                     heapq.heappush(ready, n.dst)
+    if len(order) == len(indeg):
+        netlist._order = order
     return order, indeg
 
 
@@ -329,17 +359,12 @@ def _find_cycle(netlist: Netlist) -> list[str]:
 def topological_order(netlist: Netlist) -> list[str]:
     """Deterministic topological order; ties break by ascending cell id.
 
-    Raises ValidationError carrying the same combinational-cycle violation
-    that validate() reports.
+    The order is computed once per netlist (validate() already does so) and
+    each call returns a fresh copy. Raises ValidationError carrying the same
+    combinational-cycle violation that validate() reports.
     """
-    order, indeg = _kahn(netlist)
-    if len(order) != len(netlist._by_id):
+    if netlist._order is None:
         cycle = _find_cycle(netlist)
-        v = Violation(
-            "combinational-cycle",
-            ",".join(cycle),
-            "combinational cycle through " + ", ".join(cycle),
-            cells=tuple(cycle),
-        )
-        raise ValidationError((v,))
-    return order
+        if cycle:
+            raise ValidationError((_cycle_violation(cycle),))
+    return list(netlist._order)

@@ -11,7 +11,7 @@ from blockscope.annotation import (
     extract_block_label,
     group_to_depth,
 )
-from blockscope.fixtures import gen_gcd, gen_random
+from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import Cell, CellKind, Netlist
 
 
@@ -75,6 +75,24 @@ def test_registry_counts_unannotated():
     reg = build_registry(nl)
     assert reg.unannotated == frozenset({"n1", "n2"})
     assert reg.unannotated_fraction == pytest.approx(2 / 3)
+
+
+def test_registry_matches_a_per_cell_label_parse():
+    nested = Netlist([Cell(cid, CellKind.IN) for cid in ("t.b__x", "t__y", "t.a__z", "t.b__w", "n")])
+    for nl in (gen_gcd()[0], gen_fig6(), gen_random(3, 400), nested):
+        want: dict = {}
+        for cid in nl.cell_ids():
+            label = extract_block_label(cid)
+            if label is not None:
+                want.setdefault(label, set()).add(cid)
+        reg = build_registry(nl)
+        assert list(reg.blocks) == list(want)  # first-seen order over sorted ids
+        assert reg.blocks == want
+    # a malformed prefix is reported for its smallest cell id
+    bad = Netlist([Cell(cid, CellKind.IN) for cid in ("b.__y", "ok__v", "a.__z", "a.__w")])
+    with pytest.raises(AnnotationError) as err:
+        build_registry(bad)
+    assert err.value.cell_id == "a.__w"
 
 
 def test_group_to_depth_unions_sibling_blocks():

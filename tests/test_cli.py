@@ -240,6 +240,24 @@ def test_non_finite_power_numbers_exit_1(gcd_files, tmp_path):
     assert max(b["static_uw"] for b in doc["power"]["blocks"]) == 2e307  # swap's two LUT3s
 
 
+def test_non_finite_weighted_area_exits_1(gcd_files, tmp_path):
+    bnl, _ = gcd_files
+    cases = [
+        # subtract has four LUT4s
+        ("weight LUT4 1e308\n", b"weighted area of block subtract overflows"),
+        # every block stays finite, their sum does not
+        ("weight LUT3 8e307\nweight LUT4 1e307\n", b"weighted area of the totals overflows"),
+    ]
+    for text, message in cases:
+        path = tmp_path / "device"
+        path.write_text(f"{DEVICE_HEADER}\n{text}")
+        result = run_cli("analyze", "--netlist", str(bnl), "--device", str(path),
+                         "--metrics", "area", "--format", "structured")
+        assert result.returncode == 1, text
+        assert message in result.stderr, text
+        assert result.stdout == b""
+
+
 # sha256 of every report for fixed inputs: the report bytes are the contract,
 # so a change that moves one byte of text, CSV or JSON output fails here.
 GOLDEN_REPORTS = {

@@ -9,9 +9,9 @@ from blockscope.devices import (
     load_device_file,
     resolve_device,
 )
-from blockscope.fixtures import gen_fig6
-from blockscope.formats import ParseError, VersionError
-from blockscope.model import CellKind, validate
+from blockscope.fixtures import gen_fig6, gen_random
+from blockscope.formats import ParseError, VersionError, parse_netlist, serialize_netlist
+from blockscope.model import CellKind, Netlist, topological_order, validate
 
 
 def test_builtin_names():
@@ -59,6 +59,25 @@ def test_apply_delays_rewrites_logic_only():
     assert scaled.nets == nl.nets
     assert scaled.ff_pairs == nl.ff_pairs
     assert sorted(scaled.cell_ids()) == sorted(nl.cell_ids())
+
+
+def test_apply_delays_shares_the_graph_and_its_order():
+    device = builtin_device("spartan6")
+    parsed = parse_netlist(serialize_netlist(gen_random(4, 200))).body  # order already cached
+    for nl in (gen_fig6(), parsed):
+        scaled = device.apply_delays(nl)
+        assert validate(scaled).ok
+        assert scaled.nets is nl.nets and scaled.ff_pairs is nl.ff_pairs
+        assert [c.id for c in scaled.cells] == [c.id for c in nl.cells]
+        assert all(c.logic_delay == device.logic_delays[c.kind] for c in scaled.cells)
+        fresh = Netlist(scaled.cells, scaled.nets, scaled.ff_pairs)
+        assert scaled == fresh
+        assert topological_order(scaled) == topological_order(fresh)
+        for cid in nl.cell_ids():
+            assert scaled.in_nets(cid) == fresh.in_nets(cid)
+            assert scaled.out_nets(cid) == fresh.out_nets(cid)
+            assert scaled.cell(cid) == fresh.cell(cid)
+    assert parsed != device.apply_delays(parsed)  # the source keeps its own delays
 
 
 def test_custom_device_file_overrides_base(tmp_path):

@@ -1,6 +1,7 @@
 """Wire format parsing strictness, error positions, and canonical round-trips."""
 
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -146,6 +147,75 @@ def test_cycle_error_names_the_cycle_cells():
     msg = str(err.value)
     assert "combinational cycle" in msg and "a" in msg and "b" in msg
     assert err.value.line == 7  # the cycle's first edge a -> b
+
+
+# every validation rule parse_netlist can hit, after comments and blank lines:
+# (text appended to VIOLATION_BASE, expected line, message)
+VIOLATION_BASE = f"""# generated by hand
+
+{NETLIST_HEADER}
+# cells
+cell i IN 0
+cell a LUT2 1
+
+cell b LUT1 1   # trailing comment
+cell o OUT 0
+cell d FF_D 0
+cell q FF_Q 0
+cell d2 FF_D 0
+cell q2 FF_Q 0
+net i -> a 1
+  # the adder
+net a -> b 1
+net b -> o 1
+ffpair d q
+
+# broken below
+"""
+VIOLATION_LINES = {
+    "dangling-net-src": ("net ghost -> a 2\n", 21, "net ghost->a references unknown cell ghost"),
+    "dangling-net-dst": ("net a -> ghost 2\n", 21, "net a->ghost references unknown cell ghost"),
+    "edge-into-source-kind": ("net b -> q 2\n", 21, "net b->q drives q of source kind FF_Q"),
+    "edge-from-sink-kind": ("net d -> b 2\n", 21, "net d->b leaves d of sink kind FF_D"),
+    "ffpair-unknown-cell": ("ffpair d2 ghost\n", 21, "ffpair d2/ghost references unknown cell ghost"),
+    "ffpair-kind-mismatch": ("ffpair q2 d2\n", 21, "ffpair q2/d2 must pair an FF_D cell with an FF_Q cell"),
+    # a cell in two ffpairs is located at its declaration
+    "ffpair-duplicate": ("ffpair d2 q\n", 11, "cell q appears in more than one ffpair"),
+    # a cycle is located at its first edge, a -> b
+    "combinational-cycle": ("net b -> a 2\n", 16, "combinational cycle through a, b"),
+    "self-loop": ("net b -> b 2\n", 8, "combinational cycle through b"),
+    "source-kind-delay": ("cell k IN 3\n", 21, "cell k has kind IN and must have logic_delay 0"),
+    # parallel nets: the first line wins
+    "dangling twin": ("net a -> ghost 2\n\n# twin\nnet a -> ghost 5\n", 21,
+                      "net a->ghost references unknown cell ghost"),
+    "into-source twin": ("net b -> q 2\nnet b -> q 3\n", 21, "net b->q drives q of source kind FF_Q"),
+    "cycle edge twin": ("net a -> b 7\nnet b -> a 2\n", 16, "combinational cycle through a, b"),
+    "later cycle": ("cell c LUT1 1\n# loop\nnet b -> c 1\nnet c -> b 1\n", 23,
+                    "combinational cycle through b, c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATION_LINES))
+def test_violations_are_located_on_their_line(case):
+    extra, line, message = VIOLATION_LINES[case]
+    for data in (VIOLATION_BASE + extra, (VIOLATION_BASE + extra).encode()):
+        with pytest.raises(ParseError) as err:
+            parse_netlist(data)
+        assert str(err.value) == f"{message} (line {line})"
+        assert (err.value.line, err.value.column) == (line, None)
+
+
+def test_parse_memory_is_linear_in_the_input():
+    data = serialize_netlist(gen_random(3, 20000))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        parse_netlist(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 15 * len(data)
 
 
 def test_netlist_serialization_is_canonical_and_stable():
@@ -310,7 +380,7 @@ _AWKWARD = list("ab1_.,->#") + [" ", "\t", "\n", "\r", "\r\n", "\n\n\n", "\x0b",
 @given(st.lists(st.one_of(st.sampled_from(_AWKWARD), st.characters()), max_size=60).map("".join))
 @example("a\tb # c\x1cd\x85 e\u2028\u3000f\n\n\n  g#")
 def test_scan_matches_the_regex_tokenizer(text):
-    got = _scan(text)
+    got = list(_scan(text))
     want = _regex_scan(text.removeprefix("\ufeff"))
     assert [(lineno, tokens) for lineno, _, tokens in got] == [
         (lineno, [t for t, _ in tokens]) for lineno, tokens in want

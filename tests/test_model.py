@@ -124,6 +124,37 @@ def test_topological_order_is_lexicographically_greedy():
         assert position[net.src] < position[net.dst]
 
 
+def test_topological_order_returns_a_fresh_copy_of_one_order():
+    nl = gen_random(5, 300)
+    validated = gen_random(5, 300)
+    assert validate(validated).ok  # validation already sorts, and keeps the order
+    first = topological_order(nl)
+    assert first == topological_order(validated)
+    first.reverse()
+    first.append("ghost")
+    again = topological_order(nl)
+    assert again == topological_order(validated)
+    assert again is not topological_order(nl)
+    position = {cid: i for i, cid in enumerate(again)}
+    assert all(position[n.src] < position[n.dst] for n in nl.nets)
+
+
+def test_cyclic_netlist_raises_on_every_call_without_validate():
+    def build():
+        cells = [Cell("i", CellKind.IN), Cell("a", CellKind.LUT1, 1), Cell("b", CellKind.LUT1, 1)]
+        return Netlist(cells, [Net("i", "a", 1), Net("a", "b", 1), Net("b", "a", 1)])
+
+    (want,) = [v for v in validate(build()).violations if v.rule == "combinational-cycle"]
+    nl = build()
+    for _ in range(2):
+        with pytest.raises(ValidationError) as err:
+            topological_order(nl)
+        assert err.value.violations == (want,)
+    assert not validate(nl).ok
+    with pytest.raises(ValidationError):
+        topological_order(nl)
+
+
 def test_netlist_equality_ignores_declaration_order():
     a = Netlist(
         [Cell("a", CellKind.IN), Cell("b", CellKind.OUT)],
