@@ -12,17 +12,7 @@ from .annotation import (
     group_to_depth,
 )
 from .area import AreaReport, AreaWeights, area_report, resource_counts, weighted_area
-from .delay import (
-    DelayGraph,
-    DelayReport,
-    PathResult,
-    Subgraph,
-    WeightingMode,
-    connected_sets,
-    delay_report,
-    expand_paths,
-    longest_path,
-)
+from .delay import DelayReport, PathResult, WeightingMode, delay_report, longest_path
 from .devices import BUILTIN_DEVICES, DeviceProfile, builtin_device, resolve_device
 from .formats import (
     ParseError,
@@ -76,7 +66,6 @@ __all__ = [
     "Cell",
     "CellKind",
     "CombinedReport",
-    "DelayGraph",
     "DelayReport",
     "DeviceProfile",
     "Net",
@@ -86,7 +75,6 @@ __all__ = [
     "PowerModel",
     "PowerScore",
     "ReportMetadata",
-    "Subgraph",
     "ValidationError",
     "VersionError",
     "WeightingMode",
@@ -97,9 +85,7 @@ __all__ = [
     "build_report",
     "builtin_device",
     "canonical_json",
-    "connected_sets",
     "delay_report",
-    "expand_paths",
     "extract_block_label",
     "group_to_depth",
     "longest_path",

@@ -96,12 +96,6 @@ class BlockRegistry:
         total = len(self.all_cells)
         return len(self.unannotated) / total if total else 0.0
 
-    def label_of(self, cell_id: str) -> BlockLabel | None:
-        for label, cells in self.blocks.items():
-            if cell_id in cells:
-                return label
-        return None
-
 
 def build_registry(netlist: Netlist) -> BlockRegistry:
     """Group cells by extracted label, scanning ids in ascending order.

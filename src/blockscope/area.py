@@ -90,40 +90,27 @@ class AreaReport:
     totals: BlockArea
 
 
-def _pair_map(netlist: Netlist) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for d, q in netlist.ff_pairs:
-        pairs[d] = q
-        pairs[q] = d
-    return pairs
-
-
-def resource_counts(
-    cells: Iterable[str], netlist: Netlist, pair_map: dict[str, str] | None = None
-) -> tuple[dict[str, int], tuple[str, ...]]:
+def resource_counts(cells: Iterable[str], netlist: Netlist) -> tuple[dict[str, int], tuple[str, ...]]:
     """Count resource kinds over a cell set; returns (counts, unpaired FF ids).
 
     The FF_Q of a co-located pair is skipped so the pair counts once at its D
     port.
     """
-    if pair_map is None:
-        pair_map = _pair_map(netlist)
     counts = {kind: 0 for kind in RESOURCE_KINDS}
     unpaired: list[str] = []
-    cell_set = set(cells)
-    for cid in sorted(cell_set):
-        kind = netlist.cell(cid).kind
+    index, partner = netlist.index, netlist.partner
+    members = {index[cid] for cid in cells}
+    for i in sorted(members):  # index order is id order
+        kind = netlist.cell_at(i).kind
         if kind is CellKind.FF_D:
-            partner = pair_map.get(cid)
             counts["FF"] += 1
-            if partner is None or partner not in cell_set:
-                unpaired.append(cid)
+            if partner[i] not in members:
+                unpaired.append(netlist.ids[i])
         elif kind is CellKind.FF_Q:
-            partner = pair_map.get(cid)
-            if partner is not None and partner in cell_set:
+            if partner[i] in members:
                 continue  # counted at the D port
             counts["FF"] += 1
-            unpaired.append(cid)
+            unpaired.append(netlist.ids[i])
         else:
             counts[RESOURCE_OF_KIND[kind]] += 1
     return counts, tuple(unpaired)
@@ -147,7 +134,6 @@ def area_report(
     for cid in registry.all_cells:
         if not netlist.has_cell(cid):
             raise AreaError(f"registry references unknown cell {cid}")
-    pair_map = _pair_map(netlist)
 
     def finite(area: float, name: str) -> float:
         if not math.isfinite(area):
@@ -155,7 +141,7 @@ def area_report(
         return area
 
     def block_area(cells: frozenset[str], name: str) -> BlockArea:
-        counts, unpaired = resource_counts(cells, netlist, pair_map)
+        counts, unpaired = resource_counts(cells, netlist)
         return BlockArea(counts, finite(weighted_area(counts, weights), name), unpaired)
 
     per_block = {

@@ -16,6 +16,7 @@ from .formats import (
     parse_netlist,
     parse_power_model,
     parse_profile,
+    read_file,
     serialize_netlist,
     serialize_profile,
 )
@@ -79,13 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path_text: str) -> bytes:
-    try:
-        return Path(path_text).read_bytes()
-    except OSError as exc:
-        raise BlockscopeError(f"cannot read {path_text}: {exc.strerror or exc}") from exc
-
-
 def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
@@ -113,7 +107,7 @@ def _analyze(args: argparse.Namespace) -> int:
     if args.group_depth is not None and args.group_depth < 1:
         raise BlockscopeError("group depth must be at least 1")
 
-    netlist_bytes = _read(args.netlist)
+    netlist_bytes = read_file(args.netlist)
     netlist = parse_netlist(netlist_bytes).body
     device = resolve_device(args.device)
     if args.override_delays:
@@ -122,13 +116,13 @@ def _analyze(args: argparse.Namespace) -> int:
     profile = None
     profile_digest = None
     if args.profile:
-        profile_bytes = _read(args.profile)
+        profile_bytes = read_file(args.profile)
         profile = parse_profile(profile_bytes)
         profile_digest = _digest(profile_bytes)
 
     model = device.power
     if args.power_model:
-        model = parse_power_model(_read(args.power_model), base=model)
+        model = parse_power_model(read_file(args.power_model), base=model)
 
     metadata = ReportMetadata(
         tool_version=__version__,
@@ -156,22 +150,13 @@ def _analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit(path: Path, data: bytes) -> None:
-    path.write_bytes(data)
-    print(f"wrote {path}", file=sys.stderr)
-
-
-def _fixtures(args: argparse.Namespace) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _fixture_files(args: argparse.Namespace) -> list[tuple[str, bytes]]:
+    """The (file name, bytes) a fixture name stands for; rejects an unknown name."""
     if args.name == "gcd":
         netlist, profile = gen_gcd(args.bit_width, resolve_device(args.device))
-        _emit(outdir / "gcd.bnl", serialize_netlist(netlist))
-        _emit(outdir / "gcd.bpf", serialize_profile(profile))
-        return 0
+        return [("gcd.bnl", serialize_netlist(netlist)), ("gcd.bpf", serialize_profile(profile))]
     if args.name == "fig6":
-        _emit(outdir / "fig6.bnl", serialize_netlist(gen_fig6()))
-        return 0
+        return [("fig6.bnl", serialize_netlist(gen_fig6()))]
     if args.name.startswith("random:"):
         parts = args.name.split(":")
         if len(parts) != 3:
@@ -180,9 +165,21 @@ def _fixtures(args: argparse.Namespace) -> int:
             seed, n_cells = int(parts[1]), int(parts[2])
         except ValueError:
             raise BlockscopeError("random fixture seed and cell count must be integers") from None
-        _emit(outdir / f"random_{seed}_{n_cells}.bnl", serialize_netlist(gen_random(seed, n_cells)))
-        return 0
+        return [(f"random_{seed}_{n_cells}.bnl", serialize_netlist(gen_random(seed, n_cells)))]
     raise BlockscopeError(f"unknown fixture {args.name!r}; expected gcd, fig6, or random:<seed>:<cells>")
+
+
+def _fixtures(args: argparse.Namespace) -> int:
+    files = _fixture_files(args)  # before mkdir, so a rejected name leaves no directory behind
+    outdir = Path(args.outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, data in files:
+            (outdir / name).write_bytes(data)
+            print(f"wrote {outdir / name}", file=sys.stderr)
+    except OSError as exc:
+        raise BlockscopeError(f"cannot write {exc.filename or outdir}: {exc.strerror or exc}") from exc
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .area import AreaWeights
-from .formats import ParseError, parse_coefficients
+from .formats import ParseError, parse_coefficients, read_file
 from .model import CellKind, Netlist
 from .power import PowerModel
 
@@ -65,7 +65,7 @@ def load_device_file(path: Path) -> DeviceProfile:
     delays = dict(base.logic_delays)
     weights = dict(base.weights.weights)
     power = parse_coefficients(
-        path.read_bytes(), base.power, header=DEVICE_HEADER, delays=delays, weights=weights
+        read_file(path), base.power, header=DEVICE_HEADER, delays=delays, weights=weights
     )
     return DeviceProfile(path.stem, delays, AreaWeights(weights), power)
 

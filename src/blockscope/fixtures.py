@@ -150,6 +150,7 @@ _SOURCE_CHOICES = (CellKind.CLK, CellKind.IN, CellKind.FF_Q)
 _SINK_CHOICES = (CellKind.FF_D, CellKind.OUT, CellKind.MEM_IN)
 _LABEL_ROOTS = ("u0", "u1", "u2")
 _LABEL_TAILS = ("a", "b", "c")
+MAX_RANDOM_CELLS = 1_000_000  # bounds the memory a random fixture can ask for
 
 
 def gen_random(seed: int, n_cells: int) -> Netlist:
@@ -161,8 +162,8 @@ def gen_random(seed: int, n_cells: int) -> Netlist:
     with occasional small or unit ranges so weight ties actually occur.
     FF pairs are only formed inside one partition.
     """
-    if n_cells < 2:
-        raise BlockscopeError("random netlist needs at least 2 cells")
+    if not 2 <= n_cells <= MAX_RANDOM_CELLS:
+        raise BlockscopeError(f"random netlist needs 2 to {MAX_RANDOM_CELLS} cells")
     rng = random.Random(seed)
     n_src = rng.randint(1, max(1, n_cells // 4))
     n_sink = rng.randint(1, max(1, n_cells // 4))

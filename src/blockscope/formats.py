@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator
 
 from .annotation import AnnotationError, BlockLabel
@@ -74,6 +75,14 @@ class VersionError(ParseError):
 
 
 Line = tuple[int, str, list[str]]  # line number, text before any '#', its tokens
+
+
+def read_file(path: str | Path) -> bytes:
+    """The bytes of one input file; a path that cannot be read is an input error."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise BlockscopeError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _scan(data: bytes | str) -> Iterator[Line]:

@@ -12,7 +12,10 @@ All delays are exact integers; no floating point enters the graph layer.
 
 from __future__ import annotations
 
+import copy
 import heapq
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Mapping
@@ -90,11 +93,26 @@ class Net:
     net_delay: int = 0
 
 
-def _first_by_id(cells: tuple[Cell, ...]) -> dict[str, Cell]:
-    by_id: dict[str, Cell] = {}
-    for c in cells:
-        by_id.setdefault(c.id, c)
-    return by_id
+def _successors(
+    nets: tuple[Net, ...], index: dict[str, int], at: list[int]
+) -> tuple[array, list[tuple[int, ...]], list[int]]:
+    """Each cell's successors in ascending order, and the maximum delay of
+    the parallel nets into each, flat, with each cell's first position in it.
+    Nets with an unknown endpoint are skipped."""
+    n = len(at)
+    delay_of: dict[int, int] = {}  # i * n + j -> maximum delay of the nets i -> j
+    for net in nets:
+        i, j = index.get(net.src), index.get(net.dst)
+        if i is not None and j is not None:
+            d, key = net.net_delay, i * n + j
+            if d > delay_of.setdefault(key, d):
+                delay_of[key] = d
+    keys = sorted(delay_of)  # row-major, so each cell's successors ascend
+    delays = [delay_of[k] for k in keys]
+    del delay_of  # the largest transient; free it before the rows are built
+    starts = array("i", [bisect_left(keys, i * n) for i in range(n + 1)])
+    columns = [at[k % n] for k in keys]
+    return starts, [tuple(columns[a:b]) for a, b in zip(starts, starts[1:])], delays
 
 
 class Netlist:
@@ -103,9 +121,22 @@ class Netlist:
     ff_pairs records which FF_D/FF_Q node pair belongs to one physical
     flip-flop; the two nodes stay unconnected in the graph. Construction never
     validates; call validate() for a structured report.
+
+    The graph is indexed once, here, and every layer reads this index. Cell i
+    is the i-th distinct id in sorted order, so comparing indices compares
+    ids; for a duplicate id the first cell wins. Per index the netlist keeps
+    its logic delay, source and sink flags and FF partner (-1 for none).
+    succ[i] is the tuple of i's successors in ascending order, and
+    succ_delay[succ_first[i] + p] the maximum delay of the parallel nets into
+    succ[i][p]; pred[i] holds i's predecessors the same way. Nets with an
+    unknown endpoint are left out of the index. order and rank (position in
+    order) are the topological order, set once it has been computed.
     """
 
-    __slots__ = ("cells", "nets", "ff_pairs", "_by_id", "_in", "_out", "_order")
+    __slots__ = (
+        "cells", "nets", "ff_pairs", "ids", "index", "_pos", "logic", "source", "sink",
+        "succ", "succ_first", "succ_delay", "pred", "partner", "order", "rank",
+    )
 
     def __init__(
         self,
@@ -116,43 +147,59 @@ class Netlist:
         self.cells: tuple[Cell, ...] = tuple(cells)
         self.nets: tuple[Net, ...] = tuple(nets)
         self.ff_pairs: tuple[tuple[str, str], ...] = tuple((d, q) for d, q in ff_pairs)
-        self._by_id = _first_by_id(self.cells)
-        ins: dict[str, list[Net]] = {}
-        outs: dict[str, list[Net]] = {}
-        for n in self.nets:
-            outs.setdefault(n.src, []).append(n)
-            ins.setdefault(n.dst, []).append(n)
-        self._in = {k: tuple(v) for k, v in ins.items()}
-        self._out = {k: tuple(v) for k, v in outs.items()}
-        self._order: list[str] | None = None  # set by _kahn once it sorts every cell
+        index: dict[str, int] = {}
+        for pos, c in enumerate(self.cells):
+            index.setdefault(c.id, pos)
+        self.ids = ids = sorted(index)
+        n = len(ids)
+        self._pos = array("i", [index[cid] for cid in ids])  # position of cell i in cells
+        at = list(range(n))  # one int object per index, shared by the dict and every row
+        for cid, i in zip(ids, at):
+            index[cid] = i  # only values change, so the dict is reused in place
+        self.index = index
+        kept = [self.cells[p] for p in self._pos]
+        self.logic = [c.logic_delay for c in kept]
+        self.source = bytes(c.kind in SOURCE_KINDS for c in kept)
+        self.sink = bytes(c.kind in SINK_KINDS for c in kept)
+        self.succ_first, self.succ, self.succ_delay = _successors(self.nets, index, at)
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for i, row in zip(at, self.succ):
+            for j in row:
+                pred[j].append(i)  # i ascends, so every row does too
+        self.pred = [tuple(row) for row in pred]
+        self.partner = array("i", [-1]) * n
+        for d, q in self.ff_pairs:  # a later pair overrides; -1 marks an unknown partner
+            i, j = index.get(d, -1), index.get(q, -1)
+            if i >= 0:
+                self.partner[i] = j
+            if j >= 0:
+                self.partner[j] = i
+        self.order: array | None = None  # set by _kahn once it sorts every cell
+        self.rank: array | None = None
 
     def with_logic_delays(self, delays: Mapping[CellKind, int]) -> "Netlist":
         """This netlist with each cell's logic delay replaced by its kind's.
 
-        Only the cells are new: nets, ff_pairs, the adjacency maps and any
-        cached topological order are shared, since ids and edges are unchanged.
+        Only the cells and the logic delays are new: nets, ff_pairs, the index
+        and any cached topological order are shared, since ids and edges are
+        unchanged.
         """
-        new = Netlist.__new__(Netlist)
+        new = copy.copy(self)
         new.cells = tuple(Cell(c.id, c.kind, delays[c.kind]) for c in self.cells)
-        new._by_id = _first_by_id(new.cells)
-        new.nets, new.ff_pairs = self.nets, self.ff_pairs
-        new._in, new._out, new._order = self._in, self._out, self._order
+        new.logic = [new.cells[p].logic_delay for p in self._pos]
         return new
 
     def cell(self, cell_id: str) -> Cell:
-        return self._by_id[cell_id]
+        return self.cells[self._pos[self.index[cell_id]]]
+
+    def cell_at(self, i: int) -> Cell:
+        return self.cells[self._pos[i]]
 
     def has_cell(self, cell_id: str) -> bool:
-        return cell_id in self._by_id
-
-    def in_nets(self, cell_id: str) -> tuple[Net, ...]:
-        return self._in.get(cell_id, ())
-
-    def out_nets(self, cell_id: str) -> tuple[Net, ...]:
-        return self._out.get(cell_id, ())
+        return cell_id in self.index
 
     def cell_ids(self) -> list[str]:
-        return sorted(self._by_id)
+        return list(self.ids)
 
     def canonical_key(self):
         cells = tuple(sorted(self.cells, key=lambda c: (c.id, c.kind.value, c.logic_delay)))
@@ -205,13 +252,12 @@ def validate(netlist: Netlist) -> ValidationReport:
     so cycle reports always refer to real, well-formed edges.
     """
     out: list[Violation] = []
-    seen: set[str] = set()
-    for c in netlist.cells:
-        if c.id in seen:
+    index, first = netlist.index, netlist._pos
+    for pos, c in enumerate(netlist.cells):
+        if first[index[c.id]] != pos:
             out.append(
                 Violation("duplicate-cell-id", c.id, f"duplicate cell id {c.id}")
             )
-        seen.add(c.id)
         if not isinstance(c.logic_delay, int) or c.logic_delay < 0:
             out.append(
                 Violation(
@@ -228,20 +274,20 @@ def validate(netlist: Netlist) -> ValidationReport:
             )
 
     structural = True
-    by_id = netlist._by_id
+    source, sink = netlist.source, netlist.sink
     for n in netlist.nets:
         # endpoints are read once; the key and a Violation exist only for a broken net
-        src = by_id.get(n.src)
-        dst = by_id.get(n.dst)
-        if src is None or dst is None:
+        i = index.get(n.src)
+        j = index.get(n.dst)
+        if i is None or j is None:
             key = f"{n.src}->{n.dst}"
-            side, missing = ("src", n.src) if src is None else ("dst", n.dst)
+            side, missing = ("src", n.src) if i is None else ("dst", n.dst)
             out.append(Violation(f"dangling-net-{side}", key, f"net {key} references unknown cell {missing}"))
             structural = False
             continue
         bad_delay = not isinstance(n.net_delay, int) or n.net_delay < 0
-        into_source = dst.kind in SOURCE_KINDS
-        from_sink = src.kind in SINK_KINDS
+        into_source = source[j]
+        from_sink = sink[i]
         if not (bad_delay or into_source or from_sink):
             continue
         key = f"{n.src}->{n.dst}"
@@ -254,7 +300,7 @@ def validate(netlist: Netlist) -> ValidationReport:
                 Violation(
                     "edge-into-source-kind",
                     key,
-                    f"net {key} drives {n.dst} of source kind {dst.kind.value}",
+                    f"net {key} drives {n.dst} of source kind {netlist.cell_at(j).kind.value}",
                 )
             )
         if from_sink:
@@ -262,7 +308,7 @@ def validate(netlist: Netlist) -> ValidationReport:
                 Violation(
                     "edge-from-sink-kind",
                     key,
-                    f"net {key} leaves {n.src} of sink kind {src.kind.value}",
+                    f"net {key} leaves {n.src} of sink kind {netlist.cell_at(i).kind.value}",
                 )
             )
 
@@ -290,7 +336,7 @@ def validate(netlist: Netlist) -> ValidationReport:
                 )
             paired.add(x)
 
-    if structural and len(seen) == len(netlist.cells):
+    if structural and len(netlist.ids) == len(netlist.cells):
         cycle = _find_cycle(netlist)
         if cycle:
             out.append(_cycle_violation(cycle))
@@ -306,29 +352,29 @@ def _cycle_violation(cycle: list[str]) -> Violation:
     )
 
 
-def _kahn(netlist: Netlist) -> tuple[list[str], dict[str, int]]:
-    """Kahn's algorithm with a heap so ties pop in ascending id order.
+def _kahn(netlist: Netlist) -> list[int]:
+    """Kahn's algorithm with a heap so ties pop in ascending index (= id)
+    order; returns each cell's in-degree left unprocessed.
 
-    A complete order is cached on the netlist for topological_order.
+    A complete order and its ranks are cached on the netlist.
     """
-    indeg = {cid: 0 for cid in netlist._by_id}
-    for n in netlist.nets:
-        if n.dst in indeg and n.src in indeg:
-            indeg[n.dst] += 1
-    ready = [cid for cid, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
+    succ = netlist.succ
+    indeg = [len(row) for row in netlist.pred]
+    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
+    order: list[int] = []
     while ready:
-        cid = heapq.heappop(ready)
-        order.append(cid)
-        for n in netlist.out_nets(cid):
-            if n.dst in indeg:
-                indeg[n.dst] -= 1
-                if indeg[n.dst] == 0:
-                    heapq.heappush(ready, n.dst)
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
     if len(order) == len(indeg):
-        netlist._order = order
-    return order, indeg
+        netlist.order = array("i", order)
+        netlist.rank = rank = array("i", order)
+        for r, i in enumerate(order):
+            rank[i] = r
+    return indeg
 
 
 def _find_cycle(netlist: Netlist) -> list[str]:
@@ -338,33 +384,38 @@ def _find_cycle(netlist: Netlist) -> list[str]:
     (every remaining node keeps at least one remaining predecessor), then
     rotates the cycle to start at its smallest id for determinism.
     """
-    order, indeg = _kahn(netlist)
-    remaining = {cid for cid, d in indeg.items() if d > 0}
+    indeg = _kahn(netlist)
+    remaining = {i for i, d in enumerate(indeg) if d > 0}
     if not remaining:
         return []
-    start = min(remaining)
-    seen_at: dict[str, int] = {}
-    walk: list[str] = []
-    node = start
+    seen_at: dict[int, int] = {}
+    walk: list[int] = []
+    node = min(remaining)
     while node not in seen_at:
         seen_at[node] = len(walk)
         walk.append(node)
-        node = min(n.src for n in netlist.in_nets(node) if n.src in remaining)
+        node = next(p for p in netlist.pred[node] if p in remaining)
     cycle = walk[seen_at[node]:]
     cycle.reverse()  # predecessor walk is backwards; report in edge direction
     pivot = cycle.index(min(cycle))
-    return cycle[pivot:] + cycle[:pivot]
+    return [netlist.ids[i] for i in cycle[pivot:] + cycle[:pivot]]
 
 
-def topological_order(netlist: Netlist) -> list[str]:
-    """Deterministic topological order; ties break by ascending cell id.
+def topological_ranks(netlist: Netlist) -> tuple[array, array]:
+    """The topological order as cell indices, and each index's rank in it.
 
-    The order is computed once per netlist (validate() already does so) and
-    each call returns a fresh copy. Raises ValidationError carrying the same
+    Computed once per netlist (validate() already does so); ties break by
+    ascending cell id. Raises ValidationError carrying the same
     combinational-cycle violation that validate() reports.
     """
-    if netlist._order is None:
+    if netlist.order is None:
         cycle = _find_cycle(netlist)
         if cycle:
             raise ValidationError((_cycle_violation(cycle),))
-    return list(netlist._order)
+    return netlist.order, netlist.rank
+
+
+def topological_order(netlist: Netlist) -> list[str]:
+    """Deterministic topological order of the cell ids, as a fresh list."""
+    ids = netlist.ids
+    return [ids[i] for i in topological_ranks(netlist)[0]]

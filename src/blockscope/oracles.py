@@ -8,18 +8,12 @@ a cell-count limit; the reference delay pipeline is polynomial and has none.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Iterable
+
 from .annotation import BlockLabel, BlockRegistry
-from .delay import (
-    BlockDelay,
-    DelayReport,
-    PathResult,
-    Subgraph,
-    WeightingMode,
-    ZERO_PATH,
-    connected_sets,
-    expand_paths,
-)
-from .model import BlockscopeError, CellKind, Netlist, topological_order
+from .delay import BlockDelay, DelayReport, PathResult, WeightingMode, ZERO_PATH
+from .model import BlockscopeError, CellKind, Net, Netlist, topological_order
 from .power import ActivityProfile
 
 MAX_ORACLE_CELLS = 14
@@ -56,7 +50,7 @@ def enumerate_paths(netlist: Netlist, max_cells: int = MAX_ORACLE_CELLS) -> list
 
 
 def _edge_delay(netlist: Netlist, src: str, dst: str) -> int:
-    return max(n.net_delay for n in netlist.out_nets(src) if n.dst == dst)
+    return max(n.net_delay for n in netlist.nets if n.src == src and n.dst == dst)
 
 
 def oracle_longest_path(
@@ -118,6 +112,79 @@ def oracle_expand(
             nodes.update(path)
             edges.update(zip(path, path[1:]))
     return frozenset(nodes), frozenset(edges)
+
+
+@dataclass(frozen=True)
+class Subgraph:
+    """Edge-induced slice of a netlist; nodes are exactly the edge endpoints."""
+
+    netlist: Netlist = field(compare=False, repr=False)
+    nodes: frozenset[str]
+    edges: tuple[Net, ...]
+
+
+def _reach(starts: Iterable[str], adj: dict[str, list[str]]) -> set[str]:
+    """Every cell reachable from starts along adj, starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for x in adj.get(stack.pop(), ()):
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return seen
+
+
+def expand_paths(netlist: Netlist, seeds: Iterable[str]) -> Subgraph:
+    """Union of all maximal source-to-sink paths containing at least one seed.
+
+    An edge (u, v) survives iff either some source-to-u path already crossed
+    a seed and v still reaches a sink, or u is reachable from a source and
+    some v-to-sink path still crosses a seed. Each predicate is one search
+    over adjacency lists built straight from the nets.
+    """
+    seed_set = frozenset(seeds)
+    succs: dict[str, list[str]] = {}
+    preds: dict[str, list[str]] = {}
+    for n in netlist.nets:
+        succs.setdefault(n.src, []).append(n.dst)
+        preds.setdefault(n.dst, []).append(n.src)
+    src_ok = _reach((c.id for c in netlist.cells if c.kind.is_source), succs)
+    sink_ok = _reach((c.id for c in netlist.cells if c.kind.is_sink), preds)
+    seed_src = _reach(src_ok & seed_set, succs)  # reached from a source through a seed
+    seed_sink = _reach(sink_ok & seed_set, preds)  # reaches a sink through a seed
+
+    def on_crossing_path(n: Net) -> bool:
+        return (n.src in seed_src and n.dst in sink_ok) or (n.src in src_ok and n.dst in seed_sink)
+
+    edges = sorted(filter(on_crossing_path, netlist.nets), key=lambda n: (n.src, n.dst, n.net_delay))
+    nodes = frozenset(n.src for n in edges) | frozenset(n.dst for n in edges)
+    return Subgraph(netlist, nodes, tuple(edges))
+
+
+def connected_sets(sub: Subgraph) -> list[Subgraph]:
+    """Weakly connected components, sorted by their smallest cell id."""
+    parent: dict[str, str] = {cid: cid for cid in sub.nodes}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for n in sub.edges:
+        ra, rb = find(n.src), find(n.dst)
+        if ra != rb:
+            parent[rb] = ra
+    groups: dict[str, set[str]] = {}
+    for cid in sub.nodes:
+        groups.setdefault(find(cid), set()).add(cid)
+    comps = sorted(groups.values(), key=min)
+    out: list[Subgraph] = []
+    for nodes in comps:
+        edges = tuple(n for n in sub.edges if n.src in nodes)
+        out.append(Subgraph(sub.netlist, frozenset(nodes), edges))
+    return out
 
 
 def _suffix_longest_path(
@@ -194,7 +261,7 @@ def reference_delay_report(
         if registry.unannotated
         else None
     )
-    full = expand_paths(netlist, netlist.cell_ids())
+    full = expand_paths(netlist, (c.id for c in netlist.cells))
     global_critical = _suffix_longest_path(full, None, WeightingMode.SYSTEM, True)
     critical_blocks = frozenset(
         label

@@ -10,7 +10,7 @@ import sys
 import time
 
 from blockscope.annotation import BlockLabel, build_registry
-from blockscope.delay import WeightingMode, connected_sets, delay_report, expand_paths
+from blockscope.delay import WeightingMode, delay_report
 from blockscope.fixtures import gcd_profile, gen_fig6, gen_gcd, gen_random, gen_random_profile
 from blockscope.formats import (
     parse_netlist,
@@ -19,6 +19,8 @@ from blockscope.formats import (
     serialize_profile,
 )
 from blockscope.oracles import (
+    connected_sets,
+    expand_paths,
     oracle_longest_path,
     oracle_replay,
     oracle_resource_counts,

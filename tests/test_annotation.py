@@ -60,8 +60,6 @@ def test_registry_partitions_every_cell():
     assert reg.unannotated == frozenset()
     assert reg.unannotated_fraction == 0.0
     assert reg.all_cells == frozenset(nl.cell_ids())
-    assert str(reg.label_of("swap__wx0")) == "swap"
-    assert reg.label_of("missing") is None
 
 
 def test_registry_counts_unannotated():

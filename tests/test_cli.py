@@ -53,6 +53,25 @@ def test_fixtures_rejects_unknown_names(tmp_path):
         assert b"blockscope: error:" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "name, outdir",
+    [
+        ("gcd", "blocker"),  # the output directory is a regular file
+        ("gcd", "blocker/out"),  # ... or lies below one
+        ("random:1:99999999999999999999", "out"),
+        ("random:1:-5", "out"),
+    ],
+)
+def test_fixtures_input_errors_exit_1_and_write_nothing(tmp_path, capsys, name, outdir):
+    (tmp_path / "blocker").write_text("")
+    assert main(["fixtures", name, str(tmp_path / outdir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("blockscope: error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+    assert (tmp_path / "blocker").read_text() == ""
+
+
 def test_analyze_success_and_silence_on_stderr(gcd_files):
     bnl, bpf = gcd_files
     result = run_cli("analyze", "--netlist", str(bnl), "--profile", str(bpf))

@@ -7,18 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockscope.annotation import BlockLabel, build_registry
-from blockscope.delay import (
-    DelayGraph,
-    WeightingMode,
-    ZERO_PATH,
-    connected_sets,
-    delay_report,
-    expand_paths,
-    longest_path,
-)
+from blockscope.delay import WeightingMode, ZERO_PATH, delay_report, longest_path
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist
-from blockscope.oracles import oracle_expand, oracle_longest_path, reference_delay_report
+from blockscope.oracles import (
+    connected_sets,
+    expand_paths,
+    oracle_expand,
+    oracle_longest_path,
+    reference_delay_report,
+)
 
 CORE = BlockLabel.parse("core")
 
@@ -66,7 +64,7 @@ def test_expansion_of_disconnected_seed_is_empty():
     )
     sub = expand_paths(nl, {"b__lone"})
     assert sub.nodes == frozenset() and sub.edges == ()
-    assert longest_path(DelayGraph(nl), frozenset({"b__lone"}), WeightingMode.SYSTEM) == ZERO_PATH
+    assert longest_path(nl, frozenset({"b__lone"}), WeightingMode.SYSTEM) == ZERO_PATH
 
 
 def test_composite_walks_that_dodge_every_seed_cannot_win():
@@ -98,7 +96,7 @@ def test_composite_walks_that_dodge_every_seed_cannot_win():
     seeds = frozenset({"blk__s1", "blk__s2"})
     sub = expand_paths(nl, seeds)
     assert {"q2", "x2", "y", "d1"} <= sub.nodes  # the trap is present
-    got = longest_path(DelayGraph(nl), seeds, WeightingMode.SYSTEM)
+    got = longest_path(nl, seeds, WeightingMode.SYSTEM)
     assert got.total_delay == 111
     assert got.path == ("q1", "blk__s1", "m", "y", "d1")
     assert got == oracle_longest_path(nl, seeds, WeightingMode.SYSTEM)
@@ -114,7 +112,7 @@ def test_ties_break_to_smallest_path():
     nets = [Net("i", "a", 1), Net("i", "b", 1), Net("a", "o", 1), Net("b", "o", 1)]
     nl = Netlist(cells, nets)
     seeds = frozenset({"a", "b"})
-    got = longest_path(DelayGraph(nl), seeds, WeightingMode.SYSTEM)
+    got = longest_path(nl, seeds, WeightingMode.SYSTEM)
     assert got.path == ("i", "a", "o")
     assert got == oracle_longest_path(nl, seeds, WeightingMode.SYSTEM)
 
@@ -124,12 +122,11 @@ def test_parallel_nets_score_their_maximum():
     nets = [Net("i", "b__l", 3), Net("i", "b__l", 9), Net("b__l", "o", 1)]
     nl = Netlist(cells, nets)
     seeds = frozenset({"b__l"})
-    graph = DelayGraph(nl)
-    got = longest_path(graph, seeds, WeightingMode.SYSTEM)
+    got = longest_path(nl, seeds, WeightingMode.SYSTEM)
     assert got.total_delay == 9 + 2 + 1
     assert got.network_delay == 10
     # block weighting: i is outside, so the parallel pair contributes nothing
-    blk = longest_path(graph, seeds, WeightingMode.BLOCK)
+    blk = longest_path(nl, seeds, WeightingMode.BLOCK)
     assert blk.total_delay == 2 and blk.network_delay == 0
 
 
@@ -143,10 +140,9 @@ def test_intra_block_nets_flag():
     nets = [Net("i", "b__u", 1), Net("b__u", "b__v", 7), Net("b__v", "o", 1)]
     nl = Netlist(cells, nets)
     seeds = frozenset({"b__u", "b__v"})
-    graph = DelayGraph(nl)
-    with_nets = longest_path(graph, seeds, WeightingMode.BLOCK)
+    with_nets = longest_path(nl, seeds, WeightingMode.BLOCK)
     assert (with_nets.total_delay, with_nets.network_delay) == (12, 7)
-    nodes_only = longest_path(graph, seeds, WeightingMode.BLOCK, include_block_nets=False)
+    nodes_only = longest_path(nl, seeds, WeightingMode.BLOCK, include_block_nets=False)
     assert (nodes_only.total_delay, nodes_only.network_delay) == (5, 0)
     assert nodes_only == oracle_longest_path(nl, seeds, WeightingMode.BLOCK, include_block_nets=False)
 
@@ -154,7 +150,7 @@ def test_intra_block_nets_flag():
 def test_block_mode_requires_cells():
     nl, core = fig6_core()
     with pytest.raises(BlockscopeError):
-        longest_path(DelayGraph(nl), None, WeightingMode.BLOCK)
+        longest_path(nl, None, WeightingMode.BLOCK)
 
 
 def test_gcd_critical_path_and_dominance():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from blockscope.cli import main
 from blockscope.devices import (
     BUILTIN_DEVICES,
     DEVICE_HEADER,
@@ -11,7 +12,7 @@ from blockscope.devices import (
 )
 from blockscope.fixtures import gen_fig6, gen_random
 from blockscope.formats import ParseError, VersionError, parse_netlist, serialize_netlist
-from blockscope.model import CellKind, Netlist, topological_order, validate
+from blockscope.model import BlockscopeError, CellKind, Netlist, topological_order, validate
 
 
 def test_builtin_names():
@@ -73,9 +74,12 @@ def test_apply_delays_shares_the_graph_and_its_order():
         fresh = Netlist(scaled.cells, scaled.nets, scaled.ff_pairs)
         assert scaled == fresh
         assert topological_order(scaled) == topological_order(fresh)
+        for name in ("ids", "index", "source", "sink", "succ", "succ_first", "succ_delay", "pred",
+                     "partner"):
+            assert getattr(scaled, name) is getattr(nl, name), name
+            assert getattr(scaled, name) == getattr(fresh, name), name
+        assert scaled.logic == fresh.logic != nl.logic
         for cid in nl.cell_ids():
-            assert scaled.in_nets(cid) == fresh.in_nets(cid)
-            assert scaled.out_nets(cid) == fresh.out_nets(cid)
             assert scaled.cell(cid) == fresh.cell(cid)
     assert parsed != device.apply_delays(parsed)  # the source keeps its own delays
 
@@ -139,3 +143,12 @@ def test_resolve_device_by_name_or_path(tmp_path):
     with pytest.raises(ParseError) as err:
         resolve_device("kintex9")
     assert "built-ins" in str(err.value)
+
+
+def test_unreadable_device_path_is_an_input_error(tmp_path, capsys):
+    with pytest.raises(BlockscopeError, match=f"cannot read {tmp_path}: Is a directory"):
+        resolve_device(str(tmp_path))
+    bnl = tmp_path / "fig6.bnl"
+    bnl.write_bytes(serialize_netlist(gen_fig6()))
+    assert main(["analyze", "--netlist", str(bnl), "--device", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"blockscope: error: cannot read {tmp_path}: Is a directory\n"

@@ -13,6 +13,7 @@ from blockscope.model import (
     SINK_KINDS,
     SOURCE_KINDS,
     ValidationError,
+    Violation,
     topological_order,
     validate,
 )
@@ -105,6 +106,55 @@ def test_cycle_detected_and_rotated_to_smallest_id():
     with pytest.raises(ValidationError) as err:
         topological_order(nl)
     assert err.value.violations[0].cells == ("m1", "m2", "m3")
+
+
+def test_construction_indexes_broken_netlists_without_raising():
+    # a duplicate id, parallel nets with different delays, a cycle a <-> b and
+    # nets to and from an unknown cell; violations as reported before the
+    # netlist kept one integer index
+    cells = [
+        Cell("i", CellKind.IN),
+        Cell("b", CellKind.LUT1, 2),
+        Cell("a", CellKind.LUT1, 1),
+        Cell("a", CellKind.LUT2, 4),
+        Cell("o", CellKind.OUT),
+    ]
+    nets = [
+        Net("i", "a", 1),
+        Net("a", "b", 3),
+        Net("b", "a", 1),
+        Net("a", "b", 5),
+        Net("b", "o", 1),
+        Net("b", "ghost", 2),
+        Net("ghost", "o", 0),
+    ]
+    unique = cells[:3] + cells[4:]
+    duplicate = Violation("duplicate-cell-id", "a", "duplicate cell id a")
+    dangling = (
+        Violation("dangling-net-dst", "b->ghost", "net b->ghost references unknown cell ghost"),
+        Violation("dangling-net-src", "ghost->o", "net ghost->o references unknown cell ghost"),
+    )
+    cycle = Violation("combinational-cycle", "a,b", "combinational cycle through a, b", ("a", "b"))
+    cases = [
+        (cells, nets, (duplicate, *dangling)),
+        (cells, nets[:5], (duplicate,)),
+        (unique, nets, dangling),
+        (unique, nets[:5], (cycle,)),
+    ]
+    for case_cells, case_nets, want in cases:
+        nl = Netlist(case_cells, case_nets)
+        assert validate(nl).violations == want
+    nl = Netlist(cells, nets)
+    assert nl.ids == ["a", "b", "i", "o"]
+    assert nl.cell("a") is cells[2]  # the first cell with an id wins
+    assert list(nl.logic) == [1, 2, 0, 0]
+    assert nl.succ == [(1,), (0, 3), (0,), ()]
+    assert list(nl.succ_first) == [0, 1, 3, 4, 4]
+    assert nl.succ_delay == [5, 1, 1, 1]  # parallel nets a -> b collapse to their maximum
+    assert nl.pred == [(1, 2), (0,), (), (1,)]
+    with pytest.raises(ValidationError) as err:
+        topological_order(Netlist(unique, nets[:5]))
+    assert err.value.violations == (cycle,)
 
 
 def test_cycle_check_skipped_while_structure_is_broken():

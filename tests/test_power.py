@@ -1,11 +1,12 @@
 """Activity replay, switching factors, and the average-power score."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from blockscope.annotation import BlockLabel, build_registry
-from blockscope.fixtures import gcd_profile, gen_gcd, gen_random_profile
+from blockscope.annotation import BlockLabel, build_registry, group_to_depth
+from blockscope.area import RESOURCE_KINDS, area_report, resource_counts
+from blockscope.fixtures import gcd_profile, gen_gcd, gen_random, gen_random_profile
 from blockscope.model import Cell, CellKind, Netlist
 from blockscope.oracles import oracle_events, oracle_replay
 from blockscope.power import (
@@ -199,3 +200,24 @@ def test_unannotated_cells_score_but_never_rank():
     assert score.unannotated is not None
     assert score.unannotated.static_uw == pytest.approx(0.2)
     assert [str(b) for b in score.ranking] == ["b"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(4, 80), st.sampled_from([None, 1]))
+def test_power_counts_resources_like_the_area_report(seed, n, depth):
+    nl = gen_random(seed, n)
+    assume(nl.ff_pairs)
+    registry = build_registry(nl)
+    if depth is not None:
+        registry = group_to_depth(registry, depth)
+    area = area_report(nl, registry)
+    model = PowerModel.default()
+    power = power_score(nl, registry, model)
+    rows = [(area.per_block[label], power.per_block[label], cells) for label, cells in registry.blocks.items()]
+    if registry.unannotated:
+        rows.append((area.unannotated, power.unannotated, registry.unannotated))
+    for block_area, block_power, cells in rows:
+        counts, unpaired = resource_counts(cells, nl)
+        assert (counts, unpaired) == (block_area.counts, block_area.unpaired_ff)
+        assert block_power.static_uw == sum(counts[k] * model.static_of(k) for k in RESOURCE_KINDS)
+        assert block_power.dynamic_pj == sum(counts[k] * model.dynamic_of(k) for k in RESOURCE_KINDS)
