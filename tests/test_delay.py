@@ -1,15 +1,16 @@
 """Path expansion, connected sets, and longest-path scoring in both modes."""
 
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockscope.annotation import BlockLabel, build_registry
+from blockscope.annotation import BlockLabel, BlockRegistry, build_registry, group_to_depth
 from blockscope.delay import WeightingMode, ZERO_PATH, delay_report, longest_path
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
-from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist
+from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist, validate
 from blockscope.oracles import (
     connected_sets,
     expand_paths,
@@ -270,3 +271,103 @@ def test_long_chains_have_analytic_delays(n_cells, n_blocks):
     system_best = max(bd.system.total_delay for bd in report.per_block.values())
     assert report.global_critical.total_delay == system_best == whole
     assert report.global_critical.path == tuple(chain)
+
+
+def _retimed(nl, delay):
+    """nl with every net delay and every non-source logic delay drawn from delay()."""
+    cells = [Cell(c.id, c.kind, 0 if c.kind.is_source else delay()) for c in nl.cells]
+    return Netlist(cells, [Net(n.src, n.dst, delay()) for n in nl.nets], nl.ff_pairs)
+
+
+@pytest.mark.parametrize("ties", ["equal", "binary"])
+@pytest.mark.parametrize(
+    "seed, n",
+    [(1, 40), (2, 120), (9, 250), (3, 400), (1, 500), (4, 500), (6, 1000), (5, 2000), (7, 2000)],
+)
+def test_tie_heavy_delays_match_reference_pipeline(seed, n, ties):
+    # with every delay equal, or every delay 0 or 1, nearly every choice in the
+    # search is a tie, so only the tie-break separates the candidate paths
+    rng = random.Random(seed)
+    delay = (lambda: 1) if ties == "equal" else (lambda: rng.randint(0, 1))
+    nl = _retimed(gen_random(seed, n), delay)
+    assert validate(nl).ok
+    registry = build_registry(nl)
+    # blocks of 1-3 cells leave most of every path outside the block
+    few = {
+        BlockLabel.parse(f"few{k}"): frozenset(rng.sample(nl.ids, rng.randint(1, 3))) for k in range(6)
+    }
+    for reg in (registry, group_to_depth(registry, 1), BlockRegistry(few, frozenset())):
+        for include_nets in (True, False):
+            got = delay_report(nl, reg, include_block_nets=include_nets)
+            assert got == reference_delay_report(nl, reg, include_block_nets=include_nets)
+
+
+def _layered(seed):
+    """Seeded pipeline with every cell annotated: each s<stage>.m<module>.op<op>
+    block builds layers of LUTs, each reading 1-4 cells of its own previous
+    layer and now and then one of another block's; registers feed the next
+    stage and ports open the first and close the last."""
+    stages, modules, ops, layers, width = 3, 4, 4, 10, 12
+    rng = random.Random(seed)
+    cells, nets, pairs = [], [], []
+
+    def add(cid, kind, inputs=(), delay=0):
+        cells.append(Cell(cid, kind, delay))
+        nets.extend(Net(src, cid, rng.randint(1, 30)) for src in inputs)
+        return cid
+
+    labels = [f"s{s}.m{m}.op{o}" for s in range(stages) for m in range(modules) for o in range(ops)]
+    per_stage = modules * ops
+    frontier = {}
+    for label in labels[:per_stage]:
+        frontier[label] = [add(f"{label}__in{p}", CellKind.IN) for p in range(2)]
+    for b, label in enumerate(labels):
+        s = b // per_stage
+        for layer in range(layers):
+            own = frontier[label]
+            row = []
+            for w in range(width):
+                extra = rng.sample(own, rng.randint(0, min(3, len(own) - 1)))
+                inputs = {own[w % len(own)], *extra}
+                if rng.random() < 0.05:
+                    other = frontier[labels[s * per_stage + rng.randrange(per_stage)]]
+                    inputs.add(other[rng.randrange(len(other))])
+                kind = CellKind[f"LUT{len(inputs)}"]
+                row.append(add(f"{label}__l{layer}_{w}", kind, sorted(inputs), rng.randint(10, 60)))
+            frontier[label] = row
+        if s == stages - 1:
+            for w, src in enumerate(frontier[label]):
+                add(f"{label}__out{w}", CellKind.OUT, [src])
+            continue
+        qs = []
+        for r in range(4):
+            d = add(f"{label}__d{r}", CellKind.FF_D, [frontier[label][r]])
+            qs.append(add(f"{label}__q{r}", CellKind.FF_Q))
+            pairs.append((d, qs[-1]))
+        nxt = labels[b + per_stage]
+        frontier[nxt] = frontier.get(nxt, []) + qs
+        other = labels[(s + 1) * per_stage + rng.randrange(per_stage)]
+        frontier[other] = frontier.get(other, []) + qs[:1]
+    return Netlist(cells, nets, pairs)
+
+
+def test_metamorphic_properties_at_scale():
+    nl = _layered(11)
+    assert validate(nl).ok and 5_000 <= len(nl.cells) <= 20_000
+    registry = build_registry(nl)
+    assert not registry.unannotated
+    report = delay_report(nl, registry)
+    critical = report.global_critical
+    results = [critical]
+    for bd in report.per_block.values():
+        assert bd.block.total_delay <= bd.system.total_delay <= critical.total_delay
+        results += [bd.system, bd.block]
+    for r in results:
+        assert r.logic_delay + r.network_delay == r.total_delay
+    # every path crosses some block, so the heaviest block path is the critical one
+    assert critical.total_delay == max(bd.system.total_delay for bd in report.per_block.values())
+    # a parent's seeds are its children's, so its crossing paths are theirs too
+    coarse = delay_report(nl, group_to_depth(registry, 2))
+    for parent, bd in coarse.per_block.items():
+        children = [c for label, c in report.per_block.items() if label.truncated(2) == parent]
+        assert bd.system.total_delay == max(c.system.total_delay for c in children)
