@@ -75,7 +75,7 @@ def resolve_device(name_or_path: str) -> DeviceProfile:
     if name_or_path in _LUT6_PS:
         return builtin_device(name_or_path)
     path = Path(name_or_path)
-    if not path.exists():
+    if not name_or_path or not path.exists():  # Path("") is the working directory
         raise ParseError(
             f"unknown device profile {name_or_path!r}; built-ins: {', '.join(BUILTIN_DEVICES)}", 1
         )

@@ -151,6 +151,8 @@ def _int(digits: str) -> int:
 
 def _nat_field(line: Line, index: int, what: str) -> int:
     text = line[2][index]
+    if len(text) < 16 and text.isascii() and text.isdigit():
+        return int(text)  # below 10^15 < 2^53; isascii() keeps out '²' and '٣'
     if not _NAT_RE.match(text):
         raise _error(line, index, f"malformed {what} {text!r}, expected a non-negative integer")
     value = _int(text)
@@ -209,7 +211,7 @@ def parse_netlist(data: bytes | str) -> NetlistDocument:
     nets: list[Net] = []
     pairs: list[tuple[str, str]] = []
     cell_lines: dict[str, int] = {}
-    ids: dict[str, str] = {}  # each endpoint reuses its cell's id string
+    ids: dict[str, str] = {}  # endpoints reuse the id string their cell line checked
     for line in _take_header(_scan(data), NETLIST_HEADER):
         lineno, _, tokens = line
         keyword = tokens[0]
@@ -228,17 +230,17 @@ def parse_netlist(data: bytes | str) -> NetlistDocument:
             cells.append(Cell(cid, kind, delay))
         elif keyword == "net":
             _want(line, 5, "net <src> -> <dst> <delay_ps>")
-            src = _id_field(line, 1, "net source id")
+            src = ids.get(tokens[1]) or _id_field(line, 1, "net source id")
             if tokens[2] != "->":
                 raise _error(line, 2, f"expected '->', found {tokens[2]!r}")
-            dst = _id_field(line, 3, "net destination id")
+            dst = ids.get(tokens[3]) or _id_field(line, 3, "net destination id")
             delay = _nat_field(line, 4, "net delay")
-            nets.append(Net(ids.get(src, src), ids.get(dst, dst), delay))
+            nets.append(Net(src, dst, delay))
         elif keyword == "ffpair":
             _want(line, 3, "ffpair <d_id> <q_id>")
-            d = _id_field(line, 1, "ffpair D id")
-            q = _id_field(line, 2, "ffpair Q id")
-            pairs.append((ids.get(d, d), ids.get(q, q)))
+            d = ids.get(tokens[1]) or _id_field(line, 1, "ffpair D id")
+            q = ids.get(tokens[2]) or _id_field(line, 2, "ffpair Q id")
+            pairs.append((d, q))
         else:
             raise _error(line, 0, f"unknown directive {keyword!r}")
     body = Netlist(cells, nets, pairs)

@@ -1,13 +1,18 @@
 """End-to-end command line behavior via subprocess: exit codes, exact bytes,
 and the fixtures subcommand."""
 
+import gc
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from blockscope import cli
 from blockscope.cli import main
 from blockscope.devices import DEVICE_HEADER
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random, gen_random_profile
@@ -142,6 +147,59 @@ def test_usage_errors_exit_1():
     assert result.returncode == 1 and b"--netlist" in result.stderr
     result = run_cli("analyze", "--netlist", "x", "--format", "yaml")
     assert result.returncode == 1
+
+
+def test_empty_device_name_is_an_unknown_device(gcd_files, capsys):
+    bnl, _ = gcd_files
+    for command in (["analyze", "--netlist", str(bnl)], ["fixtures", "gcd", str(bnl.parent / "unused")]):
+        assert main([*command, "--device", ""]) == 1
+        assert capsys.readouterr().err == (
+            "blockscope: error: unknown device profile ''; "
+            "built-ins: spartan6, virtex5, virtex7 (line 1)\n"
+        )
+    assert not (bnl.parent / "unused").exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(gcd_files, tmp_path, capsys, monkeypatch, enabled):
+    bnl, bpf = gcd_files
+    bad = tmp_path / "bad.bnl"
+    bad.write_text("not a netlist\n")
+    during = []
+
+    def parse_netlist(data):
+        during.append(gc.isenabled())
+        return cli_parse_netlist(data)
+
+    cli_parse_netlist = cli.parse_netlist
+    monkeypatch.setattr(cli, "parse_netlist", parse_netlist)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["analyze", "--netlist", str(bnl), "--profile", str(bpf)]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["analyze", "--netlist", str(bad)]) == 1
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["analyze", "--format", "yaml"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]  # the runs themselves go without the collector
+    capsys.readouterr()
+
+
+def test_readme_quick_start_report(tmp_path, capsysbinary, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands, report = re.findall(r"```[a-z]*\n(.*?)```", readme.split("## Quick start\n", 1)[1], re.S)[:2]
+    monkeypatch.chdir(tmp_path)
+    for line in commands.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "blockscope"
+        assert main(argv[1:]) == 0
+    out = capsysbinary.readouterr().out.decode()
+    # the README elides each digest after its first 8 hex digits
+    assert re.sub(r"(sha256:[0-9a-f]{8})[0-9a-f]{56}", r"\1...", out) == report
 
 
 def test_byte_determinism_across_runs_and_threads(gcd_files):

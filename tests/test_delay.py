@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockscope.annotation import BlockLabel, BlockRegistry, build_registry, group_to_depth
-from blockscope.delay import WeightingMode, ZERO_PATH, delay_report, longest_path
+from blockscope.area import BlockArea, area_report
+from blockscope.delay import (
+    BlockDelay,
+    PathResult,
+    WeightingMode,
+    ZERO_PATH,
+    delay_report,
+    longest_path,
+)
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist, validate
 from blockscope.oracles import (
@@ -371,3 +379,76 @@ def test_metamorphic_properties_at_scale():
     for parent, bd in coarse.per_block.items():
         children = [c for label, c in report.per_block.items() if label.truncated(2) == parent]
         assert bd.system.total_delay == max(c.system.total_delay for c in children)
+
+
+def _numbers(r):
+    return r.total_delay, r.logic_delay, r.network_delay
+
+
+def test_off_path_zero_delay_cells_change_no_number_at_scale():
+    nl = _layered(11)
+    # hang a zero-delay unannotated LUT and OUT off every 7th LUT that drives a
+    # sink: that LUT's own net to the sink weighs >= 1, so each new path is
+    # lighter than an old one through the same blocks, and a tie on block
+    # weight can only add a zero-weight tail
+    kinds = {c.id: c.kind for c in nl.cells}
+    drivers = sorted({n.src for n in nl.nets if kinds[n.src].value.startswith("LUT")
+                      and kinds[n.dst] in (CellKind.FF_D, CellKind.OUT)})[::7]
+    cells, nets = list(nl.cells), list(nl.nets)
+    for k, src in enumerate(drivers):
+        cells += [Cell(f"a_off{k}", CellKind.LUT1, 0), Cell(f"a_out{k}", CellKind.OUT, 0)]
+        nets += [Net(src, f"a_off{k}", 0), Net(f"a_off{k}", f"a_out{k}", 0)]
+    grown = Netlist(cells, nets, nl.ff_pairs)
+    assert validate(grown).ok and len(drivers) >= 10
+    before = delay_report(nl, build_registry(nl))
+    after = delay_report(grown, build_registry(grown))
+    assert before.unannotated is None and after.unannotated is not None
+    assert after.global_critical == before.global_critical
+    assert after.critical_blocks == before.critical_blocks
+    assert after.per_block.keys() == before.per_block.keys()
+    for label, bd in before.per_block.items():
+        assert after.per_block[label].system == bd.system, label
+        # the block path may now end in a tied zero-weight tail; its numbers may not change
+        assert _numbers(after.per_block[label].block) == _numbers(bd.block), label
+
+
+def test_order_preserving_label_rename_only_renames_rows_at_scale():
+    nl = _layered(11)
+    registry = build_registry(nl)
+    labels = sorted(registry.blocks)
+    new_label = {str(old): f"r{rank:02d}.{old}" for rank, old in enumerate(labels)}
+
+    def rename(cid):
+        label, local = cid.split("__", 1)
+        return f"{new_label[label]}__{local}"
+
+    ids = {c.id: rename(c.id) for c in nl.cells}
+    # labels and cell ids keep their order, so every tie breaks the same way
+    assert sorted(ids.values()) == [ids[cid] for cid in sorted(ids)]
+    renamed = Netlist(
+        [Cell(ids[c.id], c.kind, c.logic_delay) for c in nl.cells],
+        [Net(ids[n.src], ids[n.dst], n.net_delay) for n in nl.nets],
+        [(ids[d], ids[q]) for d, q in nl.ff_pairs],
+    )
+    new_registry = build_registry(renamed)
+    relabel = {old: BlockLabel.parse(new_label[str(old)]) for old in labels}
+    assert sorted(new_registry.blocks) == [relabel[old] for old in labels]
+
+    def moved(r):
+        return PathResult(r.total_delay, r.logic_delay, r.network_delay, tuple(ids[c] for c in r.path))
+
+    for include_nets in (True, False):
+        before = delay_report(nl, registry, include_block_nets=include_nets)
+        after = delay_report(renamed, new_registry, include_block_nets=include_nets)
+        assert after.global_critical == moved(before.global_critical)
+        assert after.critical_blocks == {relabel[old] for old in before.critical_blocks}
+        assert after.per_block == {
+            relabel[old]: BlockDelay(moved(bd.system), moved(bd.block))
+            for old, bd in before.per_block.items()
+        }
+    area_before, area_after = area_report(nl, registry), area_report(renamed, new_registry)
+    assert area_after.totals == area_before.totals
+    assert area_after.per_block == {
+        relabel[old]: BlockArea(ba.counts, ba.weighted_area, tuple(ids[c] for c in ba.unpaired_ff))
+        for old, ba in area_before.per_block.items()
+    }

@@ -140,9 +140,12 @@ def test_resolve_device_by_name_or_path(tmp_path):
     path = tmp_path / "mine.bdv"
     path.write_text(f"{DEVICE_HEADER}\ndelay LUT1 9\n")
     assert resolve_device(str(path)).logic_delays[CellKind.LUT1] == 9
-    with pytest.raises(ParseError) as err:
-        resolve_device("kintex9")
-    assert "built-ins" in str(err.value)
+    for unknown in ("kintex9", ""):  # Path("") would be the working directory
+        with pytest.raises(ParseError) as err:
+            resolve_device(unknown)
+        assert str(err.value) == (
+            f"unknown device profile {unknown!r}; built-ins: spartan6, virtex5, virtex7 (line 1)"
+        )
 
 
 def test_unreadable_device_path_is_an_input_error(tmp_path, capsys):

@@ -115,6 +115,93 @@ def test_malformed_fields_rejected():
     assert (err.value.line, err.value.column) == (3, 6)
 
 
+# the edges of parse_netlist's shortcuts (an all-ASCII-digit delay under 16
+# digits is read directly, an endpoint whose cell is already declared is not
+# checked again): text after the header -> its canonical body, or the exact
+# error with its line and column
+EDGE_CELLS = "cell a IN 0\ncell b LUT1 1\ncell c OUT 0\ncell d FF_D 0\ncell q FF_Q 0\n"
+FAST_PATH_EDGES = {
+    "cell 15 digits": ("cell a LUT1 999999999999999", "cell a LUT1 999999999999999"),
+    "cell 16 digits": ("cell a LUT1 1000000000000000", "cell a LUT1 1000000000000000"),
+    "cell 16 digits max": ("cell a LUT1 9007199254740991", "cell a LUT1 9007199254740991"),
+    "cell 16 digits 2^53": ("cell a LUT1 9007199254740992",
+                            "logic delay out of range, must be below 2^53 (line 2, col 13)"),
+    "cell 16 nines": ("cell a LUT1 9999999999999999",
+                      "logic delay out of range, must be below 2^53 (line 2, col 13)"),
+    "cell 17 digits": ("cell a LUT1 10000000000000000",
+                       "logic delay out of range, must be below 2^53 (line 2, col 13)"),
+    "cell leading zeros": ("cell a LUT1 007", "cell a LUT1 7"),
+    "cell 23 digits, leading zeros": ("cell a LUT1 00000000000000000000007", "cell a LUT1 7"),
+    "cell 2^53 after zeros": ("cell a LUT1 0000000000000009007199254740992",
+                              "logic delay out of range, must be below 2^53 (line 2, col 13)"),
+    "cell superscript": ("cell a LUT1 \u00b2",
+                         "malformed logic delay '\u00b2', expected a non-negative integer (line 2, col 13)"),
+    "cell digit then superscript": (
+        "cell a LUT1 1\u00b2",
+        "malformed logic delay '1\u00b2', expected a non-negative integer (line 2, col 13)"),
+    "cell arabic-indic": ("cell a LUT1 \u0663",
+                          "malformed logic delay '\u0663', expected a non-negative integer (line 2, col 13)"),
+    "cell full-width": (
+        "cell a LUT1 \uff11\uff12",
+        "malformed logic delay '\uff11\uff12', expected a non-negative integer (line 2, col 13)"),
+    "net 15 digits": (EDGE_CELLS + "net a -> b 999999999999999",
+                      EDGE_CELLS + "net a -> b 999999999999999"),
+    "net 16 digits": (EDGE_CELLS + "net a -> b 1000000000000000",
+                      EDGE_CELLS + "net a -> b 1000000000000000"),
+    "net 16 nines": (EDGE_CELLS + "net a -> b 9999999999999999",
+                     "net delay out of range, must be below 2^53 (line 7, col 12)"),
+    "net 17 digits": (EDGE_CELLS + "net a -> b 10000000000000000",
+                      "net delay out of range, must be below 2^53 (line 7, col 12)"),
+    "net leading zeros": (EDGE_CELLS + "net a -> b 0042", EDGE_CELLS + "net a -> b 42"),
+    "net arabic-indic": (EDGE_CELLS + "net a -> b \u0663",
+                         "malformed net delay '\u0663', expected a non-negative integer (line 7, col 12)"),
+    "net full-width": (EDGE_CELLS + "net a -> b \uff15",
+                       "malformed net delay '\uff15', expected a non-negative integer (line 7, col 12)"),
+    "forward references": ("net a -> b 3\nffpair d q\n" + EDGE_CELLS + "net b -> c 2",
+                           EDGE_CELLS + "net a -> b 3\nnet b -> c 2\nffpair d q"),
+    "forward unknown": ("net a -> z 3\n" + EDGE_CELLS, "net a->z references unknown cell z (line 2)"),
+    "forward bad net src": ("net a! -> b 3\n" + EDGE_CELLS, "malformed net source id 'a!' (line 2, col 5)"),
+    "forward bad net dst": ("net a -> b! 3\n" + EDGE_CELLS,
+                            "malformed net destination id 'b!' (line 2, col 10)"),
+    "forward bad ffpair d": ("ffpair d! q\n" + EDGE_CELLS, "malformed ffpair D id 'd!' (line 2, col 8)"),
+    "forward bad ffpair q": ("ffpair d q?\n" + EDGE_CELLS, "malformed ffpair Q id 'q?' (line 2, col 10)"),
+    "bad net dst by declared": (EDGE_CELLS + "net a -> b-1 3",
+                                "malformed net destination id 'b-1' (line 7, col 10)"),
+    "bad net src by declared": (EDGE_CELLS + "net b:0 -> c 3", "malformed net source id 'b:0' (line 7, col 5)"),
+    "bad ffpair q by declared": (EDGE_CELLS + "ffpair d q\u00e9",
+                                 "malformed ffpair Q id 'q\u00e9' (line 7, col 10)"),
+    "bad ffpair d by declared": (EDGE_CELLS + "ffpair d\u00e9 q",
+                                 "malformed ffpair D id 'd\u00e9' (line 7, col 8)"),
+    "arrow missing": (EDGE_CELLS + "net a b c 3", "expected '->', found 'b' (line 7, col 7)"),
+    "arrow and field missing": (EDGE_CELLS + "net a b 3",
+                                "expected net <src> -> <dst> <delay_ps> (line 7, col 1)"),
+    "arrow misspelt": (EDGE_CELLS + "net a -- b 3", "expected '->', found '--' (line 7, col 7)"),
+    "tabs cell": ("cell\ta\tLUT1\t\u00b2",
+                  "malformed logic delay '\u00b2', expected a non-negative integer (line 2, col 13)"),
+    "tabs bad dst": (EDGE_CELLS + "net\ta\t->\tb!\t3", "malformed net destination id 'b!' (line 7, col 10)"),
+    "tabs arrow": (EDGE_CELLS + "net\ta\t=>\tb\t3", "expected '->', found '=>' (line 7, col 7)"),
+    "tabs 17 digits": (EDGE_CELLS + "net\ta \t->\tb\t\t12345678901234567",
+                       "net delay out of range, must be below 2^53 (line 7, col 14)"),
+    "tabs leading zeros": (EDGE_CELLS + "net\ta\t->\tb\t0012", EDGE_CELLS + "net a -> b 12"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAST_PATH_EDGES))
+def test_fast_path_edges_parse_as_pinned(case):
+    body, expected = FAST_PATH_EDGES[case]
+    text = f"{NETLIST_HEADER}\n{body}\n"
+    for data in (text, text.encode()):
+        if not expected.endswith(")"):  # accepted: pin the canonical bytes
+            assert serialize_netlist(parse_netlist(data)).decode() == f"{NETLIST_HEADER}\n{expected}\n"
+            continue
+        with pytest.raises(ParseError) as err:
+            parse_netlist(data)
+        assert str(err.value) == expected
+        located = re.search(r"\(line (\d+)(?:, col (\d+))?\)\Z", expected)
+        column = located[2] and int(located[2])
+        assert (err.value.line, err.value.column) == (int(located[1]), column)
+
+
 def test_utf8_byte_order_mark_before_header_is_accepted():
     plain = serialize_netlist(gen_gcd()[0])
     assert parse_netlist(b"\xef\xbb\xbf" + plain).body == parse_netlist(plain).body
