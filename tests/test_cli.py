@@ -166,12 +166,12 @@ def test_main_restores_the_collector_state(gcd_files, tmp_path, capsys, monkeypa
     bad = tmp_path / "bad.bnl"
     bad.write_text("not a netlist\n")
     during = []
+    real_parse = cli.parse_netlist
 
     def parse_netlist(data):
         during.append(gc.isenabled())
-        return cli_parse_netlist(data)
+        return real_parse(data)
 
-    cli_parse_netlist = cli.parse_netlist
     monkeypatch.setattr(cli, "parse_netlist", parse_netlist)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
@@ -186,7 +186,6 @@ def test_main_restores_the_collector_state(gcd_files, tmp_path, capsys, monkeypa
     finally:
         (gc.enable if was else gc.disable)()
     assert during == [False, False]  # the runs themselves go without the collector
-    capsys.readouterr()
 
 
 def test_readme_quick_start_report(tmp_path, capsysbinary, monkeypatch):
