@@ -151,9 +151,7 @@ def _int(digits: str) -> int:
 
 def _nat_field(line: Line, index: int, what: str) -> int:
     text = line[2][index]
-    if len(text) < 16 and text.isascii() and text.isdigit():
-        return int(text)  # below 10^15 < 2^53; isascii() keeps out '²' and '٣'
-    if not _NAT_RE.match(text):
+    if not (text.isascii() and text.isdigit()):  # str.isdigit alone takes '²' and '٣'
         raise _error(line, index, f"malformed {what} {text!r}, expected a non-negative integer")
     value = _int(text)
     if value >= _MAX_INT:
