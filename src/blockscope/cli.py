@@ -185,8 +185,8 @@ def _fixtures(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     # A batch run allocates ~10^5 cells, nets and tuples that form no cycles:
-    # the cyclic collector reclaims nothing from them, and its scans cost ~15%
-    # of ingest. It is off for the run; its state is restored for the caller.
+    # the cyclic collector reclaims nothing from them, and its scans cost ~7% of
+    # a wide_flat run. It is off for the run; its state is restored for the caller.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -115,10 +115,10 @@ def test_malformed_fields_rejected():
     assert (err.value.line, err.value.column) == (3, 6)
 
 
-# the edges of parse_netlist's shortcuts (an all-ASCII-digit delay under 16
-# digits is read directly, an endpoint whose cell is already declared is not
-# checked again): text after the header -> its canonical body, or the exact
-# error with its line and column
+# the edges of parse_netlist's shortcuts (a delay is checked with str tests in
+# place of a regex, an endpoint whose cell is already declared is not checked
+# again): text after the header -> its canonical body, or the exact error with
+# its line and column
 EDGE_CELLS = "cell a IN 0\ncell b LUT1 1\ncell c OUT 0\ncell d FF_D 0\ncell q FF_Q 0\n"
 FAST_PATH_EDGES = {
     "cell 15 digits": ("cell a LUT1 999999999999999", "cell a LUT1 999999999999999"),
