@@ -94,12 +94,16 @@ def resource_counts(cells: Iterable[str], netlist: Netlist) -> tuple[dict[str, i
     """Count resource kinds over a cell set; returns (counts, unpaired FF ids).
 
     The FF_Q of a co-located pair is skipped so the pair counts once at its D
-    port.
+    port. A cell the netlist lacks is an AreaError naming the smallest such id.
     """
     counts = {kind: 0 for kind in RESOURCE_KINDS}
     unpaired: list[str] = []
     index, partner = netlist.index, netlist.partner
-    members = {index[cid] for cid in cells}
+    try:
+        members = {index[cid] for cid in cells}
+    except KeyError:
+        missing = min(cid for cid in cells if cid not in index)  # not the set's hash order
+        raise AreaError(f"registry references unknown cell {missing}") from None
     for i in sorted(members):  # index order is id order
         kind = netlist.cell_at(i).kind
         if kind is CellKind.FF_D:
@@ -131,9 +135,6 @@ def area_report(
     """
     if weights is None:
         weights = AreaWeights.default()
-    for cid in registry.all_cells:
-        if not netlist.has_cell(cid):
-            raise AreaError(f"registry references unknown cell {cid}")
 
     def finite(area: float, name: str) -> float:
         if not math.isfinite(area):

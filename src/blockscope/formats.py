@@ -56,7 +56,6 @@ PROFILE_HEADER = "blockscope-profile v1"
 _MAX_INT = 2**53  # integer fields stay below it, so every consumer of a double reads them exactly
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
-_NAT_RE = re.compile(r"[0-9]+\Z")
 _NUM_RE = re.compile(r"[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?\Z")
 # a fires list whose every cycle int() reads exactly; anything else is walked part by part
 _FIRES_RE = re.compile(r"[0-9]{1,16}(?:,[0-9]{1,16})*\Z")
@@ -174,29 +173,26 @@ def _num_field(line: Line, index: int, what: str) -> float:
 
 @dataclass(frozen=True)
 class NetlistDocument:
-    """Parsed netlist plus the line of each cell declaration."""
+    """The header and the parsed, validated netlist."""
 
     header: str
     body: Netlist
-    cell_lines: dict[str, int]
 
 
-def _violation_line(data: bytes | str, cell_lines: dict[str, int], violation: Violation) -> int:
-    """Source line of a violation: its cell's declaration, else the first net
-    or ffpair line it names (a cycle names its first edge), found by scanning
-    the input again; this runs only when the netlist is being rejected."""
+def _violation_line(data: bytes | str, violation: Violation) -> int:
+    """Source line of a violation, found by scanning the input again; this
+    runs only when the netlist is being rejected. A net a->b or an ffpair d/q
+    is found at its line, a cycle through two or more cells at the net of its
+    first edge, and any other subject at its cell's declaration."""
     subj = violation.subject
-    if subj in cell_lines:
-        return cell_lines[subj]
     if "->" in subj:
-        keyword, (a, b) = "net", subj.split("->", 1)
+        keyword, (a, b), at = "net", subj.split("->", 1), 3  # net <src> -> <dst> <delay>
     elif "/" in subj:
-        keyword, (a, b) = "ffpair", subj.split("/", 1)
-    elif violation.cells:  # cycle
-        keyword, a, b = "net", violation.cells[0], violation.cells[1 % len(violation.cells)]
+        keyword, (a, b), at = "ffpair", subj.split("/", 1), 2  # ffpair <d> <q>
+    elif "," in subj:
+        keyword, (a, b), at = "net", subj.split(",")[:2], 3  # a cycle's first edge
     else:
-        return 1
-    at = 3 if keyword == "net" else 2  # net <src> -> <dst> <delay> | ffpair <d> <q>
+        keyword, a, b, at = "cell", subj, subj, 1  # cell <id> <kind> <delay>
     for lineno, _, tokens in _take_header(_scan(data), NETLIST_HEADER):
         if tokens[0] == keyword and tokens[1] == a and tokens[at] == b:
             return lineno
@@ -208,10 +204,9 @@ def parse_netlist(data: bytes | str) -> NetlistDocument:
     cells: list[Cell] = []
     nets: list[Net] = []
     pairs: list[tuple[str, str]] = []
-    cell_lines: dict[str, int] = {}
     ids: dict[str, str] = {}  # endpoints reuse the id string their cell line checked
     for line in _take_header(_scan(data), NETLIST_HEADER):
-        lineno, _, tokens = line
+        tokens = line[2]
         keyword = tokens[0]
         if keyword == "cell":
             _want(line, 4, "cell <id> <kind> <delay_ps>")
@@ -221,9 +216,8 @@ def parse_netlist(data: bytes | str) -> NetlistDocument:
             except KeyError:
                 raise _error(line, 2, f"unknown cell kind {tokens[2]}") from None
             delay = _nat_field(line, 3, "logic delay")
-            if cid in cell_lines:
+            if cid in ids:
                 raise _error(line, 1, f"duplicate cell id {cid}")
-            cell_lines[cid] = lineno
             ids[cid] = cid
             cells.append(Cell(cid, kind, delay))
         elif keyword == "net":
@@ -245,8 +239,8 @@ def parse_netlist(data: bytes | str) -> NetlistDocument:
     report = validate(body)
     if not report.ok:
         first = report.violations[0]
-        raise ParseError(first.message, _violation_line(data, cell_lines, first))
-    return NetlistDocument(NETLIST_HEADER, body, cell_lines)
+        raise ParseError(first.message, _violation_line(data, first))
+    return NetlistDocument(NETLIST_HEADER, body)
 
 
 def serialize_netlist(obj: Netlist | NetlistDocument) -> bytes:
@@ -282,7 +276,7 @@ def _fires_field(line: Line, index: int) -> tuple[int, ...]:
     else:
         parts = text.split(",")
         for part in parts:
-            if not _NAT_RE.match(part):
+            if not (part.isascii() and part.isdigit()):
                 raise _error(line, index, f"malformed firing cycle {part!r} in {text!r}")
         values = tuple(map(_int, parts))
     for a, b in zip(values, values[1:]):

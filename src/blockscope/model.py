@@ -54,22 +54,9 @@ class CellKind(Enum):
     def is_sink(self) -> bool:
         return self in SINK_KINDS
 
-    @property
-    def is_lut(self) -> bool:
-        return self in LUT_KINDS
-
-    @property
-    def lut_width(self) -> int:
-        if not self.is_lut:
-            raise ValueError(f"{self.value} is not a LUT kind")
-        return int(self.value[3])
-
 
 SOURCE_KINDS = frozenset({CellKind.CLK, CellKind.IN, CellKind.FF_Q})
 SINK_KINDS = frozenset({CellKind.FF_D, CellKind.MEM_IN, CellKind.OUT})
-LUT_KINDS = frozenset(
-    {CellKind.LUT1, CellKind.LUT2, CellKind.LUT3, CellKind.LUT4, CellKind.LUT5, CellKind.LUT6}
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,33 +81,63 @@ class Net:
 
 
 def _successors(
-    nets: tuple[Net, ...], index: dict[str, int], at: list[int]
-) -> tuple[array, list[tuple[int, ...]], list[int]]:
+    nets: tuple[Net, ...], index: dict[str, int], at: list[int], kept: list[Cell],
+    source: bytes, sink: bytes, out: list[Violation],
+) -> tuple[array, list[tuple[int, ...]], list[int], bool]:
     """Each cell's successors in ascending order, and the maximum delay of
-    the parallel nets into each, flat, with each cell's first position in it.
-    Nets with an unknown endpoint are skipped."""
+    the parallel nets into each, flat, with each cell's first position in it;
+    and whether every net was indexed. A net with an unknown endpoint is
+    skipped. Each broken net appends its violations to out, in net order."""
     n = len(at)
+    complete = True
     delay_of: dict[int, int] = {}  # i * n + j -> maximum delay of the nets i -> j
     for net in nets:
         i, j = index.get(net.src), index.get(net.dst)
-        if i is not None and j is not None:
-            d, key = net.net_delay, i * n + j
-            if d > delay_of.setdefault(key, d):
-                delay_of[key] = d
+        if i is None or j is None:
+            key = f"{net.src}->{net.dst}"
+            side, missing = ("src", net.src) if i is None else ("dst", net.dst)
+            message = f"net {key} references unknown cell {missing}"
+            out.append(Violation(f"dangling-net-{side}", key, message))
+            complete = False
+            continue
+        d = net.net_delay
+        if source[j] or sink[i] or not isinstance(d, int) or d < 0:
+            out += _net_violations(net, kept[i].kind, kept[j].kind)
+        key = i * n + j
+        if d > delay_of.setdefault(key, d):
+            delay_of[key] = d
     keys = sorted(delay_of)  # row-major, so each cell's successors ascend
     delays = [delay_of[k] for k in keys]
     del delay_of  # the largest transient; free it before the rows are built
     starts = array("i", [bisect_left(keys, i * n) for i in range(n + 1)])
     columns = [at[k % n] for k in keys]
-    return starts, [tuple(columns[a:b]) for a, b in zip(starts, starts[1:])], delays
+    return starts, [tuple(columns[a:b]) for a, b in zip(starts, starts[1:])], delays, complete
+
+
+def _net_violations(net: Net, src: CellKind, dst: CellKind) -> list[Violation]:
+    """The rules a net between two known cells of these kinds breaks."""
+    key = f"{net.src}->{net.dst}"
+    out = []
+    if not isinstance(net.net_delay, int) or net.net_delay < 0:
+        out.append(Violation("negative-delay", key, f"net {key} net_delay must be a non-negative integer"))
+    if dst in SOURCE_KINDS:
+        out.append(
+            Violation("edge-into-source-kind", key, f"net {key} drives {net.dst} of source kind {dst.value}")
+        )
+    if src in SINK_KINDS:
+        out.append(
+            Violation("edge-from-sink-kind", key, f"net {key} leaves {net.src} of sink kind {src.value}")
+        )
+    return out
 
 
 class Netlist:
     """Immutable-by-convention container for cells, nets and flip-flop pairs.
 
     ff_pairs records which FF_D/FF_Q node pair belongs to one physical
-    flip-flop; the two nodes stay unconnected in the graph. Construction never
-    validates; call validate() for a structured report.
+    flip-flop; the two nodes stay unconnected in the graph. Construction
+    records the rules the nets and ffpairs break, and a cycle, in
+    graph_violations; validate() adds the rules on single cells.
 
     The graph is indexed once, here, and every layer reads this index. Cell i
     is the i-th distinct id in sorted order, so comparing indices compares
@@ -130,12 +147,14 @@ class Netlist:
     succ_delay[succ_first[i] + p] the maximum delay of the parallel nets into
     succ[i][p]; pred[i] holds i's predecessors the same way. Nets with an
     unknown endpoint are left out of the index. order and rank (position in
-    order) are the topological order, set once it has been computed.
+    order) are the topological order; both are None and cycle holds the
+    combinational-cycle violation when the indexed graph has a cycle.
     """
 
     __slots__ = (
         "cells", "nets", "ff_pairs", "ids", "index", "_pos", "logic", "source", "sink",
-        "succ", "succ_first", "succ_delay", "pred", "partner", "order", "rank",
+        "succ", "succ_first", "succ_delay", "pred", "partner", "order", "rank", "cycle",
+        "graph_violations",
     )
 
     def __init__(
@@ -161,28 +180,58 @@ class Netlist:
         self.logic = [c.logic_delay for c in kept]
         self.source = bytes(c.kind in SOURCE_KINDS for c in kept)
         self.sink = bytes(c.kind in SINK_KINDS for c in kept)
-        self.succ_first, self.succ, self.succ_delay = _successors(self.nets, index, at)
+        out: list[Violation] = []
+        self.succ_first, self.succ, self.succ_delay, complete = _successors(
+            self.nets, index, at, kept, self.source, self.sink, out
+        )
         pred: list[list[int]] = [[] for _ in range(n)]
         for i, row in zip(at, self.succ):
             for j in row:
                 pred[j].append(i)  # i ascends, so every row does too
         self.pred = [tuple(row) for row in pred]
-        self.partner = array("i", [-1]) * n
+        self.partner = partner = array("i", [-1]) * n
+        paired: set[int] = set()
         for d, q in self.ff_pairs:  # a later pair overrides; -1 marks an unknown partner
             i, j = index.get(d, -1), index.get(q, -1)
             if i >= 0:
-                self.partner[i] = j
+                partner[i] = j
             if j >= 0:
-                self.partner[j] = i
-        self.order: array | None = None  # set by _kahn once it sorts every cell
-        self.rank: array | None = None
+                partner[j] = i
+            if i < 0 or j < 0:
+                key, missing = f"{d}/{q}", d if i < 0 else q
+                message = f"ffpair {key} references unknown cell {missing}"
+                out.append(Violation("ffpair-unknown-cell", key, message))
+                continue
+            if kept[i].kind is not CellKind.FF_D or kept[j].kind is not CellKind.FF_Q:
+                key = f"{d}/{q}"
+                message = f"ffpair {key} must pair an FF_D cell with an FF_Q cell"
+                out.append(Violation("ffpair-kind-mismatch", key, message))
+            for x, cid in ((i, d), (j, q)):
+                if x in paired:
+                    message = f"cell {cid} appears in more than one ffpair"
+                    out.append(Violation("ffpair-duplicate", cid, message))
+                paired.add(x)
+        del kept, at, pred, paired  # free the transients before the sort
+        self.order = self.rank = self.cycle = None
+        indeg = [len(row) for row in self.pred]
+        order = _kahn(self.succ, indeg)
+        if len(order) == n:
+            self.order = array("i", order)
+            self.rank = rank = array("i", order)
+            for r, i in enumerate(order):
+                rank[i] = r
+        else:
+            self.cycle = _find_cycle(self.pred, ids, indeg)
+            if complete and n == len(self.cells):  # only a cycle of real, well-formed edges is reported
+                out.append(self.cycle)
+        self.graph_violations: tuple[Violation, ...] = tuple(out)
 
     def with_logic_delays(self, delays: Mapping[CellKind, int]) -> "Netlist":
         """This netlist with each cell's logic delay replaced by its kind's.
 
-        Only the cells and the logic delays are new: nets, ff_pairs, the index
-        and any cached topological order are shared, since ids and edges are
-        unchanged.
+        Only the cells and the logic delays are new: nets, ff_pairs, the index,
+        the topological order and the graph violations are shared, since ids
+        and edges are unchanged and no graph rule reads a logic delay.
         """
         new = copy.copy(self)
         new.cells = tuple(Cell(c.id, c.kind, delays[c.kind]) for c in self.cells)
@@ -194,9 +243,6 @@ class Netlist:
 
     def cell_at(self, i: int) -> Cell:
         return self.cells[self._pos[i]]
-
-    def has_cell(self, cell_id: str) -> bool:
-        return cell_id in self.index
 
     def cell_ids(self) -> list[str]:
         return list(self.ids)
@@ -248,8 +294,10 @@ class ValidationError(BlockscopeError):
 def validate(netlist: Netlist) -> ValidationReport:
     """Check every structural invariant and report all violations found.
 
-    Acyclicity is only checked once ids are unique and nets are not dangling,
-    so cycle reports always refer to real, well-formed edges.
+    The rules on single cells are checked here, in cell order; those on nets,
+    ffpairs and acyclicity follow, as the netlist recorded them when it was
+    built. Acyclicity is only checked once ids are unique and every net is
+    indexed, so cycle reports always refer to real, well-formed edges.
     """
     out: list[Violation] = []
     index, first = netlist.index, netlist._pos
@@ -272,94 +320,13 @@ def validate(netlist: Netlist) -> ValidationReport:
                     f"cell {c.id} has kind {c.kind.value} and must have logic_delay 0",
                 )
             )
-
-    structural = True
-    source, sink = netlist.source, netlist.sink
-    for n in netlist.nets:
-        # endpoints are read once; the key and a Violation exist only for a broken net
-        i = index.get(n.src)
-        j = index.get(n.dst)
-        if i is None or j is None:
-            key = f"{n.src}->{n.dst}"
-            side, missing = ("src", n.src) if i is None else ("dst", n.dst)
-            out.append(Violation(f"dangling-net-{side}", key, f"net {key} references unknown cell {missing}"))
-            structural = False
-            continue
-        bad_delay = not isinstance(n.net_delay, int) or n.net_delay < 0
-        into_source = source[j]
-        from_sink = sink[i]
-        if not (bad_delay or into_source or from_sink):
-            continue
-        key = f"{n.src}->{n.dst}"
-        if bad_delay:
-            out.append(
-                Violation("negative-delay", key, f"net {key} net_delay must be a non-negative integer")
-            )
-        if into_source:
-            out.append(
-                Violation(
-                    "edge-into-source-kind",
-                    key,
-                    f"net {key} drives {n.dst} of source kind {netlist.cell_at(j).kind.value}",
-                )
-            )
-        if from_sink:
-            out.append(
-                Violation(
-                    "edge-from-sink-kind",
-                    key,
-                    f"net {key} leaves {n.src} of sink kind {netlist.cell_at(i).kind.value}",
-                )
-            )
-
-    paired: set[str] = set()
-    for d, q in netlist.ff_pairs:
-        key = f"{d}/{q}"
-        missing = [x for x in (d, q) if not netlist.has_cell(x)]
-        if missing:
-            out.append(
-                Violation("ffpair-unknown-cell", key, f"ffpair {key} references unknown cell {missing[0]}")
-            )
-            continue
-        if netlist.cell(d).kind is not CellKind.FF_D or netlist.cell(q).kind is not CellKind.FF_Q:
-            out.append(
-                Violation(
-                    "ffpair-kind-mismatch",
-                    key,
-                    f"ffpair {key} must pair an FF_D cell with an FF_Q cell",
-                )
-            )
-        for x in (d, q):
-            if x in paired:
-                out.append(
-                    Violation("ffpair-duplicate", x, f"cell {x} appears in more than one ffpair")
-                )
-            paired.add(x)
-
-    if structural and len(netlist.ids) == len(netlist.cells):
-        cycle = _find_cycle(netlist)
-        if cycle:
-            out.append(_cycle_violation(cycle))
-    return ValidationReport(tuple(out))
+    return ValidationReport((*out, *netlist.graph_violations))
 
 
-def _cycle_violation(cycle: list[str]) -> Violation:
-    return Violation(
-        "combinational-cycle",
-        ",".join(cycle),
-        "combinational cycle through " + ", ".join(cycle),
-        cells=tuple(cycle),
-    )
-
-
-def _kahn(netlist: Netlist) -> list[int]:
-    """Kahn's algorithm with a heap so ties pop in ascending index (= id)
-    order; returns each cell's in-degree left unprocessed.
-
-    A complete order and its ranks are cached on the netlist.
-    """
-    succ = netlist.succ
-    indeg = [len(row) for row in netlist.pred]
+def _kahn(succ: list[tuple[int, ...]], indeg: list[int]) -> list[int]:
+    """Kahn's algorithm with a heap, so ties pop in ascending index (= id)
+    order. It consumes indeg: a cell left out of the order keeps its
+    in-degree from the other cells left out."""
     ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
     order: list[int] = []
     while ready:
@@ -369,49 +336,45 @@ def _kahn(netlist: Netlist) -> list[int]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
-    if len(order) == len(indeg):
-        netlist.order = array("i", order)
-        netlist.rank = rank = array("i", order)
-        for r, i in enumerate(order):
-            rank[i] = r
-    return indeg
+    return order
 
 
-def _find_cycle(netlist: Netlist) -> list[str]:
-    """Return one real cycle as an id sequence, or [] if the graph is acyclic.
+def _find_cycle(pred: list[tuple[int, ...]], ids: list[str], indeg: list[int]) -> Violation:
+    """The combinational-cycle violation of one real cycle among the cells
+    Kahn's algorithm left out, those with in-degree left in indeg.
 
-    Walks predecessors inside the unprocessed remainder of Kahn's algorithm
-    (every remaining node keeps at least one remaining predecessor), then
-    rotates the cycle to start at its smallest id for determinism.
+    Walks predecessors inside that remainder (every remaining node keeps at
+    least one remaining predecessor), then rotates the cycle to start at its
+    smallest id for determinism.
     """
-    indeg = _kahn(netlist)
     remaining = {i for i, d in enumerate(indeg) if d > 0}
-    if not remaining:
-        return []
     seen_at: dict[int, int] = {}
     walk: list[int] = []
     node = min(remaining)
     while node not in seen_at:
         seen_at[node] = len(walk)
         walk.append(node)
-        node = next(p for p in netlist.pred[node] if p in remaining)
+        node = next(p for p in pred[node] if p in remaining)
     cycle = walk[seen_at[node]:]
     cycle.reverse()  # predecessor walk is backwards; report in edge direction
     pivot = cycle.index(min(cycle))
-    return [netlist.ids[i] for i in cycle[pivot:] + cycle[:pivot]]
+    names = [ids[i] for i in cycle[pivot:] + cycle[:pivot]]
+    return Violation(
+        "combinational-cycle",
+        ",".join(names),
+        "combinational cycle through " + ", ".join(names),
+        cells=tuple(names),
+    )
 
 
 def topological_ranks(netlist: Netlist) -> tuple[array, array]:
     """The topological order as cell indices, and each index's rank in it.
 
-    Computed once per netlist (validate() already does so); ties break by
-    ascending cell id. Raises ValidationError carrying the same
-    combinational-cycle violation that validate() reports.
+    Ties break by ascending cell id. Raises ValidationError carrying the
+    combinational-cycle violation that the netlist found when it was built.
     """
     if netlist.order is None:
-        cycle = _find_cycle(netlist)
-        if cycle:
-            raise ValidationError((_cycle_violation(cycle),))
+        raise ValidationError((netlist.cycle,))
     return netlist.order, netlist.rank
 
 

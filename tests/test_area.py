@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockscope.annotation import BlockLabel, build_registry, group_to_depth
+from blockscope.annotation import BlockLabel, BlockRegistry, build_registry, group_to_depth
 from blockscope.area import (
     AreaError,
     AreaWeights,
@@ -13,9 +13,11 @@ from blockscope.area import (
     resource_counts,
     weighted_area,
 )
+from blockscope.delay import delay_report
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
-from blockscope.model import Cell, CellKind, Net, Netlist
+from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist
 from blockscope.oracles import oracle_resource_counts
+from blockscope.power import power_score
 
 
 def nonzero(counts):
@@ -106,10 +108,16 @@ def test_custom_weights_and_validation():
 
 def test_registry_netlist_mismatch_is_an_error():
     nl, _ = gen_gcd()
-    registry = build_registry(nl)
     other = Netlist([Cell("x__q0", CellKind.FF_Q)])
-    with pytest.raises(AreaError):
-        area_report(other, registry)
+    cells = frozenset({"core__a1", "ghost_c", "ghost_a", "ghost_b"})
+    ghost = BlockRegistry({BlockLabel.parse("core"): cells}, frozenset())
+    cases = ((other, build_registry(nl), "subtract__diff0"), (gen_fig6(), ghost, "ghost_a"))
+    for netlist, registry, name in cases:
+        for analysis in (area_report, power_score):  # the smallest unknown id, whatever the hash order
+            with pytest.raises(AreaError, match=f"^registry references unknown cell {name}$"):
+                analysis(netlist, registry)
+        with pytest.raises(BlockscopeError, match=f"^block cell {name} is not in the netlist$"):
+            delay_report(netlist, registry)
 
 
 def test_grouping_aggregates_counts_exactly():

@@ -201,6 +201,16 @@ def test_readme_quick_start_report(tmp_path, capsysbinary, monkeypatch):
     assert re.sub(r"(sha256:[0-9a-f]{8})[0-9a-f]{56}", r"\1...", out) == report
 
 
+def test_readme_library_use(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```python\n(.*?)```", readme.split("## Library use\n", 1)[1], re.S)[1]
+    monkeypatch.chdir(tmp_path)
+    assert main(["fixtures", "gcd", "."]) == 0
+    capsys.readouterr()
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["126", "12.0", "['subtract', 'swap', 'x', 'y']"]
+
+
 def test_byte_determinism_across_runs_and_threads(gcd_files):
     bnl, bpf = gcd_files
     reference = None

@@ -201,6 +201,8 @@ def test_longest_path_matches_oracle(seed, n, include_nets):
     nl = gen_random(seed, n)
     registry = build_registry(nl)
     report = delay_report(nl, registry, include_block_nets=include_nets)
+    critical = longest_path(nl, None, WeightingMode.SYSTEM)
+    assert critical == oracle_longest_path(nl, None, WeightingMode.SYSTEM) == report.global_critical
     for label, cells in registry.blocks.items():
         bd = report.per_block[label]
         assert bd.system == oracle_longest_path(nl, cells, WeightingMode.SYSTEM)

@@ -12,7 +12,7 @@ from blockscope.devices import (
 )
 from blockscope.fixtures import gen_fig6, gen_random
 from blockscope.formats import ParseError, VersionError, parse_netlist, serialize_netlist
-from blockscope.model import BlockscopeError, CellKind, Netlist, topological_order, validate
+from blockscope.model import BlockscopeError, CellKind, Net, Netlist, topological_order, validate
 
 
 def test_builtin_names():
@@ -64,7 +64,7 @@ def test_apply_delays_rewrites_logic_only():
 
 def test_apply_delays_shares_the_graph_and_its_order():
     device = builtin_device("spartan6")
-    parsed = parse_netlist(serialize_netlist(gen_random(4, 200))).body  # order already cached
+    parsed = parse_netlist(serialize_netlist(gen_random(4, 200))).body
     for nl in (gen_fig6(), parsed):
         scaled = device.apply_delays(nl)
         assert validate(scaled).ok
@@ -75,13 +75,20 @@ def test_apply_delays_shares_the_graph_and_its_order():
         assert scaled == fresh
         assert topological_order(scaled) == topological_order(fresh)
         for name in ("ids", "index", "source", "sink", "succ", "succ_first", "succ_delay", "pred",
-                     "partner"):
+                     "partner", "order", "rank", "graph_violations"):
             assert getattr(scaled, name) is getattr(nl, name), name
             assert getattr(scaled, name) == getattr(fresh, name), name
         assert scaled.logic == fresh.logic != nl.logic
         for cid in nl.cell_ids():
             assert scaled.cell(cid) == fresh.cell(cid)
     assert parsed != device.apply_delays(parsed)  # the source keeps its own delays
+    # a dangling net and a cycle: the rules found at construction are shared too
+    cid = parsed.ids[-1]
+    broken = Netlist(parsed.cells, parsed.nets + (Net(cid, "ghost", 1), Net(cid, cid, 1)))
+    scaled = device.apply_delays(broken)
+    assert scaled.graph_violations is broken.graph_violations
+    assert [v.rule for v in scaled.graph_violations] == ["dangling-net-dst"]
+    assert scaled.cycle is broken.cycle and scaled.cycle.cells == (cid,)
 
 
 def test_custom_device_file_overrides_base(tmp_path):

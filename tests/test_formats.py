@@ -51,7 +51,6 @@ def test_parse_good_netlist():
     nl = doc.body
     assert sorted(nl.cell_ids()) == ["n9", "top.alu__a", "top.alu__b"]
     assert nl.cell("top.alu__b").logic_delay == 7
-    assert doc.cell_lines["top.alu__b"] == 4
 
 
 def test_comments_and_blank_lines_ignored_everywhere():

@@ -26,9 +26,6 @@ def rules(netlist):
 def test_kind_partitions_are_disjoint():
     assert not SOURCE_KINDS & SINK_KINDS
     assert CellKind.FF_Q.is_source and CellKind.FF_D.is_sink
-    assert CellKind.LUT4.lut_width == 4
-    with pytest.raises(ValueError):
-        CellKind.CLK.lut_width
 
 
 def test_valid_minimal_chain():
@@ -48,6 +45,10 @@ def test_duplicate_cell_id_reported():
 def test_negative_delay_reported():
     nl = Netlist([Cell("a", CellKind.LUT1, -1)])
     assert "negative-delay" in rules(nl)
+    nl = Netlist([Cell("a", CellKind.IN), Cell("b", CellKind.OUT)], [Net("a", "b", -1)])
+    assert validate(nl).violations == (
+        Violation("negative-delay", "a->b", "net a->b net_delay must be a non-negative integer"),
+    )
 
 
 def test_source_kind_must_have_zero_delay():
@@ -144,6 +145,25 @@ def test_construction_indexes_broken_netlists_without_raising():
     for case_cells, case_nets, want in cases:
         nl = Netlist(case_cells, case_nets)
         assert validate(nl).violations == want
+    # cell, net and ffpair rules broken together: cells first, then nets and
+    # ffpairs in their order, as reported before construction checked the graph
+    broken = Netlist(
+        [Cell("i", CellKind.IN), Cell("q", CellKind.FF_Q, 3), Cell("d", CellKind.FF_D),
+         Cell("x", CellKind.LUT1, -2), Cell("o", CellKind.OUT)],
+        [Net("i", "x", 1), Net("x", "q", 2), Net("d", "o", 1), Net("x", "o", -1), Net("x", "d", 0)],
+        [("d", "q"), ("d", "nope"), ("x", "q")],
+    )
+    assert validate(broken).violations == (
+        Violation("source-kind-delay", "q", "cell q has kind FF_Q and must have logic_delay 0"),
+        Violation("negative-delay", "x", "cell x logic_delay must be a non-negative integer"),
+        Violation("edge-into-source-kind", "x->q", "net x->q drives q of source kind FF_Q"),
+        Violation("edge-from-sink-kind", "d->o", "net d->o leaves d of sink kind FF_D"),
+        Violation("negative-delay", "x->o", "net x->o net_delay must be a non-negative integer"),
+        Violation("ffpair-unknown-cell", "d/nope", "ffpair d/nope references unknown cell nope"),
+        Violation("ffpair-kind-mismatch", "x/q", "ffpair x/q must pair an FF_D cell with an FF_Q cell"),
+        Violation("ffpair-duplicate", "q", "cell q appears in more than one ffpair"),
+    )
+    assert broken.graph_violations == validate(broken).violations[2:]
     nl = Netlist(cells, nets)
     assert nl.ids == ["a", "b", "i", "o"]
     assert nl.cell("a") is cells[2]  # the first cell with an id wins
@@ -177,7 +197,7 @@ def test_topological_order_is_lexicographically_greedy():
 def test_topological_order_returns_a_fresh_copy_of_one_order():
     nl = gen_random(5, 300)
     validated = gen_random(5, 300)
-    assert validate(validated).ok  # validation already sorts, and keeps the order
+    assert validate(validated).ok  # validation reads the order construction found
     first = topological_order(nl)
     assert first == topological_order(validated)
     first.reverse()
