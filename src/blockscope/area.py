@@ -98,14 +98,14 @@ def resource_counts(cells: Iterable[str], netlist: Netlist) -> tuple[dict[str, i
     """
     counts = {kind: 0 for kind in RESOURCE_KINDS}
     unpaired: list[str] = []
-    index, partner = netlist.index, netlist.partner
+    index, kinds, partner = netlist.index, netlist.kind, netlist.partner
     try:
         members = {index[cid] for cid in cells}
     except KeyError:
         missing = min(cid for cid in cells if cid not in index)  # not the set's hash order
         raise AreaError(f"registry references unknown cell {missing}") from None
     for i in sorted(members):  # index order is id order
-        kind = netlist.cell_at(i).kind
+        kind = kinds[i]
         if kind is CellKind.FF_D:
             counts["FF"] += 1
             if partner[i] not in members:

@@ -40,15 +40,7 @@ from typing import Iterator
 
 from .annotation import AnnotationError, BlockLabel
 from .area import RESOURCE_KINDS
-from .model import (
-    BlockscopeError,
-    Cell,
-    CellKind,
-    Net,
-    Netlist,
-    Violation,
-    validate,
-)
+from .model import BlockscopeError, CellKind, Netlist, Violation, validate
 from .power import ActivityProfile, PowerModel
 
 NETLIST_HEADER = "blockscope-netlist v1"
@@ -200,42 +192,73 @@ def _violation_line(data: bytes | str, violation: Violation) -> int:
 
 
 def parse_netlist(data: bytes | str) -> NetlistDocument:
-    """Parse and fully validate one netlist file in a single pass over its lines."""
-    cells: list[Cell] = []
-    nets: list[Net] = []
+    """Parse and fully validate one netlist file in a single pass over its lines.
+
+    Tokens go straight into the netlist's columns. A cell or net line whose
+    fields pass the quick tests (a declared endpoint, or a new id matching
+    the id pattern; a kind by name; a delay of at most 15 ASCII digits, so
+    below 2^53) is taken at once. Any other line goes through the field
+    checks, in their order, which raise its first error or accept it.
+    """
+    cell_id: list[str] = []
+    cell_kind: list[CellKind] = []
+    cell_logic: list[int] = []
+    net_src: list[str] = []
+    net_dst: list[str] = []
+    net_delay: list[int] = []
     pairs: list[tuple[str, str]] = []
     ids: dict[str, str] = {}  # endpoints reuse the id string their cell line checked
+    known, kind_of, id_ok = ids.get, CellKind.__members__.get, _ID_RE.match
     for line in _take_header(_scan(data), NETLIST_HEADER):
         tokens = line[2]
-        keyword = tokens[0]
-        if keyword == "cell":
-            _want(line, 4, "cell <id> <kind> <delay_ps>")
-            cid = _id_field(line, 1, "cell id")
-            try:
-                kind = CellKind[tokens[2]]
-            except KeyError:
-                raise _error(line, 2, f"unknown cell kind {tokens[2]}") from None
-            delay = _nat_field(line, 3, "logic delay")
-            if cid in ids:
-                raise _error(line, 1, f"duplicate cell id {cid}")
+        keyword, count = tokens[0], len(tokens)
+        if keyword == "net":
+            text = tokens[-1]
+            if (
+                count == 5 and (src := known(tokens[1])) and (dst := known(tokens[3])) and tokens[2] == "->"
+                and len(text) < 16 and text.isascii() and text.isdigit()
+            ):
+                delay = int(text)
+            else:
+                _want(line, 5, "net <src> -> <dst> <delay_ps>")
+                src = known(tokens[1]) or _id_field(line, 1, "net source id")
+                if tokens[2] != "->":
+                    raise _error(line, 2, f"expected '->', found {tokens[2]!r}")
+                dst = known(tokens[3]) or _id_field(line, 3, "net destination id")
+                delay = _nat_field(line, 4, "net delay")
+            net_src.append(src)
+            net_dst.append(dst)
+            net_delay.append(delay)
+        elif keyword == "cell":
+            text = tokens[-1]
+            if (
+                count == 4 and (kind := kind_of(tokens[2])) is not None
+                and len(text) < 16 and text.isascii() and text.isdigit()
+                and (cid := tokens[1]) not in ids and id_ok(cid)
+            ):
+                delay = int(text)
+            else:
+                _want(line, 4, "cell <id> <kind> <delay_ps>")
+                cid = _id_field(line, 1, "cell id")
+                try:
+                    kind = CellKind[tokens[2]]
+                except KeyError:
+                    raise _error(line, 2, f"unknown cell kind {tokens[2]}") from None
+                delay = _nat_field(line, 3, "logic delay")
+                if cid in ids:
+                    raise _error(line, 1, f"duplicate cell id {cid}")
             ids[cid] = cid
-            cells.append(Cell(cid, kind, delay))
-        elif keyword == "net":
-            _want(line, 5, "net <src> -> <dst> <delay_ps>")
-            src = ids.get(tokens[1]) or _id_field(line, 1, "net source id")
-            if tokens[2] != "->":
-                raise _error(line, 2, f"expected '->', found {tokens[2]!r}")
-            dst = ids.get(tokens[3]) or _id_field(line, 3, "net destination id")
-            delay = _nat_field(line, 4, "net delay")
-            nets.append(Net(src, dst, delay))
+            cell_id.append(cid)
+            cell_kind.append(kind)
+            cell_logic.append(delay)
         elif keyword == "ffpair":
             _want(line, 3, "ffpair <d_id> <q_id>")
-            d = ids.get(tokens[1]) or _id_field(line, 1, "ffpair D id")
-            q = ids.get(tokens[2]) or _id_field(line, 2, "ffpair Q id")
+            d = known(tokens[1]) or _id_field(line, 1, "ffpair D id")
+            q = known(tokens[2]) or _id_field(line, 2, "ffpair Q id")
             pairs.append((d, q))
         else:
             raise _error(line, 0, f"unknown directive {keyword!r}")
-    body = Netlist(cells, nets, pairs)
+    body = Netlist._from_columns(cell_id, cell_kind, cell_logic, net_src, net_dst, net_delay, pairs)
     report = validate(body)
     if not report.ok:
         first = report.violations[0]

@@ -15,9 +15,9 @@ from __future__ import annotations
 import copy
 import heapq
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, unique
+from itertools import accumulate
 from typing import Mapping
 
 
@@ -81,52 +81,59 @@ class Net:
 
 
 def _successors(
-    nets: tuple[Net, ...], index: dict[str, int], at: list[int], kept: list[Cell],
-    source: bytes, sink: bytes, out: list[Violation],
+    netlist: "Netlist", at: list[int], out: list[Violation],
 ) -> tuple[array, list[tuple[int, ...]], list[int], bool]:
     """Each cell's successors in ascending order, and the maximum delay of
     the parallel nets into each, flat, with each cell's first position in it;
     and whether every net was indexed. A net with an unknown endpoint is
-    skipped. Each broken net appends its violations to out, in net order."""
-    n = len(at)
+    skipped. A net whose delay is not a non-negative integer is indexed with
+    delay 0, so the cycle check still sees its edge. Each broken net appends
+    its violations to out, in net order."""
+    get, kind, source, sink = netlist.index.get, netlist.kind, netlist.source, netlist.sink
+    rows: list[list[tuple[int, int]]] = [[] for _ in at]
     complete = True
-    delay_of: dict[int, int] = {}  # i * n + j -> maximum delay of the nets i -> j
-    for net in nets:
-        i, j = index.get(net.src), index.get(net.dst)
+    for src, dst, d in zip(netlist.net_src, netlist.net_dst, netlist.net_delay):
+        i, j = get(src), get(dst)
         if i is None or j is None:
-            key = f"{net.src}->{net.dst}"
-            side, missing = ("src", net.src) if i is None else ("dst", net.dst)
+            key = f"{src}->{dst}"
+            side, missing = ("src", src) if i is None else ("dst", dst)
             message = f"net {key} references unknown cell {missing}"
             out.append(Violation(f"dangling-net-{side}", key, message))
             complete = False
             continue
-        d = net.net_delay
-        if source[j] or sink[i] or not isinstance(d, int) or d < 0:
-            out += _net_violations(net, kept[i].kind, kept[j].kind)
-        key = i * n + j
-        if d > delay_of.setdefault(key, d):
-            delay_of[key] = d
-    keys = sorted(delay_of)  # row-major, so each cell's successors ascend
-    delays = [delay_of[k] for k in keys]
-    del delay_of  # the largest transient; free it before the rows are built
-    starts = array("i", [bisect_left(keys, i * n) for i in range(n + 1)])
-    columns = [at[k % n] for k in keys]
-    return starts, [tuple(columns[a:b]) for a, b in zip(starts, starts[1:])], delays, complete
+        if source[j] or sink[i] or d.__class__ is not int or d < 0:
+            out += _net_violations(src, dst, d, kind[i], kind[j])
+            if not isinstance(d, int) or d < 0:
+                d = 0
+        rows[i].append((j, d))
+    succ: list[tuple[int, ...]] = []
+    delays: list[int] = []
+    for row in rows:
+        if len(row) == 1:
+            (j, d), = row
+            succ.append((j,))
+            delays.append(d)
+        else:
+            row.sort()
+            best = dict(row)  # the last, largest delay of each successor wins
+            succ.append(tuple(best))
+            delays += best.values()
+    return array("i", accumulate(map(len, succ), initial=0)), succ, delays, complete
 
 
-def _net_violations(net: Net, src: CellKind, dst: CellKind) -> list[Violation]:
+def _net_violations(src: str, dst: str, delay, src_kind: CellKind, dst_kind: CellKind) -> list[Violation]:
     """The rules a net between two known cells of these kinds breaks."""
-    key = f"{net.src}->{net.dst}"
+    key = f"{src}->{dst}"
     out = []
-    if not isinstance(net.net_delay, int) or net.net_delay < 0:
+    if not isinstance(delay, int) or delay < 0:
         out.append(Violation("negative-delay", key, f"net {key} net_delay must be a non-negative integer"))
-    if dst in SOURCE_KINDS:
+    if dst_kind in SOURCE_KINDS:
         out.append(
-            Violation("edge-into-source-kind", key, f"net {key} drives {net.dst} of source kind {dst.value}")
+            Violation("edge-into-source-kind", key, f"net {key} drives {dst} of source kind {dst_kind.value}")
         )
-    if src in SINK_KINDS:
+    if src_kind in SINK_KINDS:
         out.append(
-            Violation("edge-from-sink-kind", key, f"net {key} leaves {net.src} of sink kind {src.value}")
+            Violation("edge-from-sink-kind", key, f"net {key} leaves {src} of sink kind {src_kind.value}")
         )
     return out
 
@@ -139,10 +146,15 @@ class Netlist:
     records the rules the nets and ffpairs break, and a cycle, in
     graph_violations; validate() adds the rules on single cells.
 
+    Cells and nets are held as columns in input order: cell_id, cell_kind and
+    cell_logic per cell, net_src, net_dst and net_delay per net. The cells
+    and nets properties build Cell and Net objects from them on first access
+    (a netlist built from objects keeps those).
+
     The graph is indexed once, here, and every layer reads this index. Cell i
     is the i-th distinct id in sorted order, so comparing indices compares
     ids; for a duplicate id the first cell wins. Per index the netlist keeps
-    its logic delay, source and sink flags and FF partner (-1 for none).
+    its kind, logic delay, source and sink flags and FF partner (-1 for none).
     succ[i] is the tuple of i's successors in ascending order, and
     succ_delay[succ_first[i] + p] the maximum delay of the parallel nets into
     succ[i][p]; pred[i] holds i's predecessors the same way. Nets with an
@@ -152,7 +164,8 @@ class Netlist:
     """
 
     __slots__ = (
-        "cells", "nets", "ff_pairs", "ids", "index", "_pos", "logic", "source", "sink",
+        "cell_id", "cell_kind", "cell_logic", "net_src", "net_dst", "net_delay", "ff_pairs",
+        "_cells", "_nets", "ids", "index", "_pos", "kind", "logic", "source", "sink",
         "succ", "succ_first", "succ_delay", "pred", "partner", "order", "rank", "cycle",
         "graph_violations",
     )
@@ -163,27 +176,46 @@ class Netlist:
         nets: tuple[Net, ...] | list[Net] = (),
         ff_pairs: tuple[tuple[str, str], ...] | list[tuple[str, str]] = (),
     ) -> None:
-        self.cells: tuple[Cell, ...] = tuple(cells)
-        self.nets: tuple[Net, ...] = tuple(nets)
+        cells, nets = tuple(cells), tuple(nets)
+        self.cell_id = [c.id for c in cells]
+        self.cell_kind = [c.kind for c in cells]
+        self.cell_logic = [c.logic_delay for c in cells]
+        self.net_src = [n.src for n in nets]
+        self.net_dst = [n.dst for n in nets]
+        self.net_delay = [n.net_delay for n in nets]
+        self._cells, self._nets = [cells], [nets]
+        self._build_index(ff_pairs)
+
+    @classmethod
+    def _from_columns(
+        cls, cell_id: list[str], cell_kind: list[CellKind], cell_logic: list[int],
+        net_src: list[str], net_dst: list[str], net_delay: list[int], ff_pairs: list[tuple[str, str]],
+    ) -> "Netlist":
+        """A netlist over these columns, which it keeps; no objects are built."""
+        new = cls.__new__(cls)
+        new.cell_id, new.cell_kind, new.cell_logic = cell_id, cell_kind, cell_logic
+        new.net_src, new.net_dst, new.net_delay = net_src, net_dst, net_delay
+        new._cells, new._nets = [None], [None]
+        new._build_index(ff_pairs)
+        return new
+
+    def _build_index(self, ff_pairs) -> None:
         self.ff_pairs: tuple[tuple[str, str], ...] = tuple((d, q) for d, q in ff_pairs)
-        index: dict[str, int] = {}
-        for pos, c in enumerate(self.cells):
-            index.setdefault(c.id, pos)
+        cell_id = self.cell_id
+        # written from the last cell back, so the first cell with an id wins
+        index = dict(zip(reversed(cell_id), range(len(cell_id) - 1, -1, -1)))
         self.ids = ids = sorted(index)
         n = len(ids)
-        self._pos = array("i", [index[cid] for cid in ids])  # position of cell i in cells
+        self._pos = array("i", map(index.__getitem__, ids))  # position of cell i in the columns
         at = list(range(n))  # one int object per index, shared by the dict and every row
-        for cid, i in zip(ids, at):
-            index[cid] = i  # only values change, so the dict is reused in place
+        index.update(zip(ids, at))  # only values change, so the dict is reused in place
         self.index = index
-        kept = [self.cells[p] for p in self._pos]
-        self.logic = [c.logic_delay for c in kept]
-        self.source = bytes(c.kind in SOURCE_KINDS for c in kept)
-        self.sink = bytes(c.kind in SINK_KINDS for c in kept)
+        self.kind = kind = list(map(self.cell_kind.__getitem__, self._pos))
+        self.logic = list(map(self.cell_logic.__getitem__, self._pos))
+        self.source = bytes(map(SOURCE_KINDS.__contains__, kind))
+        self.sink = bytes(map(SINK_KINDS.__contains__, kind))
         out: list[Violation] = []
-        self.succ_first, self.succ, self.succ_delay, complete = _successors(
-            self.nets, index, at, kept, self.source, self.sink, out
-        )
+        self.succ_first, self.succ, self.succ_delay, complete = _successors(self, at, out)
         pred: list[list[int]] = [[] for _ in range(n)]
         for i, row in zip(at, self.succ):
             for j in row:
@@ -202,7 +234,7 @@ class Netlist:
                 message = f"ffpair {key} references unknown cell {missing}"
                 out.append(Violation("ffpair-unknown-cell", key, message))
                 continue
-            if kept[i].kind is not CellKind.FF_D or kept[j].kind is not CellKind.FF_Q:
+            if kind[i] is not CellKind.FF_D or kind[j] is not CellKind.FF_Q:
                 key = f"{d}/{q}"
                 message = f"ffpair {key} must pair an FF_D cell with an FF_Q cell"
                 out.append(Violation("ffpair-kind-mismatch", key, message))
@@ -211,7 +243,7 @@ class Netlist:
                     message = f"cell {cid} appears in more than one ffpair"
                     out.append(Violation("ffpair-duplicate", cid, message))
                 paired.add(x)
-        del kept, at, pred, paired  # free the transients before the sort
+        del at, pred, paired  # free the transients before the sort
         self.order = self.rank = self.cycle = None
         indeg = [len(row) for row in self.pred]
         order = _kahn(self.succ, indeg)
@@ -222,27 +254,40 @@ class Netlist:
                 rank[i] = r
         else:
             self.cycle = _find_cycle(self.pred, ids, indeg)
-            if complete and n == len(self.cells):  # only a cycle of real, well-formed edges is reported
+            if complete and n == len(cell_id):  # only a cycle of real, well-formed edges is reported
                 out.append(self.cycle)
         self.graph_violations: tuple[Violation, ...] = tuple(out)
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        """The cells in input order, built from the columns on first access."""
+        if self._cells[0] is None:
+            self._cells[0] = tuple(map(Cell, self.cell_id, self.cell_kind, self.cell_logic))
+        return self._cells[0]
+
+    @property
+    def nets(self) -> tuple[Net, ...]:
+        """The nets in input order, built from the columns on first access."""
+        if self._nets[0] is None:
+            self._nets[0] = tuple(map(Net, self.net_src, self.net_dst, self.net_delay))
+        return self._nets[0]
 
     def with_logic_delays(self, delays: Mapping[CellKind, int]) -> "Netlist":
         """This netlist with each cell's logic delay replaced by its kind's.
 
-        Only the cells and the logic delays are new: nets, ff_pairs, the index,
-        the topological order and the graph violations are shared, since ids
-        and edges are unchanged and no graph rule reads a logic delay.
+        Only the logic delay columns and the cells are new: the nets (and the
+        cache of their objects), ff_pairs, the index, the topological order and
+        the graph violations are shared, since ids and edges are unchanged and
+        no graph rule reads a logic delay.
         """
         new = copy.copy(self)
-        new.cells = tuple(Cell(c.id, c.kind, delays[c.kind]) for c in self.cells)
-        new.logic = [new.cells[p].logic_delay for p in self._pos]
+        new.cell_logic = list(map(delays.__getitem__, self.cell_kind))
+        new.logic = list(map(delays.__getitem__, self.kind))
+        new._cells = [None]
         return new
 
     def cell(self, cell_id: str) -> Cell:
         return self.cells[self._pos[self.index[cell_id]]]
-
-    def cell_at(self, i: int) -> Cell:
-        return self.cells[self._pos[i]]
 
     def cell_ids(self) -> list[str]:
         return list(self.ids)
@@ -261,7 +306,7 @@ class Netlist:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"Netlist(cells={len(self.cells)}, nets={len(self.nets)}, ff_pairs={len(self.ff_pairs)})"
+        return f"Netlist(cells={len(self.cell_id)}, nets={len(self.net_src)}, ff_pairs={len(self.ff_pairs)})"
 
 
 @dataclass(frozen=True)
@@ -301,23 +346,18 @@ def validate(netlist: Netlist) -> ValidationReport:
     """
     out: list[Violation] = []
     index, first = netlist.index, netlist._pos
-    for pos, c in enumerate(netlist.cells):
-        if first[index[c.id]] != pos:
+    columns = zip(netlist.cell_id, netlist.cell_kind, netlist.cell_logic)
+    for pos, (cid, kind, delay) in enumerate(columns):
+        if first[index[cid]] != pos:
+            out.append(Violation("duplicate-cell-id", cid, f"duplicate cell id {cid}"))
+        if not isinstance(delay, int) or delay < 0:
             out.append(
-                Violation("duplicate-cell-id", c.id, f"duplicate cell id {c.id}")
+                Violation("negative-delay", cid, f"cell {cid} logic_delay must be a non-negative integer")
             )
-        if not isinstance(c.logic_delay, int) or c.logic_delay < 0:
+        elif delay != 0 and kind in SOURCE_KINDS:
             out.append(
                 Violation(
-                    "negative-delay", c.id, f"cell {c.id} logic_delay must be a non-negative integer"
-                )
-            )
-        elif c.kind.is_source and c.logic_delay != 0:
-            out.append(
-                Violation(
-                    "source-kind-delay",
-                    c.id,
-                    f"cell {c.id} has kind {c.kind.value} and must have logic_delay 0",
+                    "source-kind-delay", cid, f"cell {cid} has kind {kind.value} and must have logic_delay 0"
                 )
             )
     return ValidationReport((*out, *netlist.graph_violations))

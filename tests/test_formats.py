@@ -23,7 +23,7 @@ from blockscope.formats import (
     serialize_netlist,
     serialize_profile,
 )
-from blockscope.model import BlockscopeError
+from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist, validate
 from blockscope.power import PowerModel
 
 GOOD_NETLIST = """\
@@ -182,6 +182,24 @@ FAST_PATH_EDGES = {
     "tabs 17 digits": (EDGE_CELLS + "net\ta \t->\tb\t\t12345678901234567",
                        "net delay out of range, must be below 2^53 (line 7, col 14)"),
     "tabs leading zeros": (EDGE_CELLS + "net\ta\t->\tb\t0012", EDGE_CELLS + "net a -> b 12"),
+    # the quick path takes a line by keyword and token count, a kind by name and
+    # a delay of at most 15 digits; everything else is checked field by field
+    "cell too few": ("cell a LUT1", "expected cell <id> <kind> <delay_ps> (line 2, col 1)"),
+    "cell too many": ("cell a LUT1 1 2", "expected cell <id> <kind> <delay_ps> (line 2, col 1)"),
+    "net too few": (EDGE_CELLS + "net a -> b", "expected net <src> -> <dst> <delay_ps> (line 7, col 1)"),
+    "net too many": (EDGE_CELLS + "net a -> b 3 4", "expected net <src> -> <dst> <delay_ps> (line 7, col 1)"),
+    "ffpair too few": (EDGE_CELLS + "ffpair d", "expected ffpair <d_id> <q_id> (line 7, col 1)"),
+    "ffpair too many": (EDGE_CELLS + "ffpair d q q", "expected ffpair <d_id> <q_id> (line 7, col 1)"),
+    "cell lowercase kind": ("cell a lut1 1", "unknown cell kind lut1 (line 2, col 8)"),
+    "cell kind __class__": ("cell a __class__ 1", "unknown cell kind __class__ (line 2, col 8)"),
+    "cell kind _member_map_": ("cell a _member_map_ 1", "unknown cell kind _member_map_ (line 2, col 8)"),
+    "cell bad id and kind": ("cell a! LUT9 1", "malformed cell id 'a!' (line 2, col 6)"),
+    "cell duplicate, bad delay": ("cell a IN 0\ncell a LUT1 x",
+                                  "malformed logic delay 'x', expected a non-negative integer (line 3, col 13)"),
+    "cell 15 digits, leading zeros": ("cell a LUT1 000000000000042", "cell a LUT1 42"),
+    "net 16 digits max": (EDGE_CELLS + "net a -> b 9007199254740991",
+                          EDGE_CELLS + "net a -> b 9007199254740991"),
+    "net 16 digits, leading zeros": (EDGE_CELLS + "net a -> b 0000000000000042", EDGE_CELLS + "net a -> b 42"),
 }
 
 
@@ -374,6 +392,68 @@ def test_random_netlists_round_trip(seed, n):
     blob = serialize_netlist(nl)
     assert parse_netlist(blob).body == nl
     assert serialize_netlist(parse_netlist(blob)) == blob
+
+
+# everything a Netlist indexes, compared between its two entry points
+NETLIST_FIELDS = ("ids", "index", "kind", "logic", "source", "sink", "succ", "succ_first", "succ_delay",
+                  "pred", "partner", "order", "rank", "cycle", "graph_violations", "cells", "nets", "ff_pairs")
+
+
+def _assert_same_netlist(got, want):
+    for name in NETLIST_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def _netlist_text(cells, nets, pairs) -> str:
+    """Netlist text with the lines in the given order, unlike serialize_netlist."""
+    lines = [NETLIST_HEADER, *(f"cell {c.id} {c.kind.value} {c.logic_delay}" for c in cells)]
+    lines += [f"net {n.src} -> {n.dst} {n.net_delay}" for n in nets]
+    lines += [f"ffpair {d} {q}" for d, q in pairs]
+    return "\n".join(lines) + "\n"
+
+
+_DIFF_CELLS = [Cell("i", CellKind.IN), Cell("b", CellKind.LUT2, 4), Cell("a", CellKind.LUT1, 2),
+               Cell("d", CellKind.FF_D), Cell("q", CellKind.FF_Q), Cell("o", CellKind.OUT)]
+_DIFF_NETS = [Net("i", "b", 3), Net("q", "a", 1), Net("b", "o", 2), Net("a", "b", 5), Net("a", "d", 1)]
+HAND_MADE_NETLISTS = {
+    "valid": (_DIFF_CELLS, _DIFF_NETS, [("d", "q")]),
+    "duplicate ids": (_DIFF_CELLS + [Cell("a", CellKind.LUT3, 7), Cell("i", CellKind.OUT)], _DIFF_NETS, []),
+    "dangling nets": (_DIFF_CELLS, [Net("b", "ghost", 1), *_DIFF_NETS, Net("ghost", "o", 2)], []),
+    "parallel nets": (_DIFF_CELLS, _DIFF_NETS + [Net("a", "b", 9), Net("i", "b", 3), Net("a", "b", 1),
+                                                 Net("a", "b", 9), Net("b", "o", 0)], [("d", "q")]),
+    "bad ffpairs": (_DIFF_CELLS, _DIFF_NETS, [("d", "q"), ("d", "ghost"), ("a", "q"), ("q", "d")]),
+    "cycle": (_DIFF_CELLS, _DIFF_NETS + [Net("b", "a", 1)], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_MADE_NETLISTS))
+def test_netlist_from_objects_matches_netlist_from_columns(case):
+    cells, nets, pairs = HAND_MADE_NETLISTS[case]
+    want = Netlist(cells, nets, pairs)
+    columns = Netlist._from_columns(
+        [c.id for c in cells], [c.kind for c in cells], [c.logic_delay for c in cells],
+        [n.src for n in nets], [n.dst for n in nets], [n.net_delay for n in nets], pairs,
+    )
+    _assert_same_netlist(columns, want)
+    report = validate(want)
+    if report.ok:
+        _assert_same_netlist(parse_netlist(_netlist_text(cells, nets, pairs)).body, want)
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_netlist(_netlist_text(cells, nets, pairs))
+        assert str(err.value).startswith(f"{report.violations[0].message} (line ")
+
+
+def test_random_netlists_index_alike_from_objects_and_from_text():
+    for seed in range(200):
+        nl = gen_random(seed, 2 + seed % 97)
+        parsed = parse_netlist(serialize_netlist(nl)).body
+        # serialize_netlist writes cells by id and nets by (src, dst, delay)
+        cells = sorted(nl.cells, key=lambda c: c.id)
+        nets = sorted(nl.nets, key=lambda n: (n.src, n.dst, n.net_delay))
+        _assert_same_netlist(parsed, Netlist(cells, nets, sorted(nl.ff_pairs)))
+        for name in NETLIST_FIELDS[:-3]:  # the index does not depend on the input order
+            assert getattr(parsed, name) == getattr(nl, name), name
 
 
 def _adjacent_swaps(blob: bytes):

@@ -249,3 +249,29 @@ def test_random_netlists_validate_and_sort(seed, n):
     position = {cid: i for i, cid in enumerate(order)}
     for net in nl.nets:
         assert position[net.src] < position[net.dst]
+
+
+@pytest.mark.parametrize("bad", [None, "3", 2.5, -1])
+def test_bad_net_delay_is_a_violation_with_its_edge_kept(bad):
+    cells = [Cell("a", CellKind.IN), Cell("b", CellKind.OUT)]
+    want = (Violation("negative-delay", "a->b", "net a->b net_delay must be a non-negative integer"),)
+    # alone, and beside a valid parallel net on either side: the edge is indexed
+    # once, and a bad delay adds nothing to the maximum of its parallel nets
+    for nets, delay in (([Net("a", "b", bad)], 0),
+                        ([Net("a", "b", 4), Net("a", "b", bad)], 4),
+                        ([Net("a", "b", bad), Net("a", "b", 4)], 4)):
+        nl = Netlist(cells, nets)
+        assert validate(nl).violations == want
+        assert (nl.succ, nl.succ_delay, nl.pred) == ([(1,), ()], [delay], [(), (0,)])
+    # the cycle check still runs over an edge with a bad delay
+    loop = Netlist(
+        [Cell("i", CellKind.IN), Cell("x", CellKind.LUT1, 1), Cell("y", CellKind.LUT1, 1)],
+        [Net("i", "x", 1), Net("x", "y", bad), Net("y", "x", 2)],
+    )
+    cycle = Violation("combinational-cycle", "x,y", "combinational cycle through x, y", ("x", "y"))
+    assert validate(loop).violations == (
+        Violation("negative-delay", "x->y", "net x->y net_delay must be a non-negative integer"), cycle,
+    )
+    with pytest.raises(ValidationError) as err:
+        topological_order(loop)
+    assert err.value.violations == (cycle,)
