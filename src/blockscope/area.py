@@ -90,20 +90,27 @@ class AreaReport:
     totals: BlockArea
 
 
+def cell_indices(netlist: Netlist, cells: Iterable[str]) -> set[int]:
+    """The netlist indices of a block's cells. A cell the netlist lacks is an
+    AreaError naming the smallest such id."""
+    index = netlist.index
+    try:
+        return {index[cid] for cid in cells}
+    except KeyError:
+        missing = min(cid for cid in cells if cid not in index)  # not the set's hash order
+        raise AreaError(f"registry references unknown cell {missing}") from None
+
+
 def resource_counts(cells: Iterable[str], netlist: Netlist) -> tuple[dict[str, int], tuple[str, ...]]:
     """Count resource kinds over a cell set; returns (counts, unpaired FF ids).
 
     The FF_Q of a co-located pair is skipped so the pair counts once at its D
-    port. A cell the netlist lacks is an AreaError naming the smallest such id.
+    port.
     """
     counts = {kind: 0 for kind in RESOURCE_KINDS}
     unpaired: list[str] = []
-    index, kinds, partner = netlist.index, netlist.kind, netlist.partner
-    try:
-        members = {index[cid] for cid in cells}
-    except KeyError:
-        missing = min(cid for cid in cells if cid not in index)  # not the set's hash order
-        raise AreaError(f"registry references unknown cell {missing}") from None
+    kinds, partner = netlist.kind, netlist.partner
+    members = cell_indices(netlist, cells)
     for i in sorted(members):  # index order is id order
         kind = kinds[i]
         if kind is CellKind.FF_D:

@@ -22,13 +22,7 @@ from .formats import (
     serialize_profile,
 )
 from .model import BlockscopeError
-from .report import (
-    ReportMetadata,
-    build_report,
-    render_csv,
-    render_structured,
-    render_text,
-)
+from .report import build_report, metric_names, render_csv, render_structured, render_text
 
 _RENDERERS = {"text": render_text, "csv": render_csv, "structured": render_structured}
 
@@ -87,18 +81,9 @@ def _digest(data: bytes) -> str:
 
 def _metric_list(args: argparse.Namespace) -> tuple[str, ...]:
     if args.metrics is None:
-        metrics = ["area", "delay"] + (["power"] if args.profile else [])
-        return tuple(metrics)
-    chosen: list[str] = []
-    for part in args.metrics.split(","):
-        name = part.strip()
-        if name not in ("area", "delay", "power"):
-            raise BlockscopeError(f"unknown metric {name!r}; expected area, delay, power")
-        if name not in chosen:
-            chosen.append(name)
-    if not chosen:
-        raise BlockscopeError("at least one metric is required")
-    return tuple(chosen)
+        return ("area", "delay", "power") if args.profile else ("area", "delay")
+    # checked here, before any input is read, so a bad name is the error reported
+    return metric_names(part.strip() for part in args.metrics.split(","))
 
 
 def _analyze(args: argparse.Namespace) -> int:
@@ -125,14 +110,6 @@ def _analyze(args: argparse.Namespace) -> int:
     if args.power_model:
         model = parse_power_model(read_file(args.power_model), base=model)
 
-    metadata = ReportMetadata(
-        tool_version=__version__,
-        device=device.name,
-        netlist_digest=_digest(netlist_bytes),
-        profile_digest=profile_digest,
-        group_depth=args.group_depth,
-        block_delay_nets=not args.block_delay_nodes_only,
-    )
     report = build_report(
         netlist,
         metrics=metrics,
@@ -141,7 +118,9 @@ def _analyze(args: argparse.Namespace) -> int:
         profile=profile,
         group_depth=args.group_depth,
         include_block_nets=not args.block_delay_nodes_only,
-        metadata=metadata,
+        device=device.name,
+        netlist_digest=_digest(netlist_bytes),
+        profile_digest=profile_digest,
     )
     sys.stdout.buffer.write(_RENDERERS[args.fmt](report))
     sys.stdout.buffer.flush()

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .annotation import BlockLabel, BlockRegistry
+from .area import cell_indices
 from .model import BlockscopeError, Netlist, topological_ranks
 
 
@@ -163,16 +164,6 @@ class _Shared:
         return PathResult(total, logic_sum, network, tuple(netlist.ids[i] for i in path))
 
 
-def _seeds(netlist: Netlist, cells) -> set[int]:
-    """The indices of a block's cells; a cell the netlist lacks is an error."""
-    index = netlist.index
-    try:
-        return {index[cid] for cid in cells}
-    except KeyError:
-        missing = min(cid for cid in cells if cid not in index)  # not the set's hash order
-        raise BlockscopeError(f"block cell {missing} is not in the netlist") from None
-
-
 def longest_path(
     netlist: Netlist,
     block_cells: frozenset[str] | None,
@@ -191,7 +182,7 @@ def longest_path(
     shared = _Shared(netlist)
     if block_cells is None:
         return shared.critical
-    return shared.solve(_seeds(netlist, block_cells), mode, include_block_nets)
+    return shared.solve(cell_indices(netlist, block_cells), mode, include_block_nets)
 
 
 @dataclass(frozen=True)
@@ -219,7 +210,7 @@ def delay_report(
     shared = _Shared(netlist)
 
     def solve(cells: frozenset[str]) -> BlockDelay:
-        seeds = _seeds(netlist, cells)
+        seeds = cell_indices(netlist, cells)
         return BlockDelay(
             shared.solve(seeds, WeightingMode.SYSTEM, include_block_nets),
             shared.solve(seeds, WeightingMode.BLOCK, include_block_nets),

@@ -13,7 +13,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from typing import Iterable
 
+from . import __version__
 from .annotation import BlockLabel, BlockRegistry, build_registry, group_to_depth
 from .area import RESOURCE_KINDS, AreaReport, AreaWeights, BlockArea, area_report
 from .delay import BlockDelay, DelayReport, PathResult, delay_report
@@ -23,6 +25,7 @@ from .power import ActivityProfile, BlockPower, PowerModel, PowerScore, power_sc
 SCHEMA = "blockscope-report v1"
 UNANNOTATED_LABEL = "(unannotated)"
 POWER_BANNER = "power scores are relative within one device profile; do not compare across profiles"
+METRICS = ("area", "delay", "power")
 
 #: decimal places per JSON key; any float under another key is a bug.
 _FLOAT_PRECISION = {
@@ -35,14 +38,26 @@ _FLOAT_PRECISION = {
 }
 
 
+def metric_names(names: Iterable[str]) -> tuple[str, ...]:
+    """The names in order, once each; a name outside METRICS is an error."""
+    chosen = tuple(dict.fromkeys(names))
+    for name in chosen:
+        if name not in METRICS:
+            raise BlockscopeError(f"unknown metric {name!r}; expected {', '.join(METRICS)}")
+    return chosen
+
+
 @dataclass(frozen=True)
 class ReportMetadata:
+    """The report header, filled by build_report: the version, group depth and
+    block-net setting it ran with, and its caller's device and digests."""
+
     tool_version: str
     device: str
-    netlist_digest: str | None = None
-    profile_digest: str | None = None
-    group_depth: int | None = None
-    block_delay_nets: bool = True
+    netlist_digest: str | None
+    profile_digest: str | None
+    group_depth: int | None
+    block_delay_nets: bool
 
 
 @dataclass(frozen=True)
@@ -63,24 +78,24 @@ def build_report(
     profile: ActivityProfile | None = None,
     group_depth: int | None = None,
     include_block_nets: bool = True,
-    metadata: ReportMetadata | None = None,
+    device: str = "virtex7",
+    netlist_digest: str | None = None,
+    profile_digest: str | None = None,
 ) -> CombinedReport:
     """Run the requested analyses over one registry so all sections share the
-    same block label set."""
-    for m in metrics:
-        if m not in ("area", "delay", "power"):
-            raise BlockscopeError(f"unknown metric {m!r}")
+    same block label set.
+
+    device, netlist_digest and profile_digest are provenance that the analysis
+    cannot see; they are copied into the header unchecked."""
+    metrics = metric_names(metrics)
     if registry is None:
         registry = build_registry(netlist)
     if group_depth is not None:
         registry = group_to_depth(registry, group_depth)
         if profile is not None:
             profile = profile.truncated(group_depth)
-    if metadata is None:
-        from . import __version__
-
-        metadata = ReportMetadata(__version__, "virtex7", group_depth=group_depth,
-                                  block_delay_nets=include_block_nets)
+    metadata = ReportMetadata(__version__, device, netlist_digest, profile_digest,
+                              group_depth, include_block_nets)
     area = area_report(netlist, registry, weights) if "area" in metrics else None
     delay = (
         delay_report(netlist, registry, include_block_nets=include_block_nets)

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .annotation import BlockLabel, BlockRegistry
-from .delay import BlockDelay, DelayReport, PathResult, WeightingMode, ZERO_PATH
-from .model import BlockscopeError, CellKind, Net, Netlist, topological_order
-from .power import ActivityProfile
+from blockscope.annotation import BlockLabel, BlockRegistry
+from blockscope.delay import BlockDelay, DelayReport, PathResult, WeightingMode, ZERO_PATH
+from blockscope.model import BlockscopeError, CellKind, Net, Netlist
+from blockscope.power import ActivityProfile
 
 MAX_ORACLE_CELLS = 14
 
@@ -187,6 +187,27 @@ def connected_sets(sub: Subgraph) -> list[Subgraph]:
     return out
 
 
+def _topological(sub: Subgraph) -> list[str]:
+    """An order of the subgraph's nodes in which every edge points forward,
+    by Kahn's algorithm over its own edges, so no production graph code
+    orders the reference."""
+    indegree = dict.fromkeys(sub.nodes, 0)
+    succs: dict[str, list[str]] = {}
+    for n in sub.edges:
+        indegree[n.dst] += 1
+        succs.setdefault(n.src, []).append(n.dst)
+    ready = sorted(cid for cid, d in indegree.items() if d == 0)
+    order: list[str] = []
+    while ready:
+        cid = ready.pop()
+        order.append(cid)
+        for dst in succs.get(cid, ()):
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                ready.append(dst)
+    return order
+
+
 def _suffix_longest_path(
     sub: Subgraph, block_cells: frozenset[str] | None, mode: WeightingMode, include_block_nets: bool
 ) -> PathResult:
@@ -207,7 +228,7 @@ def _suffix_longest_path(
         )
         row = adj.setdefault(n.src, {})
         row[n.dst] = max(row.get(n.dst, -1), n.net_delay if in_scope else 0)
-    order = [cid for cid in topological_order(netlist) if cid in sub.nodes]
+    order = _topological(sub)
     # suffix[cid][need]: best (weight, path) to a sink; need=1 means the
     # suffix must still cross a seed; None marks no valid suffix.
     suffix: dict[str, list[tuple[int, tuple[str, ...]] | None]] = {}

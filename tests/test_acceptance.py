@@ -18,15 +18,16 @@ from blockscope.formats import (
     serialize_netlist,
     serialize_profile,
 )
-from blockscope.oracles import (
+from blockscope.power import active_cycles, average_power_uw, switching_factor
+from blockscope.report import build_report, canonical_json, parse_structured, render_structured
+
+from oracles import (
     connected_sets,
     expand_paths,
     oracle_longest_path,
     oracle_replay,
     oracle_resource_counts,
 )
-from blockscope.power import active_cycles, average_power_uw, switching_factor
-from blockscope.report import build_report, canonical_json, parse_structured, render_structured
 
 N_RANDOM = 1_000
 

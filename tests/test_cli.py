@@ -104,6 +104,11 @@ def test_metrics_flag_selects_sections(gcd_files):
     result = run_cli("analyze", "--netlist", str(bnl), "--metrics", "area,bogus")
     assert result.returncode == 1
     assert b"unknown metric" in result.stderr
+    # an unknown name is reported before --profile is missed; an empty list is one empty name
+    for spelling, name in (("area,bogus", "bogus"), ("power,bogus", "bogus"), ("", ""), (",", "")):
+        result = run_cli("analyze", "--netlist", str(bnl), "--metrics", spelling)
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr == f"blockscope: error: unknown metric {name!r}; expected area, delay, power\n".encode()
 
 
 def test_power_without_profile_fails(gcd_files):

@@ -19,7 +19,8 @@ from blockscope.delay import (
 )
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist, validate
-from blockscope.oracles import (
+
+from oracles import (
     connected_sets,
     expand_paths,
     oracle_expand,

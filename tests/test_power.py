@@ -8,7 +8,6 @@ from blockscope.annotation import BlockLabel, build_registry, group_to_depth
 from blockscope.area import RESOURCE_KINDS, area_report, resource_counts
 from blockscope.fixtures import gcd_profile, gen_gcd, gen_random, gen_random_profile
 from blockscope.model import Cell, CellKind, Netlist
-from blockscope.oracles import oracle_events, oracle_replay
 from blockscope.power import (
     ActivityProfile,
     PowerError,
@@ -19,6 +18,8 @@ from blockscope.power import (
     power_score,
     switching_factor,
 )
+
+from oracles import oracle_events, oracle_replay
 
 SUB = BlockLabel.parse("subtract")
 SWAP = BlockLabel.parse("swap")

@@ -11,7 +11,6 @@ from blockscope.fixtures import gen_fig6, gen_gcd, gen_random, gen_random_profil
 from blockscope.model import BlockscopeError
 from blockscope.report import (
     CSV_HEADER,
-    ReportMetadata,
     SCHEMA,
     UNANNOTATED_LABEL,
     build_report,
@@ -22,20 +21,16 @@ from blockscope.report import (
     render_text,
 )
 
-META = ReportMetadata(tool_version="0.1.0", device="virtex7")
-
-
 def gcd_report(**kwargs):
     nl, profile = gen_gcd()
     kwargs.setdefault("metrics", ("area", "delay", "power"))
     kwargs.setdefault("profile", profile)
-    kwargs.setdefault("metadata", META)
     return build_report(nl, **kwargs)
 
 
 def test_unknown_metric_rejected():
     nl, _ = gen_gcd()
-    with pytest.raises(BlockscopeError):
+    with pytest.raises(BlockscopeError, match="^unknown metric 'speed'; expected area, delay, power$"):
         build_report(nl, metrics=("area", "speed"))
 
 
@@ -88,7 +83,7 @@ def test_text_rendering_sections_and_marks():
 
 def test_text_rendering_shows_unannotated_and_unpaired():
     nl = gen_fig6()
-    report = build_report(nl, metrics=("area", "delay"), metadata=META)
+    report = build_report(nl, metrics=("area", "delay"))
     text = render_text(report).decode()
     assert UNANNOTATED_LABEL in text
     assert "unpaired-ff: ff_d_a ff_d_b1 ff_d_b2 ff_q_a ff_q_b" in text
@@ -128,9 +123,9 @@ def test_formats_agree_on_every_number():
     all_metrics = ("area", "delay", "power")
     reports = [
         gcd_report(),
-        build_report(gen_fig6(), metrics=all_metrics, metadata=META),
+        build_report(gen_fig6(), metrics=all_metrics),
         build_report(gen_random(42, 20), metrics=all_metrics, profile=gen_random_profile(42),
-                     group_depth=1, metadata=META),
+                     group_depth=1),
     ]
 
     def entries(doc, section):  # block rows plus the (unannotated) row, if any
@@ -155,7 +150,7 @@ def test_group_depth_applies_to_all_sections():
     nl = gen_random(42, 20)
     registry = build_registry(nl)
     deep = {str(l) for l in registry.blocks}
-    report = build_report(nl, metrics=("area", "delay"), group_depth=1, metadata=META)
+    report = build_report(nl, metrics=("area", "delay"), group_depth=1)
     doc = parse_structured(render_structured(report))
     got_area = [b["block"] for b in doc["area"]["blocks"]]
     got_delay = [b["block"] for b in doc["delay"]["blocks"]]
@@ -170,7 +165,6 @@ def test_nodes_only_flag_recorded_and_applied():
         metrics=("delay",),
         profile=None,
         include_block_nets=False,
-        metadata=ReportMetadata("0.1.0", "virtex7", block_delay_nets=False),
     )
     assert "block-delay-nets: nodes-only" in render_text(nodes_only).decode()
     a = parse_structured(render_structured(with_nets))
@@ -189,3 +183,29 @@ def test_default_metadata_is_generated():
 
     assert report.metadata.tool_version == blockscope.__version__
     assert report.metadata.device == "virtex7"
+
+
+def test_header_records_the_settings_build_report_applied():
+    nl, profile = gen_gcd()
+    report = build_report(nl, metrics=("area", "delay", "power"), profile=profile, group_depth=1,
+                          include_block_nets=False, device="virtex7",
+                          netlist_digest="sha256:0a", profile_digest="sha256:0b")
+    import blockscope
+
+    assert render_text(report).decode().splitlines()[:7] == [
+        SCHEMA,
+        f"tool: {blockscope.__version__}",
+        "device: virtex7",
+        "netlist-digest: sha256:0a",
+        "profile-digest: sha256:0b",
+        "group-depth: 1",
+        "block-delay-nets: nodes-only",
+    ]
+    assert parse_structured(render_structured(report))["metadata"] == {
+        "tool": blockscope.__version__,
+        "device": "virtex7",
+        "netlist_digest": "sha256:0a",
+        "profile_digest": "sha256:0b",
+        "group_depth": 1,
+        "block_delay_nets": False,
+    }
