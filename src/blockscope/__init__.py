@@ -30,24 +30,20 @@ from .model import (
     Net,
     Netlist,
     ValidationError,
-    topological_order,
     validate,
 )
 from .power import (
     ActivityProfile,
     PowerModel,
     PowerScore,
-    active_cycles,
     average_power_uw,
     power_score,
-    switching_factor,
 )
 from .report import (
     CombinedReport,
     ReportMetadata,
     build_report,
     canonical_json,
-    parse_structured,
     render_csv,
     render_structured,
     render_text,
@@ -78,7 +74,6 @@ __all__ = [
     "ValidationError",
     "VersionError",
     "WeightingMode",
-    "active_cycles",
     "area_report",
     "average_power_uw",
     "build_registry",
@@ -92,7 +87,6 @@ __all__ = [
     "parse_netlist",
     "parse_power_model",
     "parse_profile",
-    "parse_structured",
     "power_score",
     "render_csv",
     "render_structured",
@@ -101,8 +95,6 @@ __all__ = [
     "resource_counts",
     "serialize_netlist",
     "serialize_profile",
-    "switching_factor",
-    "topological_order",
     "validate",
     "weighted_area",
 ]

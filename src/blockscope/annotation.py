@@ -23,6 +23,14 @@ class AnnotationError(BlockscopeError):
         super().__init__(message)
 
 
+def check_group_depth(depth: int) -> int:
+    """The depth, when it is an int of at least 1; anything else, a bool
+    included, is an error."""
+    if depth.__class__ is not int or depth < 1:
+        raise AnnotationError("group depth must be at least 1")
+    return depth
+
+
 @dataclass(frozen=True, order=True)
 class BlockLabel:
     """Hierarchical block name; compares and sorts by its segment tuple."""
@@ -42,14 +50,8 @@ class BlockLabel:
             raise AnnotationError("empty block label")
         return cls(tuple(text.split(".")))
 
-    @property
-    def depth(self) -> int:
-        return len(self.segments)
-
     def truncated(self, depth: int) -> "BlockLabel":
-        if depth < 1:
-            raise AnnotationError("depth must be >= 1")
-        return BlockLabel(self.segments[:depth])
+        return BlockLabel(self.segments[:check_group_depth(depth)])
 
     def __str__(self) -> str:
         return ".".join(self.segments)
@@ -105,7 +107,7 @@ def build_registry(netlist: Netlist) -> BlockRegistry:
     """
     by_prefix: dict[str, list[str]] = {}
     unannotated: set[str] = set()
-    for cid in netlist.cell_ids():
+    for cid in netlist.ids:
         pos = cid.find("__")
         if pos < 0:
             unannotated.add(cid)
@@ -123,8 +125,7 @@ def group_to_depth(registry: BlockRegistry, depth: int) -> BlockRegistry:
     Idempotent: grouping an already depth-d registry to depth d is a no-op.
     The unannotated pseudo-block is never merged with labeled blocks.
     """
-    if depth < 1:
-        raise AnnotationError("group depth must be >= 1")
+    check_group_depth(depth)
     grouped: dict[BlockLabel, set[str]] = {}
     for label, cells in registry.blocks.items():
         short = label.truncated(depth)

@@ -71,10 +71,6 @@ class AreaWeights:
     def weight(self, kind: str) -> float:
         return float(self.weights.get(kind, DEFAULT_WEIGHTS[kind]))
 
-    @classmethod
-    def default(cls) -> "AreaWeights":
-        return cls()
-
 
 @dataclass(frozen=True)
 class BlockArea:
@@ -141,7 +137,7 @@ def area_report(
     netlist cell ids is an error.
     """
     if weights is None:
-        weights = AreaWeights.default()
+        weights = AreaWeights()
 
     def finite(area: float, name: str) -> float:
         if not math.isfinite(area):

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .annotation import check_group_depth
 from .devices import BUILTIN_DEVICES, resolve_device
 from .fixtures import gen_fig6, gen_gcd, gen_random
 from .formats import (
@@ -90,11 +91,11 @@ def _analyze(args: argparse.Namespace) -> int:
     metrics = _metric_list(args)
     if "power" in metrics and not args.profile:
         raise BlockscopeError("power metric requires --profile")
-    if args.group_depth is not None and args.group_depth < 1:
-        raise BlockscopeError("group depth must be at least 1")
+    if args.group_depth is not None:
+        check_group_depth(args.group_depth)  # before any input is read, as for metrics
 
     netlist_bytes = read_file(args.netlist)
-    netlist = parse_netlist(netlist_bytes).body
+    netlist = parse_netlist(netlist_bytes)
     device = resolve_device(args.device)
     if args.override_delays:
         netlist = device.apply_delays(netlist)

@@ -57,7 +57,7 @@ BUILTIN_DEVICES = tuple(sorted(_LUT6_PS))
 def builtin_device(name: str) -> DeviceProfile:
     if name not in _LUT6_PS:
         raise ParseError(f"unknown device profile {name!r}", 1)
-    return DeviceProfile(name, _scaled_delays(_LUT6_PS[name]), AreaWeights.default(), PowerModel.default())
+    return DeviceProfile(name, _scaled_delays(_LUT6_PS[name]), AreaWeights(), PowerModel())
 
 
 def load_device_file(path: Path) -> DeviceProfile:

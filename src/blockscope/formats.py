@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -163,14 +162,6 @@ def _num_field(line: Line, index: int, what: str) -> float:
 # --- netlist ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NetlistDocument:
-    """The header and the parsed, validated netlist."""
-
-    header: str
-    body: Netlist
-
-
 def _violation_line(data: bytes | str, violation: Violation) -> int:
     """Source line of a violation, found by scanning the input again; this
     runs only when the netlist is being rejected. A net a->b or an ffpair d/q
@@ -191,8 +182,9 @@ def _violation_line(data: bytes | str, violation: Violation) -> int:
     return 1
 
 
-def parse_netlist(data: bytes | str) -> NetlistDocument:
-    """Parse and fully validate one netlist file in a single pass over its lines.
+def parse_netlist(data: bytes | str) -> Netlist:
+    """Parse and fully validate one netlist file in a single pass over its lines,
+    and return the netlist.
 
     Tokens go straight into the netlist's columns. A cell or net line whose
     fields pass the quick tests (a declared endpoint, or a new id matching
@@ -258,17 +250,15 @@ def parse_netlist(data: bytes | str) -> NetlistDocument:
             pairs.append((d, q))
         else:
             raise _error(line, 0, f"unknown directive {keyword!r}")
-    body = Netlist._from_columns(cell_id, cell_kind, cell_logic, net_src, net_dst, net_delay, pairs)
-    report = validate(body)
-    if not report.ok:
-        first = report.violations[0]
-        raise ParseError(first.message, _violation_line(data, first))
-    return NetlistDocument(NETLIST_HEADER, body)
+    netlist = Netlist._from_columns(cell_id, cell_kind, cell_logic, net_src, net_dst, net_delay, pairs)
+    violations = validate(netlist)
+    if violations:
+        raise ParseError(violations[0].message, _violation_line(data, violations[0]))
+    return netlist
 
 
-def serialize_netlist(obj: Netlist | NetlistDocument) -> bytes:
+def serialize_netlist(netlist: Netlist) -> bytes:
     """Canonical bytes: header, cells by id, nets by (src, dst, delay), pairs sorted."""
-    netlist = obj.body if isinstance(obj, NetlistDocument) else obj
     out = [NETLIST_HEADER]
     for c in sorted(netlist.cells, key=lambda c: c.id):
         out.append(f"cell {c.id} {c.kind.value} {c.logic_delay}")
@@ -470,4 +460,4 @@ def parse_coefficients(
 
 def parse_power_model(data: bytes | str, base: PowerModel | None = None) -> PowerModel:
     """Overlay static/dynamic/frequency directives on a base model (defaults)."""
-    return parse_coefficients(data, PowerModel.default() if base is None else base)
+    return parse_coefficients(data, PowerModel() if base is None else base)

@@ -80,6 +80,11 @@ class Net:
     net_delay: int = 0
 
 
+def _bad_delay(delay) -> bool:
+    """Whether a delay is anything but a non-negative int; a bool is not one."""
+    return delay.__class__ is not int or delay < 0
+
+
 def _successors(
     netlist: "Netlist", at: list[int], out: list[Violation],
 ) -> tuple[array, list[tuple[int, ...]], list[int], bool]:
@@ -103,7 +108,7 @@ def _successors(
             continue
         if source[j] or sink[i] or d.__class__ is not int or d < 0:
             out += _net_violations(src, dst, d, kind[i], kind[j])
-            if not isinstance(d, int) or d < 0:
+            if _bad_delay(d):
                 d = 0
         rows[i].append((j, d))
     succ: list[tuple[int, ...]] = []
@@ -125,7 +130,7 @@ def _net_violations(src: str, dst: str, delay, src_kind: CellKind, dst_kind: Cel
     """The rules a net between two known cells of these kinds breaks."""
     key = f"{src}->{dst}"
     out = []
-    if not isinstance(delay, int) or delay < 0:
+    if _bad_delay(delay):
         out.append(Violation("negative-delay", key, f"net {key} net_delay must be a non-negative integer"))
     if dst_kind in SOURCE_KINDS:
         out.append(
@@ -289,9 +294,6 @@ class Netlist:
     def cell(self, cell_id: str) -> Cell:
         return self.cells[self._pos[self.index[cell_id]]]
 
-    def cell_ids(self) -> list[str]:
-        return list(self.ids)
-
     def canonical_key(self):
         cells = tuple(sorted(self.cells, key=lambda c: (c.id, c.kind.value, c.logic_delay)))
         nets = tuple(sorted(self.nets, key=lambda n: (n.src, n.dst, n.net_delay)))
@@ -319,15 +321,6 @@ class Violation:
     cells: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class ValidationError(BlockscopeError):
     """Raised when an operation requires a valid netlist and gets violations."""
 
@@ -336,8 +329,9 @@ class ValidationError(BlockscopeError):
         super().__init__("; ".join(v.message for v in violations))
 
 
-def validate(netlist: Netlist) -> ValidationReport:
-    """Check every structural invariant and report all violations found.
+def validate(netlist: Netlist) -> tuple[Violation, ...]:
+    """Check every structural invariant and return all violations found;
+    an empty tuple means the netlist is valid.
 
     The rules on single cells are checked here, in cell order; those on nets,
     ffpairs and acyclicity follow, as the netlist recorded them when it was
@@ -350,7 +344,7 @@ def validate(netlist: Netlist) -> ValidationReport:
     for pos, (cid, kind, delay) in enumerate(columns):
         if first[index[cid]] != pos:
             out.append(Violation("duplicate-cell-id", cid, f"duplicate cell id {cid}"))
-        if not isinstance(delay, int) or delay < 0:
+        if _bad_delay(delay):
             out.append(
                 Violation("negative-delay", cid, f"cell {cid} logic_delay must be a non-negative integer")
             )
@@ -360,7 +354,7 @@ def validate(netlist: Netlist) -> ValidationReport:
                     "source-kind-delay", cid, f"cell {cid} has kind {kind.value} and must have logic_delay 0"
                 )
             )
-    return ValidationReport((*out, *netlist.graph_violations))
+    return (*out, *netlist.graph_violations)
 
 
 def _kahn(succ: list[tuple[int, ...]], indeg: list[int]) -> list[int]:
@@ -416,9 +410,3 @@ def topological_ranks(netlist: Netlist) -> tuple[array, array]:
     if netlist.order is None:
         raise ValidationError((netlist.cycle,))
     return netlist.order, netlist.rank
-
-
-def topological_order(netlist: Netlist) -> list[str]:
-    """Deterministic topological order of the cell ids, as a fresh list."""
-    ids = netlist.ids
-    return [ids[i] for i in topological_ranks(netlist)[0]]

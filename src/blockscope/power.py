@@ -83,10 +83,6 @@ class PowerModel:
     def dynamic_of(self, kind: str) -> float:
         return float(self.dynamic_pj.get(kind, DEFAULT_DYNAMIC_PJ[kind]))
 
-    @classmethod
-    def default(cls) -> "PowerModel":
-        return cls()
-
 
 @dataclass(frozen=True)
 class ActivityProfile:
@@ -135,9 +131,13 @@ class _ActivityIndex:
             self.reads_of.setdefault(block, []).append(state)
 
     def activity(self, block: BlockLabel) -> tuple[set[int], int]:
-        """The block's active cycles (see ``active_cycles``) and its raw event
-        count, which keeps every (cause, cycle) pair: a rule writing two
-        states the block reads counts twice."""
+        """The block's active cycles and its raw event count.
+
+        Own rule firings land in the same cycle; a write to a state the block
+        reads lands in the next cycle, so a firing in the last cycle
+        propagates no dependent activity. The event count keeps every
+        (cause, cycle) pair: a rule writing two states the block reads
+        counts twice."""
         firings, last = self.profile.firings, self.profile.cycles - 1
         active: set[int] = set()
         events = 0
@@ -154,27 +154,6 @@ class _ActivityIndex:
             active.update(shifted)
             events += states * len(shifted)
         return active, events
-
-
-def active_cycles(block: BlockLabel, profile: ActivityProfile) -> frozenset[int]:
-    """Cycles in which the block is active.
-
-    Own rule firings land in the same cycle; a write to a state the block
-    reads lands in the next cycle. A firing in the last cycle propagates no
-    dependent activity.
-    """
-    return frozenset(_ActivityIndex(profile).activity(block)[0])
-
-
-def activity_events(block: BlockLabel, profile: ActivityProfile) -> int:
-    """Raw activation event count, keeping per-cycle multiplicity."""
-    return _ActivityIndex(profile).activity(block)[1]
-
-
-def switching_factor(block: BlockLabel, profile: ActivityProfile) -> float:
-    """Fraction of cycles the block is active; 0.0 for blocks the profile
-    never mentions."""
-    return len(active_cycles(block, profile)) / profile.cycles
 
 
 def average_power_uw(static_uw: float, dynamic_pj: float, alpha: float, frequency_hz: float) -> float:
@@ -214,7 +193,7 @@ def power_score(
     static-power ranking.
     """
     if model is None:
-        model = PowerModel.default()
+        model = PowerModel()
     known = profile.blocks() if profile is not None else frozenset()
     index = _ActivityIndex(profile) if profile is not None else None
 

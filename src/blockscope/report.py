@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import __version__
-from .annotation import BlockLabel, BlockRegistry, build_registry, group_to_depth
+from .annotation import BlockLabel, build_registry, group_to_depth
 from .area import RESOURCE_KINDS, AreaReport, AreaWeights, BlockArea, area_report
 from .delay import BlockDelay, DelayReport, PathResult, delay_report
 from .model import BlockscopeError, Netlist
@@ -72,7 +72,6 @@ def build_report(
     netlist: Netlist,
     *,
     metrics: tuple[str, ...] = ("area", "delay"),
-    registry: BlockRegistry | None = None,
     weights: AreaWeights | None = None,
     model: PowerModel | None = None,
     profile: ActivityProfile | None = None,
@@ -88,8 +87,7 @@ def build_report(
     device, netlist_digest and profile_digest are provenance that the analysis
     cannot see; they are copied into the header unchecked."""
     metrics = metric_names(metrics)
-    if registry is None:
-        registry = build_registry(netlist)
+    registry = build_registry(netlist)
     if group_depth is not None:
         registry = group_to_depth(registry, group_depth)
         if profile is not None:
@@ -177,11 +175,6 @@ def canonical_json(doc) -> bytes:
     _emit(doc, "", 0, out)
     out.append("\n")
     return "".join(out).encode("utf-8")
-
-
-def parse_structured(data: bytes | str):
-    """Inverse of render_structured up to Python types (plain dict)."""
-    return json.loads(data)
 
 
 # --- structured document -----------------------------------------------------

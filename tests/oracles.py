@@ -4,6 +4,7 @@ Each oracle recomputes a result by direct enumeration, literal replay or an
 independent algorithm, so the production code paths can be checked against
 something with no shared logic. All enumeration is exponential and guarded by
 a cell-count limit; the reference delay pipeline is polynomial and has none.
+``topological_order`` is no oracle: it spells the netlist's own order as ids.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable
 
 from blockscope.annotation import BlockLabel, BlockRegistry
 from blockscope.delay import BlockDelay, DelayReport, PathResult, WeightingMode, ZERO_PATH
-from blockscope.model import BlockscopeError, CellKind, Net, Netlist
+from blockscope.model import BlockscopeError, CellKind, Net, Netlist, topological_ranks
 from blockscope.power import ActivityProfile
 
 MAX_ORACLE_CELLS = 14
@@ -345,3 +346,8 @@ def oracle_resource_counts(netlist: Netlist) -> dict[str, int]:
         name = "FF" if cell.kind in (CellKind.FF_D, CellKind.FF_Q) else cell.kind.name
         counts[name] = counts.get(name, 0) + 1
     return counts
+
+
+def topological_order(netlist: Netlist) -> list[str]:
+    """The netlist's topological order as cell ids; ValidationError on a cycle."""
+    return [netlist.ids[i] for i in topological_ranks(netlist)[0]]

@@ -4,6 +4,8 @@ Each test prints a PASS line so a -s run reads as a checklist. Golden numbers
 were confirmed against the brute-force oracles before being frozen here.
 """
 
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -18,8 +20,9 @@ from blockscope.formats import (
     serialize_netlist,
     serialize_profile,
 )
-from blockscope.power import active_cycles, average_power_uw, switching_factor
-from blockscope.report import build_report, canonical_json, parse_structured, render_structured
+from blockscope.model import Cell, CellKind, Netlist
+from blockscope.power import _ActivityIndex, average_power_uw, power_score
+from blockscope.report import build_report, canonical_json, render_structured
 
 from oracles import (
     connected_sets,
@@ -108,14 +111,19 @@ def test_block_delays_never_exceed_system_or_global():
 
 
 def test_switching_factors_replay_exactly():
-    profile = gcd_profile()
-    assert switching_factor(BlockLabel.parse("subtract"), profile) == 0.5
+    nl, profile = gen_gcd()
+    score = power_score(nl, build_registry(nl), profile=profile)
+    assert score.per_block[BlockLabel.parse("subtract")].alpha == 0.5
     for seed in range(N_RANDOM):
         p = gen_random_profile(seed)
         replay = oracle_replay(p)
+        index = _ActivityIndex(p)
+        # one cell per profile block, so power_score gives every block its alpha
+        nl = Netlist([Cell(f"{block}__c", CellKind.LUT1, 1) for block in p.blocks()])
+        score = power_score(nl, build_registry(nl), profile=p)
         for block in p.blocks():
-            assert active_cycles(block, p) == replay[block], (seed, str(block))
-            alpha = switching_factor(block, p)
+            assert index.activity(block)[0] == replay[block], (seed, str(block))
+            alpha = score.per_block[block].alpha
             assert 0.0 <= alpha <= 1.0
     print(f"PASS: subtract duty factor is 0.5 and {N_RANDOM} random profiles replay "
           f"identically to the cycle-by-cycle oracle")
@@ -188,9 +196,9 @@ def test_round_trips_for_all_wire_formats():
     netlists += [nl for _, nl in random_cases()]
     for nl in netlists:
         blob = serialize_netlist(nl)
-        doc = parse_netlist(blob)
-        assert doc.body == nl
-        assert serialize_netlist(doc) == blob
+        parsed = parse_netlist(blob)
+        assert parsed == nl
+        assert serialize_netlist(parsed) == blob
 
     profiles = [gcd_profile()] + [gen_random_profile(seed) for seed in range(N_RANDOM)]
     for p in profiles:
@@ -204,12 +212,40 @@ def test_round_trips_for_all_wire_formats():
             continue
         report = build_report(nl, metrics=("area", "delay"))
         blob = render_structured(report)
-        assert canonical_json(parse_structured(blob)) == blob
+        assert canonical_json(json.loads(blob)) == blob
         reports += 1
     gcd_nl, profile = gen_gcd()
     blob = render_structured(
         build_report(gcd_nl, metrics=("area", "delay", "power"), profile=profile)
     )
-    assert canonical_json(parse_structured(blob)) == blob
+    assert canonical_json(json.loads(blob)) == blob
     print(f"PASS: {len(netlists)} netlists, {len(profiles)} profiles, and "
           f"{reports + 1} structured reports survive parse/serialize round-trips")
+
+
+# (module, name) of helpers that only tests called, and of wrappers that added nothing
+DELETED = (
+    ("formats", "NetlistDocument"),
+    ("model", "ValidationReport"),
+    ("model", "topological_order"),
+    ("power", "active_cycles"),
+    ("power", "activity_events"),
+    ("power", "switching_factor"),
+    ("report", "parse_structured"),
+)
+
+
+def test_public_api_resolves_without_the_deleted_helpers():
+    import blockscope
+
+    assert len(set(blockscope.__all__)) == len(blockscope.__all__)
+    for name in blockscope.__all__:
+        assert getattr(blockscope, name, None) is not None, name
+    for module, name in DELETED:
+        assert name not in blockscope.__all__ and not hasattr(blockscope, name), name
+        assert not hasattr(importlib.import_module(f"blockscope.{module}"), name), (module, name)
+    for cls, name in ((blockscope.Netlist, "cell_ids"), (blockscope.AreaWeights, "default"),
+                      (blockscope.PowerModel, "default"), (blockscope.BlockLabel, "depth")):
+        assert not hasattr(cls, name), (cls.__name__, name)
+    assert "registry" not in inspect.signature(blockscope.build_report).parameters
+    print(f"PASS: {len(blockscope.__all__)} public names resolve and {len(DELETED) + 5} deleted ones stay gone")

@@ -37,7 +37,7 @@ def test_label_parse_and_str_round_trip():
     label = BlockLabel.parse("top.alu.add")
     assert label.segments == ("top", "alu", "add")
     assert str(label) == "top.alu.add"
-    assert label.depth == 3
+    assert len(label.segments) == 3
     assert str(label.truncated(2)) == "top.alu"
     assert label.truncated(9) == label
 
@@ -59,7 +59,7 @@ def test_registry_partitions_every_cell():
     assert sorted(map(str, reg.blocks)) == ["subtract", "swap", "x", "y"]
     assert reg.unannotated == frozenset()
     assert reg.unannotated_fraction == 0.0
-    assert reg.all_cells == frozenset(nl.cell_ids())
+    assert reg.all_cells == frozenset(nl.ids)
 
 
 def test_registry_counts_unannotated():
@@ -79,7 +79,7 @@ def test_registry_matches_a_per_cell_label_parse():
     nested = Netlist([Cell(cid, CellKind.IN) for cid in ("t.b__x", "t__y", "t.a__z", "t.b__w", "n")])
     for nl in (gen_gcd()[0], gen_fig6(), gen_random(3, 400), nested):
         want: dict = {}
-        for cid in nl.cell_ids():
+        for cid in nl.ids:
             label = extract_block_label(cid)
             if label is not None:
                 want.setdefault(label, set()).add(cid)
@@ -114,8 +114,11 @@ def test_group_to_depth_unions_sibling_blocks():
 
 def test_group_depth_must_be_positive():
     reg = build_registry(gen_gcd()[0])
-    with pytest.raises(AnnotationError):
-        group_to_depth(reg, 0)
+    for depth in (0, -1, True, 1.5):
+        with pytest.raises(AnnotationError, match="^group depth must be at least 1$"):
+            group_to_depth(reg, depth)
+        with pytest.raises(AnnotationError, match="^group depth must be at least 1$"):
+            BlockLabel.parse("a.b").truncated(depth)
 
 
 _SEGMENT = st.text(

@@ -149,7 +149,7 @@ def test_weighted_area_helper_matches_report():
     report = area_report(nl, registry)
     for label, cells in registry.blocks.items():
         counts, _ = resource_counts(cells, nl)
-        assert weighted_area(counts, AreaWeights.default()) == report.per_block[label].weighted_area
+        assert weighted_area(counts, AreaWeights()) == report.per_block[label].weighted_area
 
 
 @settings(max_examples=120, deadline=None)

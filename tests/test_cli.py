@@ -48,7 +48,7 @@ def test_fixtures_fig6_and_random(tmp_path):
     assert (tmp_path / "fig6.bnl").exists()
     assert run_cli("fixtures", "random:3:10", str(tmp_path)).returncode == 0
     parsed = parse_netlist((tmp_path / "random_3_10.bnl").read_bytes())
-    assert len(parsed.body.cells) == 10
+    assert len(parsed.cells) == 10
 
 
 def test_fixtures_rejects_unknown_names(tmp_path):
@@ -280,6 +280,10 @@ def test_group_depth_flag(tmp_path):
     assert doc["metadata"]["group_depth"] == 1
     bad = run_cli("analyze", "--netlist", str(deep), "--group-depth", "0")
     assert bad.returncode == 1
+    assert (bad.stdout, bad.stderr) == (b"", b"blockscope: error: group depth must be at least 1\n")
+    # checked before any input is read
+    unread = run_cli("analyze", "--netlist", str(tmp_path / "missing.bnl"), "--group-depth", "0")
+    assert (unread.returncode, unread.stderr) == (1, bad.stderr)
 
 
 def test_power_model_overlay(gcd_files, tmp_path):

@@ -17,13 +17,15 @@ from blockscope.fixtures import (
     gen_random_profile,
 )
 from blockscope.formats import parse_profile, serialize_netlist, serialize_profile
-from blockscope.model import BlockscopeError, CellKind, topological_order, validate
+from blockscope.model import BlockscopeError, CellKind, validate
+
+from oracles import topological_order
 
 
 @pytest.mark.parametrize("width", range(1, 9))
 def test_gcd_scales_and_stays_valid(width):
     nl, profile = gen_gcd(width)
-    assert validate(nl).ok
+    assert validate(nl) == ()
     registry = build_registry(nl)
     assert sorted(map(str, registry.blocks)) == ["subtract", "swap", "x", "y"]
     assert registry.unannotated == frozenset()
@@ -69,7 +71,7 @@ def test_gcd_profile_is_wire_format_clean():
 
 def test_fig6_shape():
     nl = gen_fig6()
-    assert validate(nl).ok
+    assert validate(nl) == ()
     assert len(nl.cells) == 12
     assert nl.ff_pairs == ()
     registry = build_registry(nl)

@@ -47,15 +47,14 @@ reads top.alu acc
 
 
 def test_parse_good_netlist():
-    doc = parse_netlist(GOOD_NETLIST)
-    nl = doc.body
-    assert sorted(nl.cell_ids()) == ["n9", "top.alu__a", "top.alu__b"]
+    nl = parse_netlist(GOOD_NETLIST)
+    assert sorted(nl.ids) == ["n9", "top.alu__a", "top.alu__b"]
     assert nl.cell("top.alu__b").logic_delay == 7
 
 
 def test_comments_and_blank_lines_ignored_everywhere():
     noisy = GOOD_NETLIST.replace("cell n9 OUT 0", "\n   # interlude\ncell n9 OUT 0 # tail")
-    assert parse_netlist(noisy).body == parse_netlist(GOOD_NETLIST).body
+    assert parse_netlist(noisy) == parse_netlist(GOOD_NETLIST)
 
 
 def test_missing_header():
@@ -106,7 +105,7 @@ def test_malformed_fields_rejected():
         parse_netlist(f"{NETLIST_HEADER}\ncell a LUT1 {'9' * 30}\n")
     assert (err.value.line, err.value.column) == (2, 13)
     big = parse_netlist(f"{NETLIST_HEADER}\ncell a LUT1 9007199254740991\n")
-    assert big.body.cell("a").logic_delay == 2**53 - 1
+    assert big.cell("a").logic_delay == 2**53 - 1
     # undecodable bytes are located by line and column too
     with pytest.raises(ParseError) as err:
         parse_netlist(f"{NETLIST_HEADER}\ncell a IN 0\n".encode() + b"cell \xff IN 0\n")
@@ -221,8 +220,8 @@ def test_fast_path_edges_parse_as_pinned(case):
 
 def test_utf8_byte_order_mark_before_header_is_accepted():
     plain = serialize_netlist(gen_gcd()[0])
-    assert parse_netlist(b"\xef\xbb\xbf" + plain).body == parse_netlist(plain).body
-    assert parse_netlist("\ufeff" + plain.decode()).body == parse_netlist(plain).body
+    assert parse_netlist(b"\xef\xbb\xbf" + plain) == parse_netlist(plain)
+    assert parse_netlist("\ufeff" + plain.decode()) == parse_netlist(plain)
 
 
 def test_duplicate_cell_id_caught_at_parse():
@@ -325,17 +324,17 @@ def test_parse_memory_is_linear_in_the_input():
 def test_netlist_serialization_is_canonical_and_stable():
     for nl in (gen_gcd()[0], gen_fig6(), gen_random(7, 15)):
         blob = serialize_netlist(nl)
-        doc = parse_netlist(blob)
-        assert doc.body == nl
-        assert serialize_netlist(doc) == blob
+        parsed = parse_netlist(blob)
+        assert parsed == nl
+        assert serialize_netlist(parsed) == blob
     assert serialize_netlist(parse_netlist(GOOD_NETLIST)) != GOOD_NETLIST.encode()
 
 
 def test_parallel_nets_survive_round_trip():
     text = f"{NETLIST_HEADER}\ncell a IN 0\ncell b OUT 0\nnet a -> b 3\nnet a -> b 9\n"
-    nl = parse_netlist(text).body
+    nl = parse_netlist(text)
     assert sorted(n.net_delay for n in nl.nets) == [3, 9]
-    again = parse_netlist(serialize_netlist(nl)).body
+    again = parse_netlist(serialize_netlist(nl))
     assert again == nl
 
 
@@ -390,7 +389,32 @@ def test_random_profiles_round_trip(seed):
 def test_random_netlists_round_trip(seed, n):
     nl = gen_random(seed, n)
     blob = serialize_netlist(nl)
-    assert parse_netlist(blob).body == nl
+    assert parse_netlist(blob) == nl
+    assert serialize_netlist(parse_netlist(blob)) == blob
+
+
+# delays a caller can put on a Cell or Net; the wire format spells only ints below 2^53
+_ANY_DELAY = st.one_of(st.integers(-2, 2**53 - 1), st.booleans(), st.sampled_from([None, 2.0, "3"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5_000), st.integers(2, 18), st.integers(0, 10**6), _ANY_DELAY, st.booleans())
+@example(0, 6, 1, True, False)
+@example(0, 6, 1, True, True)
+def test_every_netlist_that_validates_clean_round_trips(seed, n, pick, delay, on_net):
+    nl = gen_random(seed, n)
+    cells, nets = list(nl.cells), list(nl.nets)
+    if on_net and nets:
+        old = nets[pick % len(nets)]
+        nets[pick % len(nets)] = Net(old.src, old.dst, delay)
+    else:
+        old = cells[pick % len(cells)]
+        cells[pick % len(cells)] = Cell(old.id, old.kind, delay)
+    changed = Netlist(cells, nets, nl.ff_pairs)
+    if validate(changed):
+        return
+    blob = serialize_netlist(changed)
+    assert parse_netlist(blob) == changed
     assert serialize_netlist(parse_netlist(blob)) == blob
 
 
@@ -435,19 +459,19 @@ def test_netlist_from_objects_matches_netlist_from_columns(case):
         [n.src for n in nets], [n.dst for n in nets], [n.net_delay for n in nets], pairs,
     )
     _assert_same_netlist(columns, want)
-    report = validate(want)
-    if report.ok:
-        _assert_same_netlist(parse_netlist(_netlist_text(cells, nets, pairs)).body, want)
+    violations = validate(want)
+    if not violations:
+        _assert_same_netlist(parse_netlist(_netlist_text(cells, nets, pairs)), want)
     else:
         with pytest.raises(ParseError) as err:
             parse_netlist(_netlist_text(cells, nets, pairs))
-        assert str(err.value).startswith(f"{report.violations[0].message} (line ")
+        assert str(err.value).startswith(f"{violations[0].message} (line ")
 
 
 def test_random_netlists_index_alike_from_objects_and_from_text():
     for seed in range(200):
         nl = gen_random(seed, 2 + seed % 97)
-        parsed = parse_netlist(serialize_netlist(nl)).body
+        parsed = parse_netlist(serialize_netlist(nl))
         # serialize_netlist writes cells by id and nets by (src, dst, delay)
         cells = sorted(nl.cells, key=lambda c: c.id)
         nets = sorted(nl.nets, key=lambda n: (n.src, n.dst, n.net_delay))
@@ -487,7 +511,7 @@ def test_every_adjacent_field_swap_in_profile_fails_to_parse():
 
 def test_power_model_defaults_and_overrides():
     model = parse_power_model("")
-    assert model == PowerModel.default()
+    assert model == PowerModel()
     assert model.static_of("LUT3") == pytest.approx(0.3)
     assert model.dynamic_of("FF") == pytest.approx(1.0)
     assert model.frequency_hz == pytest.approx(1e8)

@@ -6,23 +6,27 @@ from hypothesis import strategies as st
 
 from blockscope.annotation import BlockLabel, build_registry, group_to_depth
 from blockscope.area import RESOURCE_KINDS, area_report, resource_counts
-from blockscope.fixtures import gcd_profile, gen_gcd, gen_random, gen_random_profile
+from blockscope.fixtures import gen_gcd, gen_random, gen_random_profile
 from blockscope.model import Cell, CellKind, Netlist
 from blockscope.power import (
     ActivityProfile,
     PowerError,
     PowerModel,
-    activity_events,
-    active_cycles,
+    _ActivityIndex,
     average_power_uw,
     power_score,
-    switching_factor,
 )
 
 from oracles import oracle_events, oracle_replay
 
 SUB = BlockLabel.parse("subtract")
 SWAP = BlockLabel.parse("swap")
+
+
+def profile_scores(profile):
+    """power_score's BlockPower per profile block, over one cell in each block."""
+    nl = Netlist([Cell(f"{block}__c", CellKind.LUT1, 1) for block in sorted(profile.blocks(), key=str)])
+    return power_score(nl, build_registry(nl), profile=profile).per_block
 
 
 def test_average_power_formula():
@@ -33,14 +37,16 @@ def test_average_power_formula():
 
 
 def test_gcd_active_cycles_and_alpha():
-    profile = gcd_profile()
-    assert active_cycles(SUB, profile) == frozenset({2, 3, 4, 5, 6})
-    assert active_cycles(SWAP, profile) == frozenset({1, 2, 3, 4, 5, 6})
-    assert switching_factor(SUB, profile) == pytest.approx(0.5)
-    assert switching_factor(SWAP, profile) == pytest.approx(0.6)
+    nl, profile = gen_gcd()
+    index = _ActivityIndex(profile)
+    assert index.activity(SUB)[0] == {2, 3, 4, 5, 6}
+    assert index.activity(SWAP)[0] == {1, 2, 3, 4, 5, 6}
+    score = power_score(nl, build_registry(nl), profile=profile).per_block
+    assert score[SUB].alpha == pytest.approx(0.5)
+    assert score[SWAP].alpha == pytest.approx(0.6)
     # events keep multiplicity: overlapping triggers exceed distinct cycles
-    assert activity_events(SUB, profile) == 10
-    assert activity_events(SWAP, profile) == 9
+    assert score[SUB].events == 10
+    assert score[SWAP].events == 9
 
 
 def test_firing_in_last_cycle_propagates_nothing():
@@ -52,7 +58,7 @@ def test_firing_in_last_cycle_propagates_nothing():
         writes=frozenset({("w", "s")}),
         reads=frozenset({(b, "s")}),
     )
-    assert active_cycles(b, profile) == frozenset()
+    assert _ActivityIndex(profile).activity(b)[0] == set()
     profile2 = ActivityProfile(
         cycles=4,
         rule_block=profile.rule_block,
@@ -60,7 +66,7 @@ def test_firing_in_last_cycle_propagates_nothing():
         writes=profile.writes,
         reads=profile.reads,
     )
-    assert active_cycles(b, profile2) == frozenset({3})
+    assert _ActivityIndex(profile2).activity(b)[0] == {3}
 
 
 def test_self_write_counts_as_next_cycle_activity():
@@ -72,8 +78,7 @@ def test_self_write_counts_as_next_cycle_activity():
         writes=frozenset({("r", "s")}),
         reads=frozenset({(b, "s")}),
     )
-    assert active_cycles(b, profile) == frozenset({0, 1})
-    assert activity_events(b, profile) == 2
+    assert _ActivityIndex(profile).activity(b) == ({0, 1}, 2)
 
 
 def test_gcd_power_score_and_ranking():
@@ -153,20 +158,17 @@ def test_active_cycles_match_literal_replay(seed):
     for profile in (full, full.truncated(1)):
         replay = oracle_replay(profile)
         events = oracle_events(profile)
-        blocks = sorted(profile.blocks(), key=str)
-        # one cell per profile block, so power_score scores every one of them
-        nl = Netlist([Cell(f"{block}__c", CellKind.LUT1, 1) for block in blocks])
-        score = power_score(nl, build_registry(nl), profile=profile)
-        for block in blocks:
-            active = active_cycles(block, profile)
+        index = _ActivityIndex(profile)
+        score = profile_scores(profile)
+        for block in sorted(profile.blocks(), key=str):
+            active, n_events = index.activity(block)
             assert active == replay[block]
             assert all(0 <= t < profile.cycles for t in active)
-            alpha = switching_factor(block, profile)
-            assert 0.0 <= alpha <= 1.0
-            assert activity_events(block, profile) == events[block] >= len(active)
-            bp = score.per_block[block]
+            bp = score[block]
+            assert 0.0 <= bp.alpha <= 1.0
+            assert n_events == events[block] >= len(active)
             assert (bp.active_cycles, bp.events) == (len(replay[block]), events[block])
-            assert bp.alpha == alpha
+            assert bp.alpha == len(active) / profile.cycles
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,12 +184,14 @@ def test_adding_a_firing_never_reduces_activity(seed, pick):
     louder = ActivityProfile(
         profile.cycles, profile.rule_block, firings, profile.writes, profile.reads
     )
+    quiet_index, loud_index = _ActivityIndex(profile), _ActivityIndex(louder)
+    quiet_score, loud_score = profile_scores(profile), profile_scores(louder)
     for block in profile.blocks():
-        before = active_cycles(block, profile)
-        after = active_cycles(block, louder)
+        before, before_events = quiet_index.activity(block)
+        after, after_events = loud_index.activity(block)
         assert before <= after
-        assert switching_factor(block, louder) >= switching_factor(block, profile)
-        assert activity_events(block, louder) >= activity_events(block, profile)
+        assert loud_score[block].alpha >= quiet_score[block].alpha
+        assert after_events >= before_events
 
 
 def test_unannotated_cells_score_but_never_rank():
@@ -212,7 +216,7 @@ def test_power_counts_resources_like_the_area_report(seed, n, depth):
     if depth is not None:
         registry = group_to_depth(registry, depth)
     area = area_report(nl, registry)
-    model = PowerModel.default()
+    model = PowerModel()
     power = power_score(nl, registry, model)
     rows = [(area.per_block[label], power.per_block[label], cells) for label, cells in registry.blocks.items()]
     if registry.unannotated:

@@ -15,7 +15,6 @@ from blockscope.report import (
     UNANNOTATED_LABEL,
     build_report,
     canonical_json,
-    parse_structured,
     render_csv,
     render_structured,
     render_text,
@@ -34,8 +33,15 @@ def test_unknown_metric_rejected():
         build_report(nl, metrics=("area", "speed"))
 
 
+@pytest.mark.parametrize("depth", [True, 1.5, 0])
+def test_group_depth_is_checked_as_the_cli_checks_it(depth):
+    nl, _ = gen_gcd()
+    with pytest.raises(BlockscopeError, match="^group depth must be at least 1$"):
+        build_report(nl, group_depth=depth)
+
+
 def test_structured_document_shape():
-    doc = parse_structured(render_structured(gcd_report()))
+    doc = json.loads(render_structured(gcd_report()))
     assert doc["schema"] == SCHEMA
     assert doc["metadata"]["device"] == "virtex7"
     assert doc["metadata"]["block_delay_nets"] is True
@@ -132,7 +138,7 @@ def test_formats_agree_on_every_number():
         return doc[section]["blocks"] + [e for e in [doc[section]["unannotated"]] if e]
 
     for report in reports:
-        doc = parse_structured(render_structured(report))
+        doc = json.loads(render_structured(report))
         rows = list(csv.reader(io.StringIO(render_csv(report).decode())))
         by_key = {(row[0], row[1]): row for row in rows[1:]}
         text = render_text(report).decode()
@@ -151,7 +157,7 @@ def test_group_depth_applies_to_all_sections():
     registry = build_registry(nl)
     deep = {str(l) for l in registry.blocks}
     report = build_report(nl, metrics=("area", "delay"), group_depth=1)
-    doc = parse_structured(render_structured(report))
+    doc = json.loads(render_structured(report))
     got_area = [b["block"] for b in doc["area"]["blocks"]]
     got_delay = [b["block"] for b in doc["delay"]["blocks"]]
     assert got_area == got_delay
@@ -167,8 +173,8 @@ def test_nodes_only_flag_recorded_and_applied():
         include_block_nets=False,
     )
     assert "block-delay-nets: nodes-only" in render_text(nodes_only).decode()
-    a = parse_structured(render_structured(with_nets))
-    b = parse_structured(render_structured(nodes_only))
+    a = json.loads(render_structured(with_nets))
+    b = json.loads(render_structured(nodes_only))
     sub_a = next(x for x in a["delay"]["blocks"] if x["block"] == "subtract")
     sub_b = next(x for x in b["delay"]["blocks"] if x["block"] == "subtract")
     assert sub_a["block_delay"]["total_ps"] == 116
@@ -201,7 +207,7 @@ def test_header_records_the_settings_build_report_applied():
         "group-depth: 1",
         "block-delay-nets: nodes-only",
     ]
-    assert parse_structured(render_structured(report))["metadata"] == {
+    assert json.loads(render_structured(report))["metadata"] == {
         "tool": blockscope.__version__,
         "device": "virtex7",
         "netlist_digest": "sha256:0a",
