@@ -1,5 +1,6 @@
 """Wire format parsing strictness, error positions, and canonical round-trips."""
 
+import json
 import re
 import tracemalloc
 
@@ -25,6 +26,8 @@ from blockscope.formats import (
 )
 from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist, validate
 from blockscope.power import PowerModel
+
+import parse_corpus
 
 GOOD_NETLIST = """\
 # routing annotated by hand
@@ -216,6 +219,13 @@ def test_fast_path_edges_parse_as_pinned(case):
         located = re.search(r"\(line (\d+)(?:, col (\d+))?\)\Z", expected)
         column = located[2] and int(located[2])
         assert (err.value.line, err.value.column) == (int(located[1]), column)
+
+
+def test_parse_outcomes_match_the_pinned_corpus():
+    pinned = json.loads(parse_corpus.PIN.read_text(encoding="utf-8"))
+    assert len(pinned) == parse_corpus.CASES
+    for case, (want, got) in enumerate(zip(pinned, parse_corpus.entries())):
+        assert got == want, f"corpus case {case}"
 
 
 def test_utf8_byte_order_mark_before_header_is_accepted():
