@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .area import AreaWeights
-from .formats import ParseError, parse_coefficients, read_file
-from .model import CellKind, Netlist
+from .formats import parse_coefficients, read_file
+from .model import BlockscopeError, CellKind, Netlist
 from .power import PowerModel
 
 DEVICE_HEADER = "blockscope-device v1"
@@ -56,7 +56,7 @@ BUILTIN_DEVICES = tuple(sorted(_LUT6_PS))
 
 def builtin_device(name: str) -> DeviceProfile:
     if name not in _LUT6_PS:
-        raise ParseError(f"unknown device profile {name!r}", 1)
+        raise BlockscopeError(f"unknown device profile {name!r}")
     return DeviceProfile(name, _scaled_delays(_LUT6_PS[name]), AreaWeights(), PowerModel())
 
 
@@ -76,7 +76,7 @@ def resolve_device(name_or_path: str) -> DeviceProfile:
         return builtin_device(name_or_path)
     path = Path(name_or_path)
     if not name_or_path or not path.exists():  # Path("") is the working directory
-        raise ParseError(
-            f"unknown device profile {name_or_path!r}; built-ins: {', '.join(BUILTIN_DEVICES)}", 1
+        raise BlockscopeError(
+            f"unknown device profile {name_or_path!r}; built-ins: {', '.join(BUILTIN_DEVICES)}"
         )
     return load_device_file(path)

@@ -114,7 +114,7 @@ def _successors(
     succ: list[tuple[int, ...]] = []
     delays: list[int] = []
     for row in rows:
-        if len(row) == 1:
+        if len(row) == 1:  # no sort or dict: without this, deep_paths parsed slower in 20/20 A/B pairs
             (j, d), = row
             succ.append((j,))
             delays.append(d)
@@ -151,10 +151,10 @@ class Netlist:
     records the rules the nets and ffpairs break, and a cycle, in
     graph_violations; validate() adds the rules on single cells.
 
-    Cells and nets are held as columns in input order: cell_id, cell_kind and
-    cell_logic per cell, net_src, net_dst and net_delay per net. The cells
-    and nets properties build Cell and Net objects from them on first access
-    (a netlist built from objects keeps those).
+    Cells and nets are held only as columns in input order: cell_id,
+    cell_kind and cell_logic per cell, net_src, net_dst and net_delay per
+    net. No Cell or Net object is kept: the cells and nets properties build
+    fresh tuples on each access, and cell() builds one Cell.
 
     The graph is indexed once, here, and every layer reads this index. Cell i
     is the i-th distinct id in sorted order, so comparing indices compares
@@ -170,7 +170,7 @@ class Netlist:
 
     __slots__ = (
         "cell_id", "cell_kind", "cell_logic", "net_src", "net_dst", "net_delay", "ff_pairs",
-        "_cells", "_nets", "ids", "index", "_pos", "kind", "logic", "source", "sink",
+        "ids", "index", "_pos", "kind", "logic", "source", "sink",
         "succ", "succ_first", "succ_delay", "pred", "partner", "order", "rank", "cycle",
         "graph_violations",
     )
@@ -188,7 +188,6 @@ class Netlist:
         self.net_src = [n.src for n in nets]
         self.net_dst = [n.dst for n in nets]
         self.net_delay = [n.net_delay for n in nets]
-        self._cells, self._nets = [cells], [nets]
         self._build_index(ff_pairs)
 
     @classmethod
@@ -200,7 +199,6 @@ class Netlist:
         new = cls.__new__(cls)
         new.cell_id, new.cell_kind, new.cell_logic = cell_id, cell_kind, cell_logic
         new.net_src, new.net_dst, new.net_delay = net_src, net_dst, net_delay
-        new._cells, new._nets = [None], [None]
         new._build_index(ff_pairs)
         return new
 
@@ -265,40 +263,38 @@ class Netlist:
 
     @property
     def cells(self) -> tuple[Cell, ...]:
-        """The cells in input order, built from the columns on first access."""
-        if self._cells[0] is None:
-            self._cells[0] = tuple(map(Cell, self.cell_id, self.cell_kind, self.cell_logic))
-        return self._cells[0]
+        """The cells in input order, built from the columns on each access."""
+        return tuple(map(Cell, self.cell_id, self.cell_kind, self.cell_logic))
 
     @property
     def nets(self) -> tuple[Net, ...]:
-        """The nets in input order, built from the columns on first access."""
-        if self._nets[0] is None:
-            self._nets[0] = tuple(map(Net, self.net_src, self.net_dst, self.net_delay))
-        return self._nets[0]
+        """The nets in input order, built from the columns on each access."""
+        return tuple(map(Net, self.net_src, self.net_dst, self.net_delay))
 
     def with_logic_delays(self, delays: Mapping[CellKind, int]) -> "Netlist":
         """This netlist with each cell's logic delay replaced by its kind's.
 
-        Only the logic delay columns and the cells are new: the nets (and the
-        cache of their objects), ff_pairs, the index, the topological order and
-        the graph violations are shared, since ids and edges are unchanged and
-        no graph rule reads a logic delay.
+        Only the logic delay columns are new: the other columns, ff_pairs, the
+        index, the topological order and the graph violations are shared,
+        since ids and edges are unchanged and no graph rule reads a logic
+        delay.
         """
         new = copy.copy(self)
         new.cell_logic = list(map(delays.__getitem__, self.cell_kind))
         new.logic = list(map(delays.__getitem__, self.kind))
-        new._cells = [None]
         return new
 
     def cell(self, cell_id: str) -> Cell:
-        return self.cells[self._pos[self.index[cell_id]]]
+        """The first cell with this id, built from its column position."""
+        pos = self._pos[self.index[cell_id]]
+        return Cell(self.cell_id[pos], self.cell_kind[pos], self.cell_logic[pos])
 
     def canonical_key(self):
-        cells = tuple(sorted(self.cells, key=lambda c: (c.id, c.kind.value, c.logic_delay)))
-        nets = tuple(sorted(self.nets, key=lambda n: (n.src, n.dst, n.net_delay)))
-        pairs = tuple(sorted(self.ff_pairs))
-        return (cells, nets, pairs)
+        """Sorted (id, kind name, delay) cells, (src, dst, delay) nets and pairs, read from the columns."""
+        kinds = [k.value for k in self.cell_kind]
+        cells = tuple(sorted(zip(self.cell_id, kinds, self.cell_logic)))
+        nets = tuple(sorted(zip(self.net_src, self.net_dst, self.net_delay)))
+        return (cells, nets, tuple(sorted(self.ff_pairs)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Netlist):

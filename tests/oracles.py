@@ -22,9 +22,10 @@ MAX_ORACLE_CELLS = 14
 
 def enumerate_paths(netlist: Netlist, max_cells: int = MAX_ORACLE_CELLS) -> list[tuple[str, ...]]:
     """All complete source-to-sink paths as cell-id tuples, DFS order."""
-    if len(netlist.cells) > max_cells:
+    cells = netlist.cells  # the netlist builds these on each access
+    if len(cells) > max_cells:
         raise BlockscopeError(
-            f"oracle limited to {max_cells} cells, got {len(netlist.cells)}"
+            f"oracle limited to {max_cells} cells, got {len(cells)}"
         )
     succ: dict[str, list[str]] = {}
     for net in netlist.nets:
@@ -34,9 +35,10 @@ def enumerate_paths(netlist: Netlist, max_cells: int = MAX_ORACLE_CELLS) -> list
     for dsts in succ.values():
         dsts.sort()
     paths: list[tuple[str, ...]] = []
+    sinks = {c.id for c in cells if c.kind.is_sink}
 
     def dfs(node: str, acc: list[str]) -> None:
-        if netlist.cell(node).kind.is_sink:
+        if node in sinks:
             paths.append(tuple(acc))
             return
         for nxt in succ.get(node, ()):
@@ -44,14 +46,14 @@ def enumerate_paths(netlist: Netlist, max_cells: int = MAX_ORACLE_CELLS) -> list
             dfs(nxt, acc)
             acc.pop()
 
-    for cell in netlist.cells:
+    for cell in cells:
         if cell.kind.is_source:
             dfs(cell.id, [cell.id])
     return paths
 
 
-def _edge_delay(netlist: Netlist, src: str, dst: str) -> int:
-    return max(n.net_delay for n in netlist.nets if n.src == src and n.dst == dst)
+def _edge_delay(nets: tuple[Net, ...], src: str, dst: str) -> int:
+    return max(n.net_delay for n in nets if n.src == src and n.dst == dst)
 
 
 def oracle_longest_path(
@@ -80,12 +82,13 @@ def oracle_longest_path(
             return True
         return include_block_nets and u in block_cells and v in block_cells
 
+    nets, logic_of = netlist.nets, {c.id: c.logic_delay for c in netlist.cells}
     best: tuple[int, tuple[str, ...]] | None = None
     for path in candidates:
         weight = sum(
-            netlist.cell(c).logic_delay for c in path if in_scope_node(c)
+            logic_of[c] for c in path if in_scope_node(c)
         ) + sum(
-            _edge_delay(netlist, u, v)
+            _edge_delay(nets, u, v)
             for u, v in zip(path, path[1:])
             if in_scope_edge(u, v)
         )
@@ -95,7 +98,7 @@ def oracle_longest_path(
     if best is None:
         return ZERO_PATH
     weight, path = best
-    logic = sum(netlist.cell(c).logic_delay for c in path if in_scope_node(c))
+    logic = sum(logic_of[c] for c in path if in_scope_node(c))
     return PathResult(weight, logic, weight - logic, path)
 
 
@@ -145,20 +148,23 @@ def expand_paths(netlist: Netlist, seeds: Iterable[str]) -> Subgraph:
     over adjacency lists built straight from the nets.
     """
     seed_set = frozenset(seeds)
+    # read from the columns: the netlist would build every Cell and Net per call
+    kinds = list(zip(netlist.cell_id, netlist.cell_kind))
     succs: dict[str, list[str]] = {}
     preds: dict[str, list[str]] = {}
-    for n in netlist.nets:
-        succs.setdefault(n.src, []).append(n.dst)
-        preds.setdefault(n.dst, []).append(n.src)
-    src_ok = _reach((c.id for c in netlist.cells if c.kind.is_source), succs)
-    sink_ok = _reach((c.id for c in netlist.cells if c.kind.is_sink), preds)
+    for src, dst in zip(netlist.net_src, netlist.net_dst):
+        succs.setdefault(src, []).append(dst)
+        preds.setdefault(dst, []).append(src)
+    src_ok = _reach((cid for cid, kind in kinds if kind.is_source), succs)
+    sink_ok = _reach((cid for cid, kind in kinds if kind.is_sink), preds)
     seed_src = _reach(src_ok & seed_set, succs)  # reached from a source through a seed
     seed_sink = _reach(sink_ok & seed_set, preds)  # reaches a sink through a seed
 
-    def on_crossing_path(n: Net) -> bool:
-        return (n.src in seed_src and n.dst in sink_ok) or (n.src in src_ok and n.dst in seed_sink)
+    def on_crossing_path(src: str, dst: str) -> bool:
+        return (src in seed_src and dst in sink_ok) or (src in src_ok and dst in seed_sink)
 
-    edges = sorted(filter(on_crossing_path, netlist.nets), key=lambda n: (n.src, n.dst, n.net_delay))
+    nets = zip(netlist.net_src, netlist.net_dst, netlist.net_delay)
+    edges = [Net(*n) for n in sorted(n for n in nets if on_crossing_path(n[0], n[1]))]
     nodes = frozenset(n.src for n in edges) | frozenset(n.dst for n in edges)
     return Subgraph(netlist, nodes, tuple(edges))
 
@@ -214,12 +220,12 @@ def _suffix_longest_path(
 ) -> PathResult:
     """Longest crossing path over one subgraph, keeping every node's whole
     best suffix as a tuple and comparing (-weight, path) directly."""
-    netlist = sub.netlist
+    cell = {cid: sub.netlist.cell(cid) for cid in sub.nodes}  # netlist.cell builds a new Cell each call
     seeds = sub.nodes if block_cells is None else block_cells
 
     def node_weight(cid: str) -> int:
         if mode is WeightingMode.SYSTEM or cid in seeds:
-            return netlist.cell(cid).logic_delay
+            return cell[cid].logic_delay
         return 0
 
     adj: dict[str, dict[str, int]] = {}
@@ -238,7 +244,7 @@ def _suffix_longest_path(
         entry: list[tuple[int, tuple[str, ...]] | None] = [None, None]
         for need in (0, 1):
             need_after = 0 if cid in seeds else need
-            if netlist.cell(cid).kind.is_sink:
+            if cell[cid].kind.is_sink:
                 entry[need] = (w, (cid,)) if need_after == 0 else None
                 continue
             cands = [
@@ -248,7 +254,7 @@ def _suffix_longest_path(
             ]
             entry[need] = min(cands, key=lambda c: (-c[0], c[1]), default=None)
         suffix[cid] = entry
-    roots = [suffix[c][1] for c in order if netlist.cell(c).kind.is_source and suffix[c][1]]
+    roots = [suffix[c][1] for c in order if cell[c].kind.is_source and suffix[c][1]]
     if not roots:
         return ZERO_PATH
     total, path = min(roots, key=lambda c: (-c[0], c[1]))

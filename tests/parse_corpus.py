@@ -1,8 +1,9 @@
 """A seeded corpus of mutated netlists and the outcome of parsing each one.
 
 Each case starts from the canonical bytes of a ``gen_random`` netlist and
-applies one to three mutations: a token replaced, inserted or deleted, or a
-line duplicated, deleted, moved to the top (so it refers forward) or added
+applies one to three mutations: a token replaced, inserted, deleted or
+swapped with the one before it, or a line duplicated (as it is or with one
+token replaced), deleted, moved to the top (so it refers forward) or added
 as junk. Tokens are drawn from the ids and keywords of the netlist and from
 the edges of the field checks: 15-, 16- and 17-digit delays, 2^53 - 1, 2^53
 and 2^53 + 1, non-ASCII digits, a byte order mark, a misplaced ``->`` and
@@ -32,35 +33,44 @@ from blockscope.model import BlockscopeError
 CASES = 600
 PIN = Path(__file__).with_name("parse_corpus.json")
 
-_EDGE_TOKENS = (
-    "cell", "net", "ffpair", "->", "-", ">", "#", "LUT3", "FF_D", "FF_Q", "IN", "OUT", "LUT7", "lut3",
-    "0", "00", "7", "-1", "+1", "1.5", "1e3", "0x10",
+_DELAY_TOKENS = (
+    "0", "00", "7", "-1", "+1", "1.5", "1e3", "0x10", "²", "٣", "1²",
     "1" * 15, "9" * 15, "0" * 14 + "7", "1" * 16, "9" * 16, "0" * 15 + "7", "1" * 17, "0" * 16 + "7",
     str(2**53 - 1), str(2**53), str(2**53 + 1), "0" + str(2**53 - 1),
-    "²", "٣", "1²", "\ufeff", "\ufeffcell", "a b", "a-b", "x.y", "_", ".", "é",
 )
-_MUTATIONS = ("replace",) * 4 + ("insert", "delete", "duplicate", "drop", "junk", "forward", "bom")
+_EDGE_TOKENS = _DELAY_TOKENS + (
+    "cell", "net", "ffpair", "->", "-", ">", "#", "LUT3", "FF_D", "FF_Q", "IN", "OUT", "LUT7", "lut3",
+    "\ufeff", "\ufeffcell", "a b", "a-b", "x.y", "_", ".", "é",
+)
+_MUTATIONS = ("replace",) * 4 + (
+    "insert", "delete", "swap", "clash", "duplicate", "drop", "junk", "forward", "bom",
+)
 
 
 def _token(rng: random.Random, ids: list[str]) -> str:
     return rng.choice(ids) if rng.random() < 0.3 else rng.choice(_EDGE_TOKENS)
 
 
-def _mutate(rng: random.Random, lines: list[str], ids: list[str]) -> None:
-    """Apply one mutation in place; lines[0] is the header."""
+def _mutate(rng: random.Random, lines: list[str], ids: list[str], at: int) -> None:
+    """Apply one mutation at line index at, in place; lines[0] is the header."""
     kind = rng.choice(_MUTATIONS)
-    at = rng.randrange(1, len(lines)) if len(lines) > 1 else 0
     tokens = lines[at].split(" ")
     # the last field is a delay on cell and net lines, so it is picked more often
     pick = len(tokens) - 1 if rng.random() < 0.4 else rng.randrange(len(tokens))
     if kind == "replace":
-        tokens[pick] = _token(rng, ids)
+        last = pick == len(tokens) - 1 and rng.random() < 0.5
+        tokens[pick] = rng.choice(_DELAY_TOKENS) if last else _token(rng, ids)
     elif kind == "insert":
         tokens.insert(pick + rng.randrange(2), _token(rng, ids))
     elif kind == "delete" and len(tokens) > 1:
         del tokens[pick]
+    elif kind == "swap" and pick:
+        tokens[pick - 1], tokens[pick] = tokens[pick], tokens[pick - 1]
     elif kind == "duplicate":
         lines.insert(rng.randrange(1, len(lines) + 1), lines[at])
+    elif kind == "clash":  # a copy of the line with one more field broken, so two checks fail on it
+        tokens[pick] = _token(rng, ids)
+        lines.insert(rng.randrange(at + 1, len(lines) + 1), " ".join(tokens))
     elif kind == "drop" and at:
         del lines[at]
     elif kind == "junk":
@@ -70,7 +80,7 @@ def _mutate(rng: random.Random, lines: list[str], ids: list[str]) -> None:
         lines.insert(1, lines.pop(at))
     elif kind == "bom":
         lines[0] = "\ufeff" + lines[0]
-    if kind in ("replace", "insert", "delete") and at < len(lines):
+    if kind in ("replace", "insert", "delete", "swap") and at < len(lines):
         lines[at] = " ".join(tokens)
 
 
@@ -81,8 +91,11 @@ def cases() -> Iterator[bytes]:
         netlist = gen_random(seed, rng.randint(2, 30))
         ids = list(netlist.ids)
         lines = serialize_netlist(netlist).decode("utf-8").splitlines()
+        at = 0
         for _ in range(rng.randint(1, 3)):
-            _mutate(rng, lines, ids)
+            if not 0 < at < len(lines) or rng.random() < 0.5:  # else break the same line again
+                at = rng.randrange(1, len(lines)) if len(lines) > 1 else 0
+            _mutate(rng, lines, ids, at)
         yield ("\n".join(lines) + "\n").encode("utf-8")
 
 

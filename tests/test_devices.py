@@ -70,7 +70,9 @@ def test_apply_delays_shares_the_graph_and_its_order():
     for nl in (gen_fig6(), parsed):
         scaled = device.apply_delays(nl)
         assert validate(scaled) == ()
-        assert scaled.nets is nl.nets and scaled.ff_pairs is nl.ff_pairs
+        assert scaled.nets == nl.nets and scaled.ff_pairs is nl.ff_pairs
+        for column in ("net_src", "net_dst", "net_delay"):
+            assert getattr(scaled, column) is getattr(nl, column)
         assert [c.id for c in scaled.cells] == [c.id for c in nl.cells]
         assert all(c.logic_delay == device.logic_delays[c.kind] for c in scaled.cells)
         fresh = Netlist(scaled.cells, scaled.nets, scaled.ff_pairs)
@@ -150,11 +152,13 @@ def test_resolve_device_by_name_or_path(tmp_path):
     path.write_text(f"{DEVICE_HEADER}\ndelay LUT1 9\n")
     assert resolve_device(str(path)).logic_delays[CellKind.LUT1] == 9
     for unknown in ("kintex9", ""):  # Path("") would be the working directory
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(BlockscopeError) as err:
             resolve_device(unknown)
-        assert str(err.value) == (
-            f"unknown device profile {unknown!r}; built-ins: spartan6, virtex5, virtex7 (line 1)"
-        )
+        assert str(err.value) == f"unknown device profile {unknown!r}; built-ins: spartan6, virtex5, virtex7"
+        assert not isinstance(err.value, ParseError)  # a name has no line to point at
+    with pytest.raises(BlockscopeError) as err:
+        builtin_device("kintex9")
+    assert str(err.value) == "unknown device profile 'kintex9'" and not isinstance(err.value, ParseError)
 
 
 def test_unreadable_device_path_is_an_input_error(tmp_path, capsys):

@@ -411,6 +411,8 @@ _ANY_DELAY = st.one_of(st.integers(-2, 2**53 - 1), st.booleans(), st.sampled_fro
 @given(st.integers(0, 5_000), st.integers(2, 18), st.integers(0, 10**6), _ANY_DELAY, st.booleans())
 @example(0, 6, 1, True, False)
 @example(0, 6, 1, True, True)
+@example(0, 6, 1, 2**53 - 1, False)  # the largest delay the wire format spells
+@example(0, 6, 1, 2**53 - 1, True)
 def test_every_netlist_that_validates_clean_round_trips(seed, n, pick, delay, on_net):
     nl = gen_random(seed, n)
     cells, nets = list(nl.cells), list(nl.nets)
@@ -426,6 +428,46 @@ def test_every_netlist_that_validates_clean_round_trips(seed, n, pick, delay, on
     blob = serialize_netlist(changed)
     assert parse_netlist(blob) == changed
     assert serialize_netlist(parse_netlist(blob)) == blob
+
+
+# netlists that validate clean but that the wire format cannot spell:
+# (cells, nets, the error serialize_netlist raises)
+_UNSPELLABLE = {
+    "id with a space": (
+        [Cell("a b", CellKind.IN), Cell("o", CellKind.OUT)], [Net("a b", "o", 1)],
+        "cannot write cell id 'a b': ids must match [A-Za-z0-9_.]+",
+    ),
+    "smallest bad id named": (
+        [Cell("z-1", CellKind.IN), Cell("m", CellKind.LUT1, 1), Cell("b+", CellKind.IN),
+         Cell("o", CellKind.OUT)],
+        [Net("z-1", "m", 1), Net("b+", "m", 1), Net("m", "o", 1)],
+        "cannot write cell id 'b+': ids must match [A-Za-z0-9_.]+",
+    ),
+    "non-ascii id": (
+        [Cell("é", CellKind.IN), Cell("o", CellKind.OUT)], [Net("é", "o", 1)],
+        "cannot write cell id 'é': ids must match [A-Za-z0-9_.]+",
+    ),
+    "logic delay 2^53": (
+        [Cell("i", CellKind.IN), Cell("x", CellKind.LUT1, 2**53), Cell("o", CellKind.OUT)],
+        [Net("i", "x", 1), Net("x", "o", 1)],
+        "cannot write cell x: logic delay 9007199254740992 is not below 2^53",
+    ),
+    "net delay above 2^53": (
+        [Cell("i", CellKind.IN), Cell("o", CellKind.OUT)], [Net("i", "o", 2**60)],
+        "cannot write net i->o: net delay 1152921504606846976 is not below 2^53",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNSPELLABLE))
+def test_a_netlist_the_wire_format_cannot_spell_is_not_written(case):
+    cells, nets, message = _UNSPELLABLE[case]
+    nl = Netlist(cells, nets)
+    assert validate(nl) == ()
+    for order in (1, -1):  # the message names the same cell whatever the input order
+        with pytest.raises(BlockscopeError) as err:
+            serialize_netlist(Netlist(cells[::order], nets[::order]))
+        assert str(err.value) == message
 
 
 # everything a Netlist indexes, compared between its two entry points

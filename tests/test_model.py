@@ -180,7 +180,7 @@ def test_construction_indexes_broken_netlists_without_raising():
     assert broken.graph_violations == validate(broken)[2:]
     nl = Netlist(cells, nets)
     assert nl.ids == ["a", "b", "i", "o"]
-    assert nl.cell("a") is cells[2]  # the first cell with an id wins
+    assert nl.cell("a") == cells[2]  # the first cell with an id wins
     assert list(nl.logic) == [1, 2, 0, 0]
     assert nl.succ == [(1,), (0, 3), (0,), ()]
     assert list(nl.succ_first) == [0, 1, 3, 4, 4]
@@ -189,6 +189,30 @@ def test_construction_indexes_broken_netlists_without_raising():
     with pytest.raises(ValidationError) as err:
         topological_order(Netlist(unique, nets[:5]))
     assert err.value.violations == (cycle,)
+
+
+def test_cell_of_a_duplicated_id_has_the_first_cells_fields():
+    cells = [Cell("b", CellKind.LUT2, 4), Cell("a", CellKind.LUT1, 1), Cell("a", CellKind.LUT3, 7),
+             Cell("b", CellKind.OUT), Cell("a", CellKind.LUT1, 9)]
+    nl = Netlist(cells)
+    assert nl.cell("a") == cells[1] and nl.cell("b") == cells[0]
+    scaled = nl.with_logic_delays({kind: 3 for kind in CellKind})
+    assert scaled.cell("a") == Cell("a", CellKind.LUT1, 3)
+    assert nl.cell("a") == Cell("a", CellKind.LUT1, 1)  # the original keeps its delays
+
+
+def test_one_shot_iterables_build_the_same_netlist():
+    cells = [Cell("i", CellKind.IN), Cell("x", CellKind.LUT2, 4), Cell("d", CellKind.FF_D),
+             Cell("q", CellKind.FF_Q), Cell("o", CellKind.OUT)]
+    nets = [Net("i", "x", 1), Net("q", "x", 2), Net("x", "d", 3), Net("x", "o", 0)]
+    pairs = [("d", "q")]
+    want = Netlist(tuple(cells), tuple(nets), tuple(pairs))
+    got = Netlist(iter(cells), (n for n in nets), iter(pairs))
+    assert got == want
+    for name in ("cell_id", "cell_kind", "cell_logic", "net_src", "net_dst", "net_delay", "ff_pairs",
+                 "cells", "nets", "succ", "pred", "partner", "order"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.cells == tuple(cells) and got.nets == tuple(nets)
 
 
 def test_cycle_check_skipped_while_structure_is_broken():
