@@ -188,10 +188,10 @@ def parse_netlist(data: bytes | str) -> Netlist:
 
     Tokens go straight into the netlist's columns. Each directive has one
     path that checks its fields in order and raises the first error. Before
-    a checked helper runs, a cheap inline test takes the common field: an
-    endpoint whose cell is already declared, a new cell id matching the id
-    pattern, a delay of at most 15 ASCII digits (so below 2^53). A field that
-    fails the test goes to the helper, which accepts it or raises.
+    two checked helpers runs a cheap inline test that takes the common field:
+    an endpoint whose cell is already declared, a delay of at most 15 ASCII
+    digits (so below 2^53). A field that fails the test goes to the helper,
+    which accepts it or raises.
     """
     cell_id: list[str] = []
     cell_kind: list[CellKind] = []
@@ -201,13 +201,12 @@ def parse_netlist(data: bytes | str) -> Netlist:
     net_delay: list[int] = []
     pairs: list[tuple[str, str]] = []
     ids: dict[str, str] = {}  # endpoints reuse the id string their cell line checked
-    known, kind_of, id_ok = ids.get, CellKind.__members__.get, _ID_RE.match
+    known, kind_of = ids.get, CellKind.__members__.get
     for line in _take_header(_scan(data), NETLIST_HEADER):
         tokens = line[2]
         keyword = tokens[0]
         if keyword == "net":
-            if len(tokens) != 5:  # calling _want on every line parsed wide_flat slower in 16/20 A/B pairs
-                _want(line, 5, "net <src> -> <dst> <delay_ps>")
+            _want(line, 5, "net <src> -> <dst> <delay_ps>")
             src = known(tokens[1]) or _id_field(line, 1, "net source id")
             if tokens[2] != "->":
                 raise _error(line, 2, f"expected '->', found {tokens[2]!r}")
@@ -219,9 +218,8 @@ def parse_netlist(data: bytes | str) -> Netlist:
             net_dst.append(dst)
             net_delay.append(delay)
         elif keyword == "cell":
-            if len(tokens) != 4:
-                _want(line, 4, "cell <id> <kind> <delay_ps>")
-            cid = tokens[1] if id_ok(tokens[1]) else _id_field(line, 1, "cell id")
+            _want(line, 4, "cell <id> <kind> <delay_ps>")
+            cid = _id_field(line, 1, "cell id")
             kind = kind_of(tokens[2])
             if kind is None:
                 raise _error(line, 2, f"unknown cell kind {tokens[2]}")

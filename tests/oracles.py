@@ -22,10 +22,9 @@ MAX_ORACLE_CELLS = 14
 
 def enumerate_paths(netlist: Netlist, max_cells: int = MAX_ORACLE_CELLS) -> list[tuple[str, ...]]:
     """All complete source-to-sink paths as cell-id tuples, DFS order."""
-    cells = netlist.cells  # the netlist builds these on each access
-    if len(cells) > max_cells:
+    if len(netlist.cells) > max_cells:
         raise BlockscopeError(
-            f"oracle limited to {max_cells} cells, got {len(cells)}"
+            f"oracle limited to {max_cells} cells, got {len(netlist.cells)}"
         )
     succ: dict[str, list[str]] = {}
     for net in netlist.nets:
@@ -35,10 +34,9 @@ def enumerate_paths(netlist: Netlist, max_cells: int = MAX_ORACLE_CELLS) -> list
     for dsts in succ.values():
         dsts.sort()
     paths: list[tuple[str, ...]] = []
-    sinks = {c.id for c in cells if c.kind.is_sink}
 
     def dfs(node: str, acc: list[str]) -> None:
-        if node in sinks:
+        if netlist.cell(node).kind.is_sink:
             paths.append(tuple(acc))
             return
         for nxt in succ.get(node, ()):
@@ -46,7 +44,7 @@ def enumerate_paths(netlist: Netlist, max_cells: int = MAX_ORACLE_CELLS) -> list
             dfs(nxt, acc)
             acc.pop()
 
-    for cell in cells:
+    for cell in netlist.cells:
         if cell.kind.is_source:
             dfs(cell.id, [cell.id])
     return paths
@@ -82,11 +80,11 @@ def oracle_longest_path(
             return True
         return include_block_nets and u in block_cells and v in block_cells
 
-    nets, logic_of = netlist.nets, {c.id: c.logic_delay for c in netlist.cells}
+    nets = netlist.nets  # the netlist builds these on each access
     best: tuple[int, tuple[str, ...]] | None = None
     for path in candidates:
         weight = sum(
-            logic_of[c] for c in path if in_scope_node(c)
+            netlist.cell(c).logic_delay for c in path if in_scope_node(c)
         ) + sum(
             _edge_delay(nets, u, v)
             for u, v in zip(path, path[1:])
@@ -98,7 +96,7 @@ def oracle_longest_path(
     if best is None:
         return ZERO_PATH
     weight, path = best
-    logic = sum(logic_of[c] for c in path if in_scope_node(c))
+    logic = sum(netlist.cell(c).logic_delay for c in path if in_scope_node(c))
     return PathResult(weight, logic, weight - logic, path)
 
 
@@ -220,12 +218,12 @@ def _suffix_longest_path(
 ) -> PathResult:
     """Longest crossing path over one subgraph, keeping every node's whole
     best suffix as a tuple and comparing (-weight, path) directly."""
-    cell = {cid: sub.netlist.cell(cid) for cid in sub.nodes}  # netlist.cell builds a new Cell each call
+    netlist = sub.netlist
     seeds = sub.nodes if block_cells is None else block_cells
 
     def node_weight(cid: str) -> int:
         if mode is WeightingMode.SYSTEM or cid in seeds:
-            return cell[cid].logic_delay
+            return netlist.cell(cid).logic_delay
         return 0
 
     adj: dict[str, dict[str, int]] = {}
@@ -244,7 +242,7 @@ def _suffix_longest_path(
         entry: list[tuple[int, tuple[str, ...]] | None] = [None, None]
         for need in (0, 1):
             need_after = 0 if cid in seeds else need
-            if cell[cid].kind.is_sink:
+            if netlist.cell(cid).kind.is_sink:
                 entry[need] = (w, (cid,)) if need_after == 0 else None
                 continue
             cands = [
@@ -254,7 +252,7 @@ def _suffix_longest_path(
             ]
             entry[need] = min(cands, key=lambda c: (-c[0], c[1]), default=None)
         suffix[cid] = entry
-    roots = [suffix[c][1] for c in order if cell[c].kind.is_source and suffix[c][1]]
+    roots = [suffix[c][1] for c in order if netlist.cell(c).kind.is_source and suffix[c][1]]
     if not roots:
         return ZERO_PATH
     total, path = min(roots, key=lambda c: (-c[0], c[1]))
