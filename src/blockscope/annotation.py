@@ -10,7 +10,7 @@ the delimiter). Cells without ``__`` belong to the unannotated pseudo-block.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import BlockscopeError, Netlist
 
@@ -31,18 +31,22 @@ def check_group_depth(depth: int) -> int:
     return depth
 
 
-@dataclass(frozen=True, order=True)
-class BlockLabel:
-    """Hierarchical block name; compares and sorts by its segment tuple."""
-
+class _BlockLabel(NamedTuple):
     segments: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.segments:
+
+class BlockLabel(_BlockLabel):
+    """Hierarchical block name; compares and sorts by its segment tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, segments: tuple[str, ...]) -> "BlockLabel":
+        if not segments:
             raise AnnotationError("block label needs at least one segment")
-        for seg in self.segments:
+        for seg in segments:
             if not _SEGMENT_RE.match(seg) or "__" in seg:
                 raise AnnotationError(f"malformed block label segment {seg!r}")
+        return super().__new__(cls, segments)
 
     @classmethod
     def parse(cls, text: str) -> "BlockLabel":
@@ -75,8 +79,7 @@ def extract_block_label(cell_id: str) -> BlockLabel | None:
         ) from None
 
 
-@dataclass(frozen=True)
-class BlockRegistry:
+class BlockRegistry(NamedTuple):
     """Partition of all cell ids into labeled blocks plus the unannotated rest.
 
     blocks preserves first-seen order over ids sorted ascending; rendering

@@ -11,8 +11,7 @@ the same table drives static power sizing downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .annotation import BlockLabel, BlockRegistry
 from .model import BlockscopeError, CellKind, Netlist
@@ -55,32 +54,35 @@ class AreaError(BlockscopeError):
     pass
 
 
-@dataclass(frozen=True)
-class AreaWeights:
+class _AreaWeights(NamedTuple):
+    weights: Mapping[str, float]
+
+
+class AreaWeights(_AreaWeights):
     """Non-negative weight per resource kind; unknown kinds are rejected."""
 
-    weights: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for kind, w in self.weights.items():
+    def __new__(cls, weights: Mapping[str, float] | None = None) -> "AreaWeights":
+        weights = dict(DEFAULT_WEIGHTS) if weights is None else weights
+        for kind, w in weights.items():
             if kind not in RESOURCE_KINDS:
                 raise AreaError(f"unknown resource kind {kind!r} in weight table")
             if w < 0:
                 raise AreaError(f"weight for {kind} must be non-negative")
+        return super().__new__(cls, weights)
 
     def weight(self, kind: str) -> float:
         return float(self.weights.get(kind, DEFAULT_WEIGHTS[kind]))
 
 
-@dataclass(frozen=True)
-class BlockArea:
+class BlockArea(NamedTuple):
     counts: dict[str, int]
     weighted_area: float
     unpaired_ff: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AreaReport:
+class AreaReport(NamedTuple):
     per_block: dict[BlockLabel, BlockArea]
     unannotated: BlockArea
     totals: BlockArea

@@ -28,8 +28,8 @@ that cone per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .annotation import BlockLabel, BlockRegistry
 from .area import cell_indices
@@ -41,8 +41,7 @@ class WeightingMode(Enum):
     BLOCK = "block-delay"
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(NamedTuple):
     """Winning path and its delay split into logic and network parts."""
 
     total_delay: int
@@ -185,14 +184,12 @@ def longest_path(
     return shared.solve(cell_indices(netlist, block_cells), mode, include_block_nets)
 
 
-@dataclass(frozen=True)
-class BlockDelay:
+class BlockDelay(NamedTuple):
     system: PathResult
     block: PathResult
 
 
-@dataclass(frozen=True)
-class DelayReport:
+class DelayReport(NamedTuple):
     per_block: dict[BlockLabel, BlockDelay]
     unannotated: BlockDelay | None
     global_critical: PathResult

@@ -19,8 +19,8 @@ anything unspecified::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .area import AreaWeights
 from .formats import parse_coefficients, read_file
@@ -39,8 +39,7 @@ def _scaled_delays(lut6_ps: int) -> dict[CellKind, int]:
     return delays
 
 
-@dataclass(frozen=True)
-class DeviceProfile:
+class DeviceProfile(NamedTuple):
     name: str
     logic_delays: dict[CellKind, int]
     weights: AreaWeights

@@ -39,7 +39,7 @@ from typing import Iterator
 
 from .annotation import AnnotationError, BlockLabel
 from .area import RESOURCE_KINDS
-from .model import BlockscopeError, CellKind, Netlist, Violation, validate
+from .model import BlockscopeError, CellKind, Netlist, Violation, delay_row_key, validate
 from .power import ActivityProfile, PowerModel
 
 NETLIST_HEADER = "blockscope-netlist v1"
@@ -246,22 +246,28 @@ def parse_netlist(data: bytes | str) -> Netlist:
     return netlist
 
 
+def _unwritable(delay) -> bool:
+    return delay.__class__ is not int or not 0 <= delay < _MAX_INT
+
+
 def serialize_netlist(netlist: Netlist) -> bytes:
     """Canonical bytes: header, cells by id, nets by (src, dst, delay), pairs sorted.
     A BlockscopeError names the first cell or net, in that order, that
-    parse_netlist could not read back: an id off the id pattern, a delay >= 2^53."""
+    parse_netlist could not read back: an id off the id pattern, a delay that
+    is not an int in [0, 2^53)."""
     out = [NETLIST_HEADER]
     cells = sorted(zip(netlist.cell_id, netlist.cell_kind, netlist.cell_logic), key=lambda c: c[0])
     for cid, kind, delay in cells:
         if not _ID_RE.match(cid):
             raise BlockscopeError(f"cannot write cell id {cid!r}: ids must match [A-Za-z0-9_.]+")
-        if delay.__class__ is int and delay >= _MAX_INT:
-            raise BlockscopeError(f"cannot write cell {cid}: logic delay {delay} is not below 2^53")
+        if _unwritable(delay):
+            raise BlockscopeError(f"cannot write cell {cid}: logic delay {delay!r} is not an int in [0, 2^53)")
         out.append(f"cell {cid} {kind.value} {delay}")
-    for src, dst, delay in sorted(zip(netlist.net_src, netlist.net_dst, netlist.net_delay)):
-        if delay.__class__ is int and delay >= _MAX_INT:
-            raise BlockscopeError(f"cannot write net {src}->{dst}: net delay {delay} is not below 2^53")
-        out.append(f"net {src} -> {dst} {delay}")
+    nets = sorted(zip(netlist.net_src, netlist.net_dst, netlist.net_delay), key=delay_row_key)
+    for s, d, delay in nets:
+        if _unwritable(delay):
+            raise BlockscopeError(f"cannot write net {s}->{d}: net delay {delay!r} is not an int in [0, 2^53)")
+        out.append(f"net {s} -> {d} {delay}")
     for d, q in sorted(netlist.ff_pairs):
         out.append(f"ffpair {d} {q}")
     return ("\n".join(out) + "\n").encode("utf-8")

@@ -15,10 +15,9 @@ from __future__ import annotations
 import copy
 import heapq
 from array import array
-from dataclasses import dataclass
 from enum import Enum, unique
 from itertools import accumulate
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
 class BlockscopeError(Exception):
@@ -59,8 +58,7 @@ SOURCE_KINDS = frozenset({CellKind.CLK, CellKind.IN, CellKind.FF_Q})
 SINK_KINDS = frozenset({CellKind.FF_D, CellKind.MEM_IN, CellKind.OUT})
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(NamedTuple):
     """One netlist node. logic_delay is in integer picoseconds."""
 
     id: str
@@ -68,8 +66,7 @@ class Cell:
     logic_delay: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class Net:
+class Net(NamedTuple):
     """Directed edge src -> dst with a routing delay in integer picoseconds.
 
     Fan-out is multiple Net instances sharing src.
@@ -83,6 +80,13 @@ class Net:
 def _bad_delay(delay) -> bool:
     """Whether a delay is anything but a non-negative int; a bool is not one."""
     return delay.__class__ is not int or delay < 0
+
+
+def delay_row_key(row: tuple) -> tuple:
+    """Sort key of a row ending in a delay: rows with int delays keep their order, and
+    any other delay sorts after them by its repr, never compared with or equal to an int."""
+    *head, delay = row
+    return (*head, False, delay) if delay.__class__ is int else (*head, True, repr(delay))
 
 
 def _successors(
@@ -290,10 +294,11 @@ class Netlist:
         return Cell(self.cell_id[pos], self.cell_kind[pos], self.cell_logic[pos])
 
     def canonical_key(self):
-        """Sorted (id, kind name, delay) cells, (src, dst, delay) nets and pairs, read from the columns."""
+        """The sorted delay_row_key of each (id, kind name, delay) cell and
+        (src, dst, delay) net, and the sorted pairs, read from the columns."""
         kinds = [k.value for k in self.cell_kind]
-        cells = tuple(sorted(zip(self.cell_id, kinds, self.cell_logic)))
-        nets = tuple(sorted(zip(self.net_src, self.net_dst, self.net_delay)))
+        cells = tuple(sorted(map(delay_row_key, zip(self.cell_id, kinds, self.cell_logic))))
+        nets = tuple(sorted(map(delay_row_key, zip(self.net_src, self.net_dst, self.net_delay))))
         return (cells, nets, tuple(sorted(self.ff_pairs)))
 
     def __eq__(self, other: object) -> bool:
@@ -307,8 +312,7 @@ class Netlist:
         return f"Netlist(cells={len(self.cell_id)}, nets={len(self.net_src)}, ff_pairs={len(self.ff_pairs)})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken structural rule; subject names the offending cell or net."""
 
     rule: str

@@ -13,8 +13,7 @@ profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .annotation import BlockLabel, BlockRegistry
 from .area import RESOURCE_KINDS, resource_counts
@@ -55,27 +54,36 @@ class PowerError(BlockscopeError):
     pass
 
 
-@dataclass(frozen=True)
-class PowerModel:
+class _PowerModel(NamedTuple):
+    static_uw: Mapping[str, float]
+    dynamic_pj: Mapping[str, float]
+    frequency_hz: float
+
+
+class PowerModel(_PowerModel):
     """Static uW and dynamic pJ per resource kind, plus the clock frequency.
 
     Coefficients are configuration, not silicon ground truth; they make
     blocks comparable under one device profile.
     """
 
-    static_uw: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_STATIC_UW))
-    dynamic_pj: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_DYNAMIC_PJ))
-    frequency_hz: float = DEFAULT_FREQUENCY_HZ
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for table, name in ((self.static_uw, "static"), (self.dynamic_pj, "dynamic")):
+    def __new__(
+        cls, static_uw: Mapping[str, float] | None = None, dynamic_pj: Mapping[str, float] | None = None,
+        frequency_hz: float = DEFAULT_FREQUENCY_HZ,
+    ) -> "PowerModel":
+        static_uw = dict(DEFAULT_STATIC_UW) if static_uw is None else static_uw
+        dynamic_pj = dict(DEFAULT_DYNAMIC_PJ) if dynamic_pj is None else dynamic_pj
+        for table, name in ((static_uw, "static"), (dynamic_pj, "dynamic")):
             for kind, value in table.items():
                 if kind not in RESOURCE_KINDS:
                     raise PowerError(f"unknown resource kind {kind!r} in {name} table")
                 if value < 0:
                     raise PowerError(f"{name} coefficient for {kind} must be non-negative")
-        if not self.frequency_hz > 0:
+        if not frequency_hz > 0:
             raise PowerError("frequency must be positive")
+        return super().__new__(cls, static_uw, dynamic_pj, frequency_hz)
 
     def static_of(self, kind: str) -> float:
         return float(self.static_uw.get(kind, DEFAULT_STATIC_UW[kind]))
@@ -84,8 +92,7 @@ class PowerModel:
         return float(self.dynamic_pj.get(kind, DEFAULT_DYNAMIC_PJ[kind]))
 
 
-@dataclass(frozen=True)
-class ActivityProfile:
+class ActivityProfile(NamedTuple):
     """Cycle-accurate rule firings plus the static read/write relation.
 
     firings maps every declared rule to its strictly increasing firing cycles,
@@ -161,8 +168,7 @@ def average_power_uw(static_uw: float, dynamic_pj: float, alpha: float, frequenc
     return static_uw + dynamic_pj * alpha * frequency_hz * 1e-6
 
 
-@dataclass(frozen=True)
-class BlockPower:
+class BlockPower(NamedTuple):
     static_uw: float
     dynamic_pj: float
     alpha: float
@@ -172,8 +178,7 @@ class BlockPower:
     profiled: bool  # False flags a block the profile never mentions
 
 
-@dataclass(frozen=True)
-class PowerScore:
+class PowerScore(NamedTuple):
     per_block: dict[BlockLabel, BlockPower]
     unannotated: BlockPower | None
     ranking: tuple[BlockLabel, ...]

@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import __version__
 from .annotation import BlockLabel, build_registry, group_to_depth
@@ -47,8 +46,7 @@ def metric_names(names: Iterable[str]) -> tuple[str, ...]:
     return chosen
 
 
-@dataclass(frozen=True)
-class ReportMetadata:
+class ReportMetadata(NamedTuple):
     """The report header, filled by build_report: the version, group depth and
     block-net setting it ran with, and its caller's device and digests."""
 
@@ -60,8 +58,7 @@ class ReportMetadata:
     block_delay_nets: bool
 
 
-@dataclass(frozen=True)
-class CombinedReport:
+class CombinedReport(NamedTuple):
     metadata: ReportMetadata
     area: AreaReport | None
     delay: DelayReport | None

@@ -450,11 +450,11 @@ _UNSPELLABLE = {
     "logic delay 2^53": (
         [Cell("i", CellKind.IN), Cell("x", CellKind.LUT1, 2**53), Cell("o", CellKind.OUT)],
         [Net("i", "x", 1), Net("x", "o", 1)],
-        "cannot write cell x: logic delay 9007199254740992 is not below 2^53",
+        "cannot write cell x: logic delay 9007199254740992 is not an int in [0, 2^53)",
     ),
     "net delay above 2^53": (
         [Cell("i", CellKind.IN), Cell("o", CellKind.OUT)], [Net("i", "o", 2**60)],
-        "cannot write net i->o: net delay 1152921504606846976 is not below 2^53",
+        "cannot write net i->o: net delay 1152921504606846976 is not an int in [0, 2^53)",
     ),
 }
 
@@ -467,6 +467,31 @@ def test_a_netlist_the_wire_format_cannot_spell_is_not_written(case):
     for order in (1, -1):  # the message names the same cell whatever the input order
         with pytest.raises(BlockscopeError) as err:
             serialize_netlist(Netlist(cells[::order], nets[::order]))
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("delay", [None, True, "3", 2.5, -1])
+@pytest.mark.parametrize("on_net", [False, True])
+def test_a_delay_the_wire_format_cannot_spell_still_compares_and_is_named(delay, on_net):
+    # the bad delay ties an int one on every other field, so a plain sort would compare the two
+    def lists(delay):
+        if on_net:
+            return [Cell("i", CellKind.IN), Cell("o", CellKind.OUT)], [Net("i", "o", delay), Net("i", "o", 1)]
+        cells = [Cell("i", CellKind.IN, delay), Cell("i", CellKind.IN, 1), Cell("o", CellKind.OUT)]
+        return cells, [Net("i", "o", 1)]
+
+    cells, nets = lists(delay)
+    if on_net:
+        message = f"cannot write net i->o: net delay {delay!r} is not an int in [0, 2^53)"
+    else:
+        message = f"cannot write cell i: logic delay {delay!r} is not an int in [0, 2^53)"
+    for order in (1, -1):
+        nl = Netlist(cells[::order], nets[::order])
+        assert validate(nl) and nl == nl and nl == Netlist(cells, nets)
+        if delay is True:  # a tuple compares True equal to 1, but True is no delay
+            assert nl != Netlist(*lists(1))
+        with pytest.raises(BlockscopeError) as err:
+            serialize_netlist(nl)
         assert str(err.value) == message
 
 

@@ -1,5 +1,10 @@
 """The public record types: fields, repr, equality, hash, immutability,
-ordering, constructor checks and default tables."""
+ordering, constructor checks and default tables, and what importing the CLI
+pulls in."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +157,8 @@ def test_default_tables_are_fresh_copies():
     assert DEFAULT_STATIC_UW["FF"] == 0.2 and DEFAULT_DYNAMIC_PJ["FF"] == 1.0
     assert PowerModel().static_uw["FF"] == 0.2 and PowerModel().dynamic_pj["FF"] == 1.0
 
+
+def test_importing_the_cli_skips_dataclasses_and_inspect():
+    guard = Path(__file__).with_name("import_guard.py")
+    result = subprocess.run([sys.executable, str(guard)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
