@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import sys
 from pathlib import Path
 
@@ -77,6 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _digest(data: bytes) -> str:
+    import hashlib  # here, not at the top: --version and usage errors never need it
+
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 

@@ -18,12 +18,17 @@ follow sorted ids and the candidates at one node all start with distinct
 successors.
 
 A report starts with one shared pass that keeps, per node, the free state
-under system weights, tail (the smallest successor that reaches a sink) and
-through (the heaviest complete path through the node). System delay then
-sweeps only its tight region, where a path of the seeds' largest through can
-run. Block delay skips the seed descendants that reach no seed (they weigh 0
-and follow tail), but still sweeps the seeds' whole ancestor cone: O(V+E) of
-that cone per block.
+under system weights and through (the heaviest complete path through the
+node). System delay then sweeps only its tight region, where a path of the
+seeds' largest through can run. Block delay sweeps no bound states: outside
+the block a node weighs 0 and a net counts only between two seeds, so a
+node's bound state is the heaviest free state among the seeds below it, and
+the winning path starts at the smallest source above a heaviest seed. Free
+states are swept only over the seed descendants that reach a seed that can
+weigh more than 0; every path from any other node weighs 0, so its smallest
+successor that reaches a sink is its best. Per block, the work left is the
+reach over the ancestors of the seeds that can weigh more than 0 and of the
+heaviest seeds.
 """
 
 from __future__ import annotations
@@ -87,30 +92,33 @@ class _Shared:
         self.through = [
             a + free[i][0] if a >= 0 and i in free else -1 for i, a in enumerate(prefix)
         ]
-        self.tail = [
-            -1 if sink[i] else next((j for j in row if j in free), -1) for i, row in enumerate(succ)
-        ]
 
     def solve(self, seeds: set[int], mode: WeightingMode, include_block_nets: bool) -> PathResult:
-        pred, rank, through = self.netlist.pred, self.rank.__getitem__, self.through
+        netlist, rank, through = self.netlist, self.rank.__getitem__, self.through
         if mode is WeightingMode.SYSTEM:
             weight = max((through[c] for c in seeds), default=-1)
             if weight < 0:
                 return ZERO_PATH
             top = [c for c in seeds if through[c] == weight]
-            up = sorted(_reach(top, pred, lambda p: through[p] >= weight), key=rank)
+            up = sorted(_reach(top, netlist.pred, lambda p: through[p] >= weight), key=rank)
             return self._search(seeds, True, True, (), up, self.free)
-        ancestors = _reach(seeds, pred)
-        down = sorted(_reach(seeds, self.netlist.succ, ancestors.__contains__), key=rank)
-        up = sorted(ancestors, key=rank)
-        del ancestors  # free the set before the sweep's dicts grow
-        return self._search(seeds, False, include_block_nets, down, up, {})
+        logic, succ = netlist.logic, netlist.succ
+        weighs = [c for c in seeds if logic[c] or include_block_nets and not seeds.isdisjoint(succ[c])]
+        cone = _reach(weighs, netlist.pred)
+        down = sorted(_reach(cone.intersection(seeds), succ, cone.__contains__), key=rank)
+        return self._search(seeds, False, include_block_nets, down, (), {})
 
     def _search(self, seeds, system, include_block_nets, down, up, free) -> PathResult:
         """The DP: add the free states of down to free and find the bound
         states of up (both topologically sorted), then follow the best path.
-        A free successor with no state in free but a shared one (a seed
-        descendant left out by block weighting) weighs 0 and goes on by tail."""
+        A successor with no state in free but a shared one (it reaches no
+        seed that weighs) weighs 0, plus its net if that counts.
+
+        Block weighting sweeps no bound states (up is empty). There a non-seed
+        weighs 0 and its nets do not count, so its bound state is the heaviest
+        free state among the seeds below it: the path starts at the smallest
+        source above a heaviest seed and steps to the smallest successor that
+        still reaches one."""
         netlist = self.netlist
         logic, sink, succ, succ_first, succ_delay = (
             netlist.logic, netlist.sink, netlist.succ, netlist.succ_first, netlist.succ_delay,
@@ -131,27 +139,34 @@ class _Shared:
                     nets = system or (include_block_nets and seed)
                     for k, j in enumerate(succ[i], succ_first[i]):
                         s = get(j)
-                        if s is not None:
-                            w = s[0] + succ_delay[k] if nets and (system or j in seeds) else s[0]
+                        if s is not None or j in outside:
+                            w = s[0] if s else 0
+                            if nets and (system or j in seeds):
+                                w += succ_delay[k]
                             if w > best_w:
                                 best_w, best_j = w, j
-                        elif best_w < 0 and j in outside:
-                            best_w, best_j = 0, j
                     if best_j >= 0:
                         states[i] = ((logic[i] if system or seed else 0) + best_w, best_j)
 
-        states = bound if seeds else free
-        roots = [(w, -i) for i, (w, _) in states.items() if netlist.source[i]]
-        if not roots:
+        if system:
+            states = bound if seeds else free
+            roots = ((w, -i) for i, (w, _) in states.items() if netlist.source[i])
+            total, root = max(roots, default=(0, 1))  # heaviest, then smallest source id
+            root, onward = -root, free  # every node on this walk has a state
+        else:
+            weight = {c: free[c][0] if c in free else 0 for c in seeds if self.through[c] >= 0}
+            total = max(weight.values(), default=-1)
+            onward = _reach([c for c, w in weight.items() if w == total], netlist.pred)
+            root = min((i for i in onward if netlist.source[i]), default=-1)
+        if root < 0:
             return ZERO_PATH
-        total, root = max(roots)  # heaviest, then smallest source id
-        path, i = [], -root
+        path, i, states = [], root, bound if seeds else free
         while i >= 0:
             path.append(i)
             if i in seeds:
-                states = free
-            s = states.get(i)
-            i = self.tail[i] if s is None else s[1]  # the shared pass never needs tail
+                states, onward = free, self.free
+            s = states.get(i)  # None only for a node that weighs 0 under block weighting
+            i = s[1] if s is not None else next((j for j in succ[i] if j in onward), -1)
         logic_sum = sum(logic[i] for i in path if system or i in seeds)
         network = sum(
             succ_delay[succ_first[i] + succ[i].index(j)]

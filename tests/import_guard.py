@@ -1,7 +1,10 @@
-"""Exit 1, naming them, if importing blockscope.cli loads dataclasses or inspect.
+"""Exit 1, naming them, if importing blockscope.cli loads dataclasses, inspect
+or hashlib.
 
-Both are slow to import (dataclasses pulls in inspect, ast, dis and tokenize),
-and every blockscope command is a fresh process that pays for its imports.
+All three are slow to import (dataclasses pulls in inspect, ast, dis and
+tokenize; hashlib loads OpenSSL), and every blockscope command is a fresh
+process that pays for its imports. Only an analysis needs hashlib, for the
+input digests, so the CLI imports it there.
 The modules loaded are compared against this interpreter's own start, so
 what site hooks import does not count. Run it with the package to check on
 the path:
@@ -12,7 +15,7 @@ the path:
 
 import sys
 
-FORBIDDEN = {"dataclasses", "inspect"}
+FORBIDDEN = {"dataclasses", "inspect", "hashlib"}
 
 before = set(sys.modules)
 import blockscope.cli  # noqa: E402

@@ -313,6 +313,115 @@ def test_tie_heavy_delays_match_reference_pipeline(seed, n, ties):
             assert got == reference_delay_report(nl, reg, include_block_nets=include_nets)
 
 
+def _reports_match_reference(nl, registry=None):
+    """delay_report with and without block nets, each checked against the
+    reference pipeline; returns the two reports, block nets first."""
+    registry = registry or build_registry(nl)
+    reports = []
+    for include_nets in (True, False):
+        got = delay_report(nl, registry, include_block_nets=include_nets)
+        assert got == reference_delay_report(nl, registry, include_block_nets=include_nets)
+        reports.append(got)
+    return reports
+
+
+def test_block_delay_tie_at_the_heaviest_seeds_goes_to_the_smaller_source():
+    # b__x and b__y both weigh 5 but share no ancestor: q1 and q2 tie at the
+    # top, and q1 wins, through m1 rather than the slower-netted m2. b__z
+    # weighs 2 and sits under q0, the smallest source, which must not win.
+    cells = [
+        Cell("q0", CellKind.IN),
+        Cell("q1", CellKind.IN),
+        Cell("q2", CellKind.IN),
+        Cell("m1", CellKind.LUT1, 1),
+        Cell("m2", CellKind.LUT1, 9),
+        Cell("b__x", CellKind.LUT1, 5),
+        Cell("b__y", CellKind.LUT2, 5),
+        Cell("b__z", CellKind.LUT1, 2),
+        Cell("o0", CellKind.OUT),
+        Cell("o1", CellKind.OUT),
+        Cell("o2", CellKind.OUT),
+    ]
+    nets = [
+        Net("q0", "b__z", 8),
+        Net("b__z", "o0", 8),
+        Net("q2", "b__x", 1),
+        Net("b__x", "o1", 1),
+        Net("q1", "m1", 1),
+        Net("q1", "m2", 6),
+        Net("m1", "b__y", 1),
+        Net("m2", "b__y", 6),
+        Net("b__y", "o2", 1),
+    ]
+    for report in _reports_match_reference(Netlist(cells, nets)):
+        block = report.per_block[BlockLabel.parse("b")].block
+        assert block == PathResult(5, 5, 0, ("q1", "m1", "b__y", "o2"))
+
+
+def test_block_delay_ignores_a_heavier_seed_no_source_reaches():
+    # b__h weighs 50 and reaches a sink, but no source reaches it, so no
+    # complete path crosses it and the block's delay comes from b__s
+    cells = [
+        Cell("i", CellKind.IN),
+        Cell("b__h", CellKind.LUT1, 50),
+        Cell("b__s", CellKind.LUT1, 3),
+        Cell("o", CellKind.OUT),
+        Cell("o2", CellKind.OUT),
+    ]
+    nets = [Net("i", "b__s", 2), Net("b__s", "o", 2), Net("b__h", "o2", 2)]
+    for report in _reports_match_reference(Netlist(cells, nets)):
+        assert report.per_block[BlockLabel.parse("b")].block == PathResult(3, 3, 0, ("i", "b__s", "o"))
+
+
+def test_block_delay_of_port_only_blocks():
+    # p holds two zero-logic ports joined by a net, so it weighs only when
+    # block nets count; the unannotated ports weigh nothing, and their block
+    # delay is the smallest complete path that crosses one of them
+    cells = [
+        Cell("i0", CellKind.IN),
+        Cell("i1", CellKind.IN),
+        Cell("k__a", CellKind.LUT1, 4),
+        Cell("k__b", CellKind.LUT2, 3),
+        Cell("k__c", CellKind.LUT1, 1),
+        Cell("o0", CellKind.OUT),
+        Cell("o1", CellKind.OUT),
+        Cell("p__i", CellKind.IN),
+        Cell("p__o", CellKind.OUT),
+    ]
+    nets = [
+        Net("i1", "k__a", 2),
+        Net("k__a", "k__b", 2),
+        Net("k__b", "o0", 2),
+        Net("i0", "k__c", 1),
+        Net("k__c", "o1", 1),
+        Net("p__i", "k__b", 5),
+        Net("k__b", "p__o", 5),
+        Net("p__i", "p__o", 7),
+    ]
+    with_nets, nodes_only = _reports_match_reference(Netlist(cells, nets))
+    ports = BlockLabel.parse("p")
+    assert with_nets.per_block[ports].block == PathResult(7, 0, 7, ("p__i", "p__o"))
+    # i1 is the smallest source above a port of p, and k__b must go on into p__o
+    assert nodes_only.per_block[ports].block == PathResult(0, 0, 0, ("i1", "k__a", "k__b", "p__o"))
+    for report in (with_nets, nodes_only):
+        assert report.unannotated.block == PathResult(0, 0, 0, ("i0", "k__c", "o1"))
+
+
+def test_block_net_into_a_zero_logic_register_input_counts():
+    # r__d weighs nothing itself, but the net into it lies inside the block
+    cells = [
+        Cell("o", CellKind.OUT),
+        Cell("q", CellKind.FF_Q),
+        Cell("r__d", CellKind.FF_D),
+        Cell("r__l", CellKind.LUT1, 2),
+    ]
+    nets = [Net("q", "r__l", 1), Net("r__l", "r__d", 9), Net("r__l", "o", 1)]
+    with_nets, nodes_only = _reports_match_reference(Netlist(cells, nets))
+    block = BlockLabel.parse("r")
+    assert with_nets.per_block[block].block == PathResult(11, 2, 9, ("q", "r__l", "r__d"))
+    assert nodes_only.per_block[block].block == PathResult(2, 2, 0, ("q", "r__l", "o"))
+
+
 def _layered(seed):
     """Seeded pipeline with every cell annotated: each s<stage>.m<module>.op<op>
     block builds layers of LUTs, each reading 1-4 cells of its own previous
