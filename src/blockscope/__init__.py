@@ -12,7 +12,7 @@ from .annotation import (
     group_to_depth,
 )
 from .area import AreaReport, AreaWeights, area_report, resource_counts, weighted_area
-from .delay import DelayReport, PathResult, WeightingMode, delay_report, longest_path
+from .delay import DelayReport, PathResult, delay_report
 from .devices import BUILTIN_DEVICES, DeviceProfile, builtin_device, resolve_device
 from .formats import (
     ParseError,
@@ -73,7 +73,6 @@ __all__ = [
     "ReportMetadata",
     "ValidationError",
     "VersionError",
-    "WeightingMode",
     "area_report",
     "average_power_uw",
     "build_registry",
@@ -83,7 +82,6 @@ __all__ = [
     "delay_report",
     "extract_block_label",
     "group_to_depth",
-    "longest_path",
     "parse_netlist",
     "parse_power_model",
     "parse_profile",

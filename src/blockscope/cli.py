@@ -28,11 +28,11 @@ _RENDERERS = {"text": render_text, "csv": render_csv, "structured": render_struc
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage problems; those are input errors here."""
+    """argparse prints its usage and exits 2 on usage problems; those are
+    input errors here, reported in one line like any other."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"blockscope: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

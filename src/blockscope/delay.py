@@ -1,7 +1,9 @@
 """Back-annotate post-synthesis timing onto blocks.
 
-Each block's annotated cells are seeds; its delay is the longest complete
-source-to-sink path crossing at least one seed, under two weightings:
+``delay_report`` is the one entry point; a single cell set's delays come from
+a one-block ``BlockRegistry``. Each block's annotated cells are seeds; its
+delay is the longest complete source-to-sink path crossing at least one seed,
+under two weightings:
 
 * system delay: every node contributes its logic_delay and every edge its
   net_delay, measuring the full paths the block sits on;
@@ -33,17 +35,11 @@ heaviest seeds.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 from .annotation import BlockLabel, BlockRegistry
 from .area import cell_indices
-from .model import BlockscopeError, Netlist, topological_ranks
-
-
-class WeightingMode(Enum):
-    SYSTEM = "system-delay"
-    BLOCK = "block-delay"
+from .model import Netlist, topological_ranks
 
 
 class PathResult(NamedTuple):
@@ -73,13 +69,14 @@ def _reach(starts, adj: list[tuple[int, ...]], keep=None) -> set[int]:
 
 
 class _Shared:
-    """One report's shared pass, and each block's search that starts from it."""
+    """One report's shared pass, and each block's search that starts from it;
+    include_block_nets holds for every block of the report."""
 
-    def __init__(self, netlist: Netlist) -> None:
-        self.netlist = netlist
+    def __init__(self, netlist: Netlist, include_block_nets: bool) -> None:
+        self.netlist, self.include_block_nets = netlist, include_block_nets
         order, self.rank = topological_ranks(netlist)
         self.free: dict[int, State] = {}
-        self.critical = self._search(set(), True, True, order, (), self.free)
+        self.critical = self._search(set(), True, order, (), self.free)
         free, succ, succ_delay, sink = self.free, netlist.succ, netlist.succ_delay, netlist.sink
         prefix = [0 if s else -1 for s in netlist.source]  # heaviest source-to-i weight before i
         for i in order:
@@ -93,22 +90,26 @@ class _Shared:
             a + free[i][0] if a >= 0 and i in free else -1 for i, a in enumerate(prefix)
         ]
 
-    def solve(self, seeds: set[int], mode: WeightingMode, include_block_nets: bool) -> PathResult:
-        netlist, rank, through = self.netlist, self.rank.__getitem__, self.through
-        if mode is WeightingMode.SYSTEM:
-            weight = max((through[c] for c in seeds), default=-1)
-            if weight < 0:
-                return ZERO_PATH
-            top = [c for c in seeds if through[c] == weight]
-            up = sorted(_reach(top, netlist.pred, lambda p: through[p] >= weight), key=rank)
-            return self._search(seeds, True, True, (), up, self.free)
-        logic, succ = netlist.logic, netlist.succ
-        weighs = [c for c in seeds if logic[c] or include_block_nets and not seeds.isdisjoint(succ[c])]
-        cone = _reach(weighs, netlist.pred)
-        down = sorted(_reach(cone.intersection(seeds), succ, cone.__contains__), key=rank)
-        return self._search(seeds, False, include_block_nets, down, (), {})
+    def system(self, seeds: set[int]) -> PathResult:
+        """The heaviest complete path through a seed, every node and net weighing."""
+        through = self.through
+        weight = max((through[c] for c in seeds), default=-1)
+        if weight < 0:
+            return ZERO_PATH
+        top = [c for c in seeds if through[c] == weight]
+        up = _reach(top, self.netlist.pred, lambda p: through[p] >= weight)
+        return self._search(seeds, True, (), sorted(up, key=self.rank.__getitem__), self.free)
 
-    def _search(self, seeds, system, include_block_nets, down, up, free) -> PathResult:
+    def block(self, seeds: set[int]) -> PathResult:
+        """The complete path through a seed on which the seeds weigh the most."""
+        netlist, nets = self.netlist, self.include_block_nets
+        logic, succ = netlist.logic, netlist.succ
+        weighs = [c for c in seeds if logic[c] or nets and not seeds.isdisjoint(succ[c])]
+        cone = _reach(weighs, netlist.pred)
+        down = _reach(cone.intersection(seeds), succ, cone.__contains__)
+        return self._search(seeds, False, sorted(down, key=self.rank.__getitem__), (), {})
+
+    def _search(self, seeds, system, down, up, free) -> PathResult:
         """The DP: add the free states of down to free and find the bound
         states of up (both topologically sorted), then follow the best path.
         A successor with no state in free but a shared one (it reaches no
@@ -119,7 +120,7 @@ class _Shared:
         free state among the seeds below it: the path starts at the smallest
         source above a heaviest seed and steps to the smallest successor that
         still reaches one."""
-        netlist = self.netlist
+        netlist, include_block_nets = self.netlist, self.include_block_nets
         logic, sink, succ, succ_first, succ_delay = (
             netlist.logic, netlist.sink, netlist.succ, netlist.succ_first, netlist.succ_delay,
         )
@@ -178,27 +179,6 @@ class _Shared:
         return PathResult(total, logic_sum, network, tuple(netlist.ids[i] for i in path))
 
 
-def longest_path(
-    netlist: Netlist,
-    block_cells: frozenset[str] | None,
-    mode: WeightingMode,
-    include_block_nets: bool = True,
-) -> PathResult:
-    """Best source-to-sink path through the block cells under the weighting.
-
-    block_cells None lifts the crossing constraint (and is only meaningful
-    for SYSTEM weighting, used for the global critical path). The winner is
-    the maximum weight, ties broken by lexicographically smallest cell-id
-    sequence; a netlist with no crossing path yields the zero result.
-    """
-    if mode is WeightingMode.BLOCK and block_cells is None:
-        raise BlockscopeError("block-delay weighting needs the block cell set")
-    shared = _Shared(netlist)
-    if block_cells is None:
-        return shared.critical
-    return shared.solve(cell_indices(netlist, block_cells), mode, include_block_nets)
-
-
 class BlockDelay(NamedTuple):
     system: PathResult
     block: PathResult
@@ -219,14 +199,11 @@ def delay_report(
 ) -> DelayReport:
     """Per-block system/block delays, the global critical path, and the blocks
     it crosses."""
-    shared = _Shared(netlist)
+    shared = _Shared(netlist, include_block_nets)
 
     def solve(cells: frozenset[str]) -> BlockDelay:
         seeds = cell_indices(netlist, cells)
-        return BlockDelay(
-            shared.solve(seeds, WeightingMode.SYSTEM, include_block_nets),
-            shared.solve(seeds, WeightingMode.BLOCK, include_block_nets),
-        )
+        return BlockDelay(shared.system(seeds), shared.block(seeds))
 
     per_block = {label: solve(cells) for label, cells in registry.blocks.items()}
     unannotated = solve(registry.unannotated) if registry.unannotated else None

@@ -10,14 +10,22 @@ a cell-count limit; the reference delay pipeline is polynomial and has none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Iterable
 
 from blockscope.annotation import BlockLabel, BlockRegistry
-from blockscope.delay import BlockDelay, DelayReport, PathResult, WeightingMode, ZERO_PATH
+from blockscope.delay import BlockDelay, DelayReport, PathResult, ZERO_PATH
 from blockscope.model import BlockscopeError, CellKind, Net, Netlist, topological_ranks
 from blockscope.power import ActivityProfile
 
 MAX_ORACLE_CELLS = 14
+
+
+class Weighting(Enum):
+    """Which delay an oracle weighs: the full path (system) or the block's share."""
+
+    SYSTEM = "system-delay"
+    BLOCK = "block-delay"
 
 
 def enumerate_paths(netlist: Netlist, max_cells: int = MAX_ORACLE_CELLS) -> list[tuple[str, ...]]:
@@ -57,7 +65,7 @@ def _edge_delay(nets: tuple[Net, ...], src: str, dst: str) -> int:
 def oracle_longest_path(
     netlist: Netlist,
     block_cells: frozenset[str] | None,
-    mode: WeightingMode,
+    mode: Weighting,
     include_block_nets: bool = True,
     max_cells: int = MAX_ORACLE_CELLS,
 ) -> PathResult:
@@ -71,12 +79,12 @@ def oracle_longest_path(
         candidates = [p for p in candidates if any(c in block_cells for c in p)]
 
     def in_scope_node(cid: str) -> bool:
-        if mode is WeightingMode.SYSTEM or block_cells is None:
+        if mode is Weighting.SYSTEM or block_cells is None:
             return True
         return cid in block_cells
 
     def in_scope_edge(u: str, v: str) -> bool:
-        if mode is WeightingMode.SYSTEM or block_cells is None:
+        if mode is Weighting.SYSTEM or block_cells is None:
             return True
         return include_block_nets and u in block_cells and v in block_cells
 
@@ -214,7 +222,7 @@ def _topological(sub: Subgraph) -> list[str]:
 
 
 def _suffix_longest_path(
-    sub: Subgraph, block_cells: frozenset[str] | None, mode: WeightingMode, include_block_nets: bool
+    sub: Subgraph, block_cells: frozenset[str] | None, mode: Weighting, include_block_nets: bool
 ) -> PathResult:
     """Longest crossing path over one subgraph, keeping every node's whole
     best suffix as a tuple and comparing (-weight, path) directly."""
@@ -222,13 +230,13 @@ def _suffix_longest_path(
     seeds = sub.nodes if block_cells is None else block_cells
 
     def node_weight(cid: str) -> int:
-        if mode is WeightingMode.SYSTEM or cid in seeds:
+        if mode is Weighting.SYSTEM or cid in seeds:
             return netlist.cell(cid).logic_delay
         return 0
 
     adj: dict[str, dict[str, int]] = {}
     for n in sub.edges:
-        in_scope = mode is WeightingMode.SYSTEM or (
+        in_scope = mode is Weighting.SYSTEM or (
             include_block_nets and n.src in seeds and n.dst in seeds
         )
         row = adj.setdefault(n.src, {})
@@ -263,13 +271,13 @@ def _suffix_longest_path(
 def _reference_block(
     netlist: Netlist, cells: frozenset[str], include_block_nets: bool
 ) -> BlockDelay:
-    results = {mode: ZERO_PATH for mode in WeightingMode}
+    results = {mode: ZERO_PATH for mode in Weighting}
     sets = connected_sets(expand_paths(netlist, cells))
-    for mode in WeightingMode:
+    for mode in Weighting:
         found = [_suffix_longest_path(s, cells, mode, include_block_nets) for s in sets]
         if found:
             results[mode] = min(found, key=lambda r: (-r.total_delay, r.path))
-    return BlockDelay(results[WeightingMode.SYSTEM], results[WeightingMode.BLOCK])
+    return BlockDelay(results[Weighting.SYSTEM], results[Weighting.BLOCK])
 
 
 def reference_delay_report(
@@ -288,7 +296,7 @@ def reference_delay_report(
         else None
     )
     full = expand_paths(netlist, (c.id for c in netlist.cells))
-    global_critical = _suffix_longest_path(full, None, WeightingMode.SYSTEM, True)
+    global_critical = _suffix_longest_path(full, None, Weighting.SYSTEM, True)
     critical_blocks = frozenset(
         label
         for label, cells in registry.blocks.items()

@@ -12,7 +12,7 @@ import sys
 import time
 
 from blockscope.annotation import BlockLabel, build_registry
-from blockscope.delay import WeightingMode, delay_report
+from blockscope.delay import delay_report
 from blockscope.fixtures import gcd_profile, gen_fig6, gen_gcd, gen_random, gen_random_profile
 from blockscope.formats import (
     parse_netlist,
@@ -25,6 +25,7 @@ from blockscope.power import _ActivityIndex, average_power_uw, power_score
 from blockscope.report import build_report, canonical_json, render_structured
 
 from oracles import (
+    Weighting,
     connected_sets,
     expand_paths,
     oracle_longest_path,
@@ -64,12 +65,12 @@ def test_longest_path_agrees_with_enumeration_on_1000_netlists():
         report = delay_report(nl, registry, include_block_nets=include_nets)
         for label, cells in registry.blocks.items():
             got = report.per_block[label]
-            assert got.system == oracle_longest_path(nl, cells, WeightingMode.SYSTEM), (
+            assert got.system == oracle_longest_path(nl, cells, Weighting.SYSTEM), (
                 seed,
                 str(label),
             )
             assert got.block == oracle_longest_path(
-                nl, cells, WeightingMode.BLOCK, include_block_nets=include_nets
+                nl, cells, Weighting.BLOCK, include_block_nets=include_nets
             ), (seed, str(label))
             checked += 1
     elapsed = time.monotonic() - started
@@ -156,7 +157,7 @@ def test_device_scaling_matches_frozen_goldens():
         assert lean.block.total_delay == nodes_only_ps, device
         # goldens were frozen from this oracle; keep the cross-check alive
         assert got.block == oracle_longest_path(
-            nl, registry.blocks[sub], WeightingMode.BLOCK, max_cells=16
+            nl, registry.blocks[sub], Weighting.BLOCK, max_cells=16
         )
         seen.append(block_ps)
     assert seen == sorted(seen, reverse=True) and len(set(seen)) == 3

@@ -154,6 +154,27 @@ def test_usage_errors_exit_1():
     assert result.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        ([], "COMMAND"),
+        (["analyze"], "--netlist"),
+        (["analyze", "--netlist", "x", "--group-depth", "x"], "--group-depth"),
+        (["analyze", "--netlist", "x", "--format", "yaml"], "--format"),
+        (["fixtures", "gcd"], "OUTDIR"),
+        (["nope"], "'nope'"),
+    ],
+    ids=["no-command", "no-netlist", "bad-group-depth", "bad-format", "no-outdir", "bad-command"],
+)
+def test_usage_errors_print_one_line(capsys, argv, names):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("blockscope: error: ") and names in err
+
+
 def test_empty_device_name_is_an_unknown_device(gcd_files, capsys):
     bnl, _ = gcd_files
     for command in (["analyze", "--netlist", str(bnl)], ["fixtures", "gcd", str(bnl.parent / "unused")]):
@@ -208,12 +229,17 @@ def test_readme_quick_start_report(tmp_path, capsysbinary, monkeypatch):
 
 def test_readme_library_use(tmp_path, capsys, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    example = re.search(r"```python\n(.*?)```", readme.split("## Library use\n", 1)[1], re.S)[1]
+    section = readme.split("## Library use\n", 1)[1].split("\n## ", 1)[0]
+    example, one_block = re.findall(r"```python\n(.*?)```", section, re.S)
     monkeypatch.chdir(tmp_path)
     assert main(["fixtures", "gcd", "."]) == 0
     capsys.readouterr()
-    exec(compile(example, "README.md", "exec"), {})
+    scope = {}
+    exec(compile(example, "README.md", "exec"), scope)
     assert capsys.readouterr().out.splitlines() == ["126", "12.0", "['subtract', 'swap', 'x', 'y']"]
+    # the second example runs on the first one's names
+    exec(compile(one_block, "README.md", "exec"), scope)
+    assert capsys.readouterr().out.splitlines() == ["126 52"]
 
 
 def test_byte_determinism_across_runs_and_threads(gcd_files):

@@ -1,7 +1,8 @@
-"""Path expansion, connected sets, and longest-path scoring in both modes."""
+"""Path expansion, connected sets, and longest-path scoring in both weightings."""
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,18 +10,14 @@ from hypothesis import strategies as st
 
 from blockscope.annotation import BlockLabel, BlockRegistry, build_registry, group_to_depth
 from blockscope.area import BlockArea, area_report
-from blockscope.delay import (
-    BlockDelay,
-    PathResult,
-    WeightingMode,
-    ZERO_PATH,
-    delay_report,
-    longest_path,
-)
+from blockscope.delay import BlockDelay, PathResult, ZERO_PATH, delay_report
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
-from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist, validate
+from blockscope.model import Cell, CellKind, Net, Netlist, validate
+from blockscope.power import ActivityProfile
+from blockscope.report import build_report
 
 from oracles import (
+    Weighting,
     connected_sets,
     expand_paths,
     oracle_expand,
@@ -34,6 +31,12 @@ CORE = BlockLabel.parse("core")
 def fig6_core():
     nl = gen_fig6()
     return nl, build_registry(nl).blocks[CORE]
+
+
+def one_block(nl, cells, include_nets=True):
+    """The system and block delays of one cell set, through a one-block registry."""
+    registry = BlockRegistry({CORE: frozenset(cells)}, frozenset())
+    return delay_report(nl, registry, include_block_nets=include_nets).per_block[CORE]
 
 
 def test_expansion_covers_both_components():
@@ -74,7 +77,7 @@ def test_expansion_of_disconnected_seed_is_empty():
     )
     sub = expand_paths(nl, {"b__lone"})
     assert sub.nodes == frozenset() and sub.edges == ()
-    assert longest_path(nl, frozenset({"b__lone"}), WeightingMode.SYSTEM) == ZERO_PATH
+    assert one_block(nl, {"b__lone"}).system == ZERO_PATH
 
 
 def test_composite_walks_that_dodge_every_seed_cannot_win():
@@ -106,10 +109,10 @@ def test_composite_walks_that_dodge_every_seed_cannot_win():
     seeds = frozenset({"blk__s1", "blk__s2"})
     sub = expand_paths(nl, seeds)
     assert {"q2", "x2", "y", "d1"} <= sub.nodes  # the trap is present
-    got = longest_path(nl, seeds, WeightingMode.SYSTEM)
+    got = one_block(nl, seeds).system
     assert got.total_delay == 111
     assert got.path == ("q1", "blk__s1", "m", "y", "d1")
-    assert got == oracle_longest_path(nl, seeds, WeightingMode.SYSTEM)
+    assert got == oracle_longest_path(nl, seeds, Weighting.SYSTEM)
 
 
 def test_ties_break_to_smallest_path():
@@ -122,9 +125,9 @@ def test_ties_break_to_smallest_path():
     nets = [Net("i", "a", 1), Net("i", "b", 1), Net("a", "o", 1), Net("b", "o", 1)]
     nl = Netlist(cells, nets)
     seeds = frozenset({"a", "b"})
-    got = longest_path(nl, seeds, WeightingMode.SYSTEM)
+    got = one_block(nl, seeds).system
     assert got.path == ("i", "a", "o")
-    assert got == oracle_longest_path(nl, seeds, WeightingMode.SYSTEM)
+    assert got == oracle_longest_path(nl, seeds, Weighting.SYSTEM)
 
 
 def test_parallel_nets_score_their_maximum():
@@ -132,11 +135,10 @@ def test_parallel_nets_score_their_maximum():
     nets = [Net("i", "b__l", 3), Net("i", "b__l", 9), Net("b__l", "o", 1)]
     nl = Netlist(cells, nets)
     seeds = frozenset({"b__l"})
-    got = longest_path(nl, seeds, WeightingMode.SYSTEM)
+    got, blk = one_block(nl, seeds)
     assert got.total_delay == 9 + 2 + 1
     assert got.network_delay == 10
     # block weighting: i is outside, so the parallel pair contributes nothing
-    blk = longest_path(nl, seeds, WeightingMode.BLOCK)
     assert blk.total_delay == 2 and blk.network_delay == 0
 
 
@@ -150,17 +152,11 @@ def test_intra_block_nets_flag():
     nets = [Net("i", "b__u", 1), Net("b__u", "b__v", 7), Net("b__v", "o", 1)]
     nl = Netlist(cells, nets)
     seeds = frozenset({"b__u", "b__v"})
-    with_nets = longest_path(nl, seeds, WeightingMode.BLOCK)
+    with_nets = one_block(nl, seeds).block
     assert (with_nets.total_delay, with_nets.network_delay) == (12, 7)
-    nodes_only = longest_path(nl, seeds, WeightingMode.BLOCK, include_block_nets=False)
+    nodes_only = one_block(nl, seeds, include_nets=False).block
     assert (nodes_only.total_delay, nodes_only.network_delay) == (5, 0)
-    assert nodes_only == oracle_longest_path(nl, seeds, WeightingMode.BLOCK, include_block_nets=False)
-
-
-def test_block_mode_requires_cells():
-    nl, core = fig6_core()
-    with pytest.raises(BlockscopeError):
-        longest_path(nl, None, WeightingMode.BLOCK)
+    assert nodes_only == oracle_longest_path(nl, seeds, Weighting.BLOCK, include_block_nets=False)
 
 
 def test_gcd_critical_path_and_dominance():
@@ -202,13 +198,12 @@ def test_longest_path_matches_oracle(seed, n, include_nets):
     nl = gen_random(seed, n)
     registry = build_registry(nl)
     report = delay_report(nl, registry, include_block_nets=include_nets)
-    critical = longest_path(nl, None, WeightingMode.SYSTEM)
-    assert critical == oracle_longest_path(nl, None, WeightingMode.SYSTEM) == report.global_critical
+    assert report.global_critical == oracle_longest_path(nl, None, Weighting.SYSTEM)
     for label, cells in registry.blocks.items():
         bd = report.per_block[label]
-        assert bd.system == oracle_longest_path(nl, cells, WeightingMode.SYSTEM)
+        assert bd.system == oracle_longest_path(nl, cells, Weighting.SYSTEM)
         assert bd.block == oracle_longest_path(
-            nl, cells, WeightingMode.BLOCK, include_block_nets=include_nets
+            nl, cells, Weighting.BLOCK, include_block_nets=include_nets
         )
         assert bd.block.total_delay <= bd.system.total_delay
 
@@ -422,12 +417,11 @@ def test_block_net_into_a_zero_logic_register_input_counts():
     assert nodes_only.per_block[block].block == PathResult(2, 2, 0, ("q", "r__l", "o"))
 
 
-def _layered(seed):
+def _layered(seed, stages=3, modules=4, ops=4, layers=10, width=12):
     """Seeded pipeline with every cell annotated: each s<stage>.m<module>.op<op>
     block builds layers of LUTs, each reading 1-4 cells of its own previous
     layer and now and then one of another block's; registers feed the next
     stage and ports open the first and close the last."""
-    stages, modules, ops, layers, width = 3, 4, 4, 10, 12
     rng = random.Random(seed)
     cells, nets, pairs = [], [], []
 
@@ -469,6 +463,67 @@ def _layered(seed):
         other = labels[(s + 1) * per_stage + rng.randrange(per_stage)]
         frontier[other] = frontier.get(other, []) + qs[:1]
     return Netlist(cells, nets, pairs)
+
+
+def _chains(seed, count=4, length=1_700):
+    """count LUT chains of length cells from IN to OUT ports, the first half of
+    each in block chain.head and the second in chain.tail; now and then a LUT
+    also reads a recent cell of another chain, so every path runs deep."""
+    rng = random.Random(seed)
+    cells = [Cell(f"in{c}", CellKind.IN) for c in range(count)]
+    cols = [[f"in{c}"] for c in range(count)]
+    nets = []
+    for i in range(1, length + 1):
+        label = "chain.head" if i <= length // 2 else "chain.tail"
+        for c in range(count):
+            inputs = [cols[c][-1]]
+            if rng.random() < 0.02:
+                other = cols[(c + rng.randrange(1, count)) % count]
+                inputs.append(other[max(0, i - 1 - rng.randrange(4))])
+            cid = f"{label}__c{c}_{i}"
+            cells.append(Cell(cid, CellKind[f"LUT{len(inputs)}"], rng.randint(10, 60)))
+            nets += [Net(src, cid, rng.randint(1, 30)) for src in inputs]
+            cols[c].append(cid)
+    for c in range(count):
+        cells.append(Cell(f"out{c}", CellKind.OUT))
+        nets.append(Net(cols[c][-1], f"out{c}", rng.randint(1, 30)))
+    return Netlist(cells, nets)
+
+
+@pytest.mark.parametrize("netlist", [lambda: _layered(11), lambda: _chains(3)], ids=["layered", "chains"])
+def test_delay_report_matches_reference_pipeline_at_scale(netlist):
+    # past the 2,000 cells of the other reference tests: 6,240 cells in 48
+    # blocks, and 6,808 cells on paths 1,700 deep in 2 blocks and the ports
+    nl = netlist()
+    assert validate(nl) == () and len(nl.cells) in (6_240, 6_808)
+    _reports_match_reference(nl)
+
+
+def test_build_report_peak_memory_at_scale():
+    # 21,184 cells in 128 blocks, every block with a rule firing on ~10% of
+    # 2,000 cycles. Python 3.11 peaked at 5.6 MB above the netlist and profile,
+    # so 7 MB leaves 25% headroom; keeping each block's free states alive
+    # (O(V) per block) peaked at 8.1 MB.
+    nl = _layered(5, stages=4, modules=8, ops=4, layers=13)
+    labels = sorted(build_registry(nl).blocks)
+    assert len(nl.cells) >= 20_000 and len(labels) >= 100
+    rng = random.Random(5)
+    rules = [f"r{b}" for b in range(len(labels))]
+    profile = ActivityProfile(
+        2_000,
+        dict(zip(rules, labels)),
+        {r: tuple(t for t in range(2_000) if rng.random() < 0.1) for r in rules},
+        frozenset((r, f"st{b}") for b, r in enumerate(rules)),
+        frozenset((label, f"st{b - 1}") for b, label in enumerate(labels) if b),
+    )
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        build_report(nl, metrics=("area", "delay", "power"), profile=profile)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 7_000_000
 
 
 def test_metamorphic_properties_at_scale():
