@@ -90,15 +90,8 @@ class BlockRegistry(NamedTuple):
     unannotated: frozenset[str]
 
     @property
-    def all_cells(self) -> frozenset[str]:
-        out = set(self.unannotated)
-        for cells in self.blocks.values():
-            out |= cells
-        return frozenset(out)
-
-    @property
     def unannotated_fraction(self) -> float:
-        total = len(self.all_cells)
+        total = len(self.unannotated.union(*self.blocks.values()))
         return len(self.unannotated) / total if total else 0.0
 
 

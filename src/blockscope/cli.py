@@ -14,6 +14,7 @@ from .annotation import check_group_depth
 from .devices import BUILTIN_DEVICES, resolve_device
 from .fixtures import gen_fig6, gen_gcd, gen_random
 from .formats import (
+    ParseError,
     parse_netlist,
     parse_power_model,
     parse_profile,
@@ -32,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
     input errors here, reported in one line like any other."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.exit(1, f"blockscope: error: {message}\n")
+        raise BlockscopeError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,6 +82,14 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _in_file(path: str, parse, *args):
+    """parse(*args); an error it finds inside the file at path names the file."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        raise BlockscopeError(f"{path}: {exc}") from exc
+
+
 def _metric_list(args: argparse.Namespace) -> tuple[str, ...]:
     if args.metrics is None:
         return ("area", "delay", "power") if args.profile else ("area", "delay")
@@ -96,8 +105,8 @@ def _analyze(args: argparse.Namespace) -> int:
         check_group_depth(args.group_depth)  # before any input is read, as for metrics
 
     netlist_bytes = read_file(args.netlist)
-    netlist = parse_netlist(netlist_bytes)
-    device = resolve_device(args.device)
+    netlist = _in_file(args.netlist, parse_netlist, netlist_bytes)
+    device = _in_file(args.device, resolve_device, args.device)
     if args.override_delays:
         netlist = device.apply_delays(netlist)
 
@@ -105,12 +114,12 @@ def _analyze(args: argparse.Namespace) -> int:
     profile_digest = None
     if args.profile:
         profile_bytes = read_file(args.profile)
-        profile = parse_profile(profile_bytes)
+        profile = _in_file(args.profile, parse_profile, profile_bytes)
         profile_digest = _digest(profile_bytes)
 
     model = device.power
     if args.power_model:
-        model = parse_power_model(read_file(args.power_model), base=model)
+        model = _in_file(args.power_model, parse_power_model, read_file(args.power_model), model)
 
     report = build_report(
         netlist,
@@ -135,7 +144,7 @@ def _analyze(args: argparse.Namespace) -> int:
 def _fixture_files(args: argparse.Namespace) -> list[tuple[str, bytes]]:
     """The (file name, bytes) a fixture name stands for; rejects an unknown name."""
     if args.name == "gcd":
-        netlist, profile = gen_gcd(args.bit_width, resolve_device(args.device))
+        netlist, profile = gen_gcd(args.bit_width, _in_file(args.device, resolve_device, args.device))
         return [("gcd.bnl", serialize_netlist(netlist)), ("gcd.bpf", serialize_profile(profile))]
     if args.name == "fig6":
         return [("fig6.bnl", serialize_netlist(gen_fig6()))]
@@ -178,11 +187,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "analyze":
             return _analyze(args)
         return _fixtures(args)
+    except SystemExit as exc:  # argparse exits 0 once --help or --version has printed
+        return exc.code
     except BlockscopeError as exc:
         print(f"blockscope: error: {exc}", file=sys.stderr)
         return 1

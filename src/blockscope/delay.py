@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .annotation import BlockLabel, BlockRegistry
 from .area import cell_indices
-from .model import Netlist, topological_ranks
+from .model import Netlist, ValidationError
 
 
 class PathResult(NamedTuple):
@@ -74,7 +74,9 @@ class _Shared:
 
     def __init__(self, netlist: Netlist, include_block_nets: bool) -> None:
         self.netlist, self.include_block_nets = netlist, include_block_nets
-        order, self.rank = topological_ranks(netlist)
+        if netlist.order is None:
+            raise ValidationError((netlist.cycle,))
+        order, self.rank = netlist.order, netlist.rank
         self.free: dict[int, State] = {}
         self.critical = self._search(set(), True, order, (), self.free)
         free, succ, succ_delay, sink = self.free, netlist.succ, netlist.succ_delay, netlist.sink

@@ -27,8 +27,6 @@ from .formats import parse_coefficients, read_file
 from .model import BlockscopeError, CellKind, Netlist
 from .power import PowerModel
 
-DEVICE_HEADER = "blockscope-device v1"
-
 _LUT6_PS = {"spartan6": 200, "virtex5": 80, "virtex7": 40}
 
 
@@ -59,16 +57,6 @@ def builtin_device(name: str) -> DeviceProfile:
     return DeviceProfile(name, _scaled_delays(_LUT6_PS[name]), AreaWeights(), PowerModel())
 
 
-def load_device_file(path: Path) -> DeviceProfile:
-    base = builtin_device("virtex7")
-    delays = dict(base.logic_delays)
-    weights = dict(base.weights.weights)
-    power = parse_coefficients(
-        read_file(path), base.power, header=DEVICE_HEADER, delays=delays, weights=weights
-    )
-    return DeviceProfile(path.stem, delays, AreaWeights(weights), power)
-
-
 def resolve_device(name_or_path: str) -> DeviceProfile:
     """Built-in name, or a path to a custom device profile file."""
     if name_or_path in _LUT6_PS:
@@ -78,4 +66,7 @@ def resolve_device(name_or_path: str) -> DeviceProfile:
         raise BlockscopeError(
             f"unknown device profile {name_or_path!r}; built-ins: {', '.join(BUILTIN_DEVICES)}"
         )
-    return load_device_file(path)
+    base = builtin_device("virtex7")
+    delays, weights = dict(base.logic_delays), dict(base.weights.weights)
+    power = parse_coefficients(read_file(path), base.power, (delays, weights))
+    return DeviceProfile(path.stem, delays, AreaWeights(weights), power)

@@ -1,5 +1,5 @@
 """Deterministic desk-scale fixtures: a GCD core, a two-component expansion
-example, and seeded random netlists/profiles for property and oracle tests.
+example, and seeded random netlists for property and oracle tests.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import random
 
 from .annotation import BlockLabel, extract_block_label
 from .devices import DeviceProfile, builtin_device
-from .model import BlockscopeError, Cell, CellKind, Net, Netlist
+from .model import SINK_KINDS, SOURCE_KINDS, BlockscopeError, Cell, CellKind, Net, Netlist
 from .power import ActivityProfile
 
 GCD_NET_PS = 5  # routing delay on every gcd net, device independent
@@ -24,7 +24,8 @@ def gen_gcd(bit_width: int = 2, device: DeviceProfile | str = "virtex7") -> tupl
     Both rule guards compare all register bits; the subtractor is a borrow
     chain gated by its guard; write-port muxes belong to the writing rules, so
     x and y stay pure register blocks. LUT logic delays come from the device
-    profile, every net costs GCD_NET_PS.
+    profile, every net costs GCD_NET_PS. The activity profile spans ten cycles
+    with at most one rule firing in each (the two guards are mutually exclusive).
     """
     if not 1 <= bit_width <= 8:
         raise BlockscopeError("gcd bit width must be between 1 and 8")
@@ -94,24 +95,16 @@ def gen_gcd(bit_width: int = 2, device: DeviceProfile | str = "virtex7") -> tupl
             wire(src, wy)
         wire(wy, yd[i])
 
-    profile = gcd_profile()
-    return Netlist(cells, nets, pairs), profile
-
-
-def gcd_profile() -> ActivityProfile:
-    """Ten observed cycles; at most one rule fires per cycle (the two guards
-    are mutually exclusive)."""
     swap = BlockLabel.parse("swap")
     subtract = BlockLabel.parse("subtract")
-    return ActivityProfile(
+    profile = ActivityProfile(
         cycles=10,
         rule_block={"swap": swap, "subtract": subtract},
         firings={"swap": (1, 3), "subtract": (2, 4, 5)},
         writes=frozenset({("swap", "x"), ("swap", "y"), ("subtract", "y")}),
-        reads=frozenset(
-            {(swap, "x"), (swap, "y"), (subtract, "x"), (subtract, "y")}
-        ),
+        reads=frozenset({(swap, "x"), (swap, "y"), (subtract, "x"), (subtract, "y")}),
     )
+    return Netlist(cells, nets, pairs), profile
 
 
 def gen_fig6() -> Netlist:
@@ -197,12 +190,12 @@ def gen_random(seed: int, n_cells: int) -> Netlist:
         else:
             kind = _lut(rng.randint(1, 6))
         cid = f"{rng.choice(labels)}__c{i}" if i in annotated else f"n{i}"
-        cells.append(Cell(cid, kind, 0 if kind.is_source else delay()))
+        cells.append(Cell(cid, kind, 0 if kind in SOURCE_KINDS else delay()))
 
     nets: list[Net] = []
-    cands = [j for j in range(n_src) if not cells[j].kind.is_sink]  # non-sink cells below i
+    cands = [j for j in range(n_src) if cells[j].kind not in SINK_KINDS]  # non-sink cells below i
     for i in range(n_src, n_cells):
-        if i > n_src and not cells[i - 1].kind.is_sink:
+        if i > n_src and cells[i - 1].kind not in SINK_KINDS:
             cands.append(i - 1)
         if not cands:
             continue
@@ -221,42 +214,3 @@ def gen_random(seed: int, n_cells: int) -> Netlist:
         ds, qs = by_partition[key]
         pairs += list(zip(sorted(ds), sorted(qs)))
     return Netlist(cells, nets, pairs)
-
-
-def gen_random_profile(seed: int) -> ActivityProfile:
-    """Seeded random activity profile, always satisfying format constraints
-    (strictly increasing firings, reads only of declared blocks and written
-    states)."""
-    rng = random.Random(seed)
-    cycles = rng.randint(1, 40)
-    blocks: list[BlockLabel] = []
-    while len(blocks) < rng.randint(1, 4):
-        depth = rng.randint(1, 2)
-        text = ".".join(
-            [rng.choice(_LABEL_ROOTS)] + [rng.choice(_LABEL_TAILS) for _ in range(depth - 1)]
-        )
-        label = BlockLabel.parse(text)
-        if label not in blocks:
-            blocks.append(label)
-    n_rules = rng.randint(1, 5)
-    rule_block = {f"r{i}": rng.choice(blocks) for i in range(n_rules)}
-    firings = {
-        rid: tuple(sorted(rng.sample(range(cycles), rng.randint(0, cycles))))
-        for rid in sorted(rule_block)
-    }
-    states = [f"s{j}" for j in range(rng.randint(1, 4))]
-    writes = {
-        (rid, sid)
-        for rid in sorted(rule_block)
-        for sid in states
-        if rng.random() < 0.4
-    }
-    written = sorted({sid for _, sid in writes})
-    used_blocks = sorted(set(rule_block.values()))
-    reads = {
-        (block, sid)
-        for block in used_blocks
-        for sid in written
-        if rng.random() < 0.4
-    }
-    return ActivityProfile(cycles, rule_block, firings, frozenset(writes), frozenset(reads))

@@ -39,11 +39,12 @@ from typing import Iterator
 
 from .annotation import AnnotationError, BlockLabel
 from .area import RESOURCE_KINDS
-from .model import BlockscopeError, CellKind, Netlist, Violation, delay_row_key, validate
+from .model import SOURCE_KINDS, BlockscopeError, CellKind, Netlist, Violation, delay_row_key, validate
 from .power import ActivityProfile, PowerModel
 
 NETLIST_HEADER = "blockscope-netlist v1"
 PROFILE_HEADER = "blockscope-profile v1"
+DEVICE_HEADER = "blockscope-device v1"
 _MAX_INT = 2**53  # integer fields stay below it, so every consumer of a double reads them exactly
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
@@ -405,23 +406,23 @@ def serialize_profile(profile: ActivityProfile) -> bytes:
 def parse_coefficients(
     data: bytes | str,
     base: PowerModel,
-    *,
-    header: str | None = None,
-    delays: dict[CellKind, int] | None = None,
-    weights: dict[str, float] | None = None,
+    device: tuple[dict[CellKind, int], dict[str, float]] | None = None,
 ) -> PowerModel:
     """Overlay static/dynamic/frequency directives on a base model.
 
-    The one loop behind power-model and device files: ``delay`` and ``weight``
-    lines are accepted only when their table is given, and update it in place.
+    The one loop behind power-model and device files. A device file's
+    (logic delays, area weights) tables are given as device: the input must
+    then start with DEVICE_HEADER, and its ``delay`` and ``weight`` lines
+    update those tables in place.
     """
-    lines = _scan(data) if header is None else _take_header(_scan(data), header)
     static = dict(base.static_uw)
     dynamic = dict(base.dynamic_pj)
     frequency = base.frequency_hz
     tables = {"static": static, "dynamic": dynamic}
-    if weights is not None:
-        tables["weight"] = weights
+    lines, delays = _scan(data), None
+    if device is not None:
+        lines = _take_header(lines, DEVICE_HEADER)
+        delays, tables["weight"] = device
     seen: set[tuple[str, str]] = set()
     saw_frequency = False
     for line in lines:
@@ -442,7 +443,7 @@ def parse_coefficients(
             except KeyError:
                 raise _error(line, 1, f"unknown cell kind {kind_text}") from None
             value = _nat_field(line, 2, "logic delay")
-            if kind.is_source and value != 0:
+            if kind in SOURCE_KINDS and value != 0:
                 raise _error(line, 1, f"{kind.value} is a path source and must keep delay 0")
             table, key = delays, kind
         elif keyword == "frequency":

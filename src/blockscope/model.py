@@ -45,14 +45,6 @@ class CellKind(Enum):
     # consistent and skips Enum's Python-level __hash__ on every set lookup
     __hash__ = object.__hash__
 
-    @property
-    def is_source(self) -> bool:
-        return self in SOURCE_KINDS
-
-    @property
-    def is_sink(self) -> bool:
-        return self in SINK_KINDS
-
 
 SOURCE_KINDS = frozenset({CellKind.CLK, CellKind.IN, CellKind.FF_Q})
 SINK_KINDS = frozenset({CellKind.FF_D, CellKind.MEM_IN, CellKind.OUT})
@@ -399,14 +391,3 @@ def _find_cycle(pred: list[tuple[int, ...]], ids: list[str], indeg: list[int]) -
         "combinational cycle through " + ", ".join(names),
         cells=tuple(names),
     )
-
-
-def topological_ranks(netlist: Netlist) -> tuple[array, array]:
-    """The topological order as cell indices, and each index's rank in it.
-
-    Ties break by ascending cell id. Raises ValidationError carrying the
-    combinational-cycle violation that the netlist found when it was built.
-    """
-    if netlist.order is None:
-        raise ValidationError((netlist.cycle,))
-    return netlist.order, netlist.rank

@@ -15,7 +15,9 @@ from typing import Iterable
 
 from blockscope.annotation import BlockLabel, BlockRegistry
 from blockscope.delay import BlockDelay, DelayReport, PathResult, ZERO_PATH
-from blockscope.model import BlockscopeError, CellKind, Net, Netlist, topological_ranks
+from blockscope.model import (
+    SINK_KINDS, SOURCE_KINDS, BlockscopeError, CellKind, Net, Netlist, ValidationError,
+)
 from blockscope.power import ActivityProfile
 
 MAX_ORACLE_CELLS = 14
@@ -44,7 +46,7 @@ def enumerate_paths(netlist: Netlist, max_cells: int = MAX_ORACLE_CELLS) -> list
     paths: list[tuple[str, ...]] = []
 
     def dfs(node: str, acc: list[str]) -> None:
-        if netlist.cell(node).kind.is_sink:
+        if netlist.cell(node).kind in SINK_KINDS:
             paths.append(tuple(acc))
             return
         for nxt in succ.get(node, ()):
@@ -53,7 +55,7 @@ def enumerate_paths(netlist: Netlist, max_cells: int = MAX_ORACLE_CELLS) -> list
             acc.pop()
 
     for cell in netlist.cells:
-        if cell.kind.is_source:
+        if cell.kind in SOURCE_KINDS:
             dfs(cell.id, [cell.id])
     return paths
 
@@ -161,8 +163,8 @@ def expand_paths(netlist: Netlist, seeds: Iterable[str]) -> Subgraph:
     for src, dst in zip(netlist.net_src, netlist.net_dst):
         succs.setdefault(src, []).append(dst)
         preds.setdefault(dst, []).append(src)
-    src_ok = _reach((cid for cid, kind in kinds if kind.is_source), succs)
-    sink_ok = _reach((cid for cid, kind in kinds if kind.is_sink), preds)
+    src_ok = _reach((cid for cid, kind in kinds if kind in SOURCE_KINDS), succs)
+    sink_ok = _reach((cid for cid, kind in kinds if kind in SINK_KINDS), preds)
     seed_src = _reach(src_ok & seed_set, succs)  # reached from a source through a seed
     seed_sink = _reach(sink_ok & seed_set, preds)  # reaches a sink through a seed
 
@@ -250,7 +252,7 @@ def _suffix_longest_path(
         entry: list[tuple[int, tuple[str, ...]] | None] = [None, None]
         for need in (0, 1):
             need_after = 0 if cid in seeds else need
-            if netlist.cell(cid).kind.is_sink:
+            if netlist.cell(cid).kind in SINK_KINDS:
                 entry[need] = (w, (cid,)) if need_after == 0 else None
                 continue
             cands = [
@@ -260,7 +262,7 @@ def _suffix_longest_path(
             ]
             entry[need] = min(cands, key=lambda c: (-c[0], c[1]), default=None)
         suffix[cid] = entry
-    roots = [suffix[c][1] for c in order if netlist.cell(c).kind.is_source and suffix[c][1]]
+    roots = [suffix[c][1] for c in order if netlist.cell(c).kind in SOURCE_KINDS and suffix[c][1]]
     if not roots:
         return ZERO_PATH
     total, path = min(roots, key=lambda c: (-c[0], c[1]))
@@ -362,4 +364,6 @@ def oracle_resource_counts(netlist: Netlist) -> dict[str, int]:
 
 def topological_order(netlist: Netlist) -> list[str]:
     """The netlist's topological order as cell ids; ValidationError on a cycle."""
-    return [netlist.ids[i] for i in topological_ranks(netlist)[0]]
+    if netlist.order is None:
+        raise ValidationError((netlist.cycle,))
+    return [netlist.ids[i] for i in netlist.order]

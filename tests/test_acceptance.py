@@ -13,7 +13,7 @@ import time
 
 from blockscope.annotation import BlockLabel, build_registry
 from blockscope.delay import delay_report
-from blockscope.fixtures import gcd_profile, gen_fig6, gen_gcd, gen_random, gen_random_profile
+from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.formats import (
     parse_netlist,
     parse_profile,
@@ -32,6 +32,7 @@ from oracles import (
     oracle_replay,
     oracle_resource_counts,
 )
+from profiles import gen_random_profile
 
 N_RANDOM = 1_000
 
@@ -165,7 +166,7 @@ def test_device_scaling_matches_frozen_goldens():
           "three device profiles, matching the frozen oracle values")
 
 
-def test_cli_output_is_byte_identical_across_runs_and_thread_caps(tmp_path):
+def test_cli_output_is_byte_identical_across_runs(tmp_path):
     def run(*args):
         result = subprocess.run(
             [sys.executable, "-m", "blockscope.cli", *args],
@@ -201,7 +202,7 @@ def test_round_trips_for_all_wire_formats():
         assert parsed == nl
         assert serialize_netlist(parsed) == blob
 
-    profiles = [gcd_profile()] + [gen_random_profile(seed) for seed in range(N_RANDOM)]
+    profiles = [gen_gcd()[1]] + [gen_random_profile(seed) for seed in range(N_RANDOM)]
     for p in profiles:
         blob = serialize_profile(p)
         assert parse_profile(blob) == p

@@ -59,7 +59,7 @@ def test_registry_partitions_every_cell():
     assert sorted(map(str, reg.blocks)) == ["subtract", "swap", "x", "y"]
     assert reg.unannotated == frozenset()
     assert reg.unannotated_fraction == 0.0
-    assert reg.all_cells == frozenset(nl.ids)
+    assert reg.unannotated.union(*reg.blocks.values()) == frozenset(nl.ids)
 
 
 def test_registry_counts_unannotated():

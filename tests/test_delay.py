@@ -12,7 +12,7 @@ from blockscope.annotation import BlockLabel, BlockRegistry, build_registry, gro
 from blockscope.area import BlockArea, area_report
 from blockscope.delay import BlockDelay, PathResult, ZERO_PATH, delay_report
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
-from blockscope.model import Cell, CellKind, Net, Netlist, validate
+from blockscope.model import SOURCE_KINDS, Cell, CellKind, Net, Netlist, validate
 from blockscope.power import ActivityProfile
 from blockscope.report import build_report
 
@@ -281,7 +281,7 @@ def test_long_chains_have_analytic_delays(n_cells, n_blocks):
 
 def _retimed(nl, delay):
     """nl with every net delay and every non-source logic delay drawn from delay()."""
-    cells = [Cell(c.id, c.kind, 0 if c.kind.is_source else delay()) for c in nl.cells]
+    cells = [Cell(c.id, c.kind, 0 if c.kind in SOURCE_KINDS else delay()) for c in nl.cells]
     return Netlist(cells, [Net(n.src, n.dst, delay()) for n in nl.nets], nl.ff_pairs)
 
 

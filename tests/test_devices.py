@@ -1,17 +1,15 @@
-"""Built-in device coefficient tables and the custom device file loader."""
+"""Built-in device coefficient tables and custom device files."""
 
 import pytest
 
 from blockscope.cli import main
 from blockscope.devices import (
     BUILTIN_DEVICES,
-    DEVICE_HEADER,
     builtin_device,
-    load_device_file,
     resolve_device,
 )
 from blockscope.fixtures import gen_fig6, gen_random
-from blockscope.formats import ParseError, VersionError, parse_netlist, serialize_netlist
+from blockscope.formats import DEVICE_HEADER, ParseError, VersionError, parse_netlist, serialize_netlist
 from blockscope.model import BlockscopeError, CellKind, Net, Netlist, validate
 
 from oracles import topological_order
@@ -107,7 +105,7 @@ def test_custom_device_file_overrides_base(tmp_path):
     )
     path = tmp_path / "custom.bdv"
     path.write_text(text)
-    device = load_device_file(path)
+    device = resolve_device(str(path))
     assert device.name == "custom"
     assert device.logic_delays[CellKind.LUT6] == 600
     # unspecified entries fall back to virtex7
@@ -132,7 +130,7 @@ def test_custom_device_file_errors(tmp_path):
         path = tmp_path / "bad.bdv"
         path.write_text(f"{DEVICE_HEADER}\n{body}\n")
         with pytest.raises(ParseError) as err:
-            load_device_file(path)
+            resolve_device(str(path))
         assert fragment in str(err.value), body
 
 
@@ -140,10 +138,10 @@ def test_custom_device_file_needs_header(tmp_path):
     path = tmp_path / "x.bdv"
     path.write_text("delay LUT6 5\n")
     with pytest.raises(ParseError):
-        load_device_file(path)
+        resolve_device(str(path))
     path.write_text("blockscope-device v9\n")
     with pytest.raises(VersionError):
-        load_device_file(path)
+        resolve_device(str(path))
 
 
 def test_resolve_device_by_name_or_path(tmp_path):

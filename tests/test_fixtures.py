@@ -10,16 +10,15 @@ from blockscope.annotation import build_registry, extract_block_label
 from blockscope.devices import builtin_device
 from blockscope.fixtures import (
     GCD_NET_PS,
-    gcd_profile,
     gen_fig6,
     gen_gcd,
     gen_random,
-    gen_random_profile,
 )
 from blockscope.formats import parse_profile, serialize_netlist, serialize_profile
 from blockscope.model import BlockscopeError, CellKind, validate
 
 from oracles import topological_order
+from profiles import gen_random_profile
 
 
 @pytest.mark.parametrize("width", range(1, 9))
@@ -33,7 +32,7 @@ def test_gcd_scales_and_stays_valid(width):
         kinds = {nl.cell(c).kind for c in registry.blocks[extract_block_label(f"{reg}__d0")]}
         assert kinds == {CellKind.FF_D, CellKind.FF_Q}
     assert len(nl.ff_pairs) == 2 * width
-    assert profile == gcd_profile()
+    assert profile == gen_gcd()[1]  # the same for every width
     base = 7 * width + 2
     extra = 2 * -(-width // 3) if 2 * width > 6 else 0
     assert len(nl.cells) == base + extra
@@ -63,7 +62,7 @@ def test_gcd_delays_come_from_the_device():
 
 
 def test_gcd_profile_is_wire_format_clean():
-    profile = gcd_profile()
+    profile = gen_gcd()[1]
     assert parse_profile(serialize_profile(profile)) == profile
     assert profile.cycles == 10
     assert profile.firings == {"swap": (1, 3), "subtract": (2, 4, 5)}

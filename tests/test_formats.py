@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockscope.devices import DEVICE_HEADER, builtin_device
-from blockscope.fixtures import gcd_profile, gen_fig6, gen_gcd, gen_random, gen_random_profile
+from blockscope.devices import builtin_device
+from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.formats import (
+    DEVICE_HEADER,
     NETLIST_HEADER,
     PROFILE_HEADER,
     ParseError,
@@ -28,6 +29,7 @@ from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist, vali
 from blockscope.power import PowerModel
 
 import parse_corpus
+from profiles import gen_random_profile
 
 GOOD_NETLIST = """\
 # routing annotated by hand
@@ -664,10 +666,7 @@ def test_split_and_regex_agree_on_every_whitespace_code_point():
 
 def _parse_device(data):
     base = builtin_device("virtex7")
-    return parse_coefficients(
-        data, base.power, header=DEVICE_HEADER,
-        delays=dict(base.logic_delays), weights=dict(base.weights.weights),
-    )
+    return parse_coefficients(data, base.power, (dict(base.logic_delays), dict(base.weights.weights)))
 
 
 _PARSERS = (parse_netlist, parse_profile, parse_power_model, _parse_device)
@@ -702,7 +701,7 @@ def test_arbitrary_bytes_parse_or_fail_cleanly(header, body):
 _SAMPLES = {
     "gcd netlist": serialize_netlist(gen_gcd()[0]).decode(),
     "fig6 netlist": serialize_netlist(gen_fig6()).decode(),
-    "gcd profile": serialize_profile(gcd_profile()).decode(),
+    "gcd profile": serialize_profile(gen_gcd()[1]).decode(),
     "random profile": serialize_profile(gen_random_profile(3)).decode(),
     "device": f"{DEVICE_HEADER}\ndelay LUT6 40\nweight FF 2\nstatic LUT3 0.3\n"
               "dynamic FF 1\nfrequency 1e8\n",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from blockscope.annotation import BlockLabel, build_registry, group_to_depth
 from blockscope.area import RESOURCE_KINDS, area_report, resource_counts
-from blockscope.fixtures import gen_gcd, gen_random, gen_random_profile
+from blockscope.fixtures import gen_gcd, gen_random
 from blockscope.model import Cell, CellKind, Netlist
 from blockscope.power import (
     ActivityProfile,
@@ -18,6 +18,7 @@ from blockscope.power import (
 )
 
 from oracles import oracle_events, oracle_replay
+from profiles import gen_random_profile
 
 SUB = BlockLabel.parse("subtract")
 SWAP = BlockLabel.parse("swap")

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from blockscope.annotation import BlockLabel, build_registry
-from blockscope.fixtures import gen_fig6, gen_gcd, gen_random, gen_random_profile
+from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import BlockscopeError
 from blockscope.report import (
     CSV_HEADER,
@@ -19,6 +19,9 @@ from blockscope.report import (
     render_structured,
     render_text,
 )
+
+from profiles import gen_random_profile
+
 
 def gcd_report(**kwargs):
     nl, profile = gen_gcd()
