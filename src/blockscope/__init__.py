@@ -13,12 +13,11 @@ from .annotation import (
 )
 from .area import AreaReport, AreaWeights, area_report, resource_counts, weighted_area
 from .delay import DelayReport, PathResult, delay_report
-from .devices import BUILTIN_DEVICES, DeviceProfile, builtin_device, resolve_device
+from .devices import BUILTIN_DEVICES, DeviceProfile, resolve_device
 from .formats import (
     ParseError,
     VersionError,
     parse_netlist,
-    parse_power_model,
     parse_profile,
     serialize_netlist,
     serialize_profile,
@@ -77,13 +76,11 @@ __all__ = [
     "average_power_uw",
     "build_registry",
     "build_report",
-    "builtin_device",
     "canonical_json",
     "delay_report",
     "extract_block_label",
     "group_to_depth",
     "parse_netlist",
-    "parse_power_model",
     "parse_profile",
     "power_score",
     "render_csv",

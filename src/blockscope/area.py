@@ -5,7 +5,7 @@ MEM_IN. An FF_D/FF_Q pair listed in ff_pairs counts as one FF resource when
 both ports fall in the same partition cell set; an unpaired port (or a pair
 split across partitions, which generators never emit) counts as one FF each
 and is flagged. Weighted area is the count-weighted sum under a weight table;
-the same table drives static power sizing downstream.
+power does not read it (static power comes from ``PowerModel.static_uw``).
 """
 
 from __future__ import annotations

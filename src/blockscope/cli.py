@@ -15,8 +15,8 @@ from .devices import BUILTIN_DEVICES, resolve_device
 from .fixtures import gen_fig6, gen_gcd, gen_random
 from .formats import (
     ParseError,
+    parse_coefficients,
     parse_netlist,
-    parse_power_model,
     parse_profile,
     read_file,
     serialize_netlist,
@@ -117,19 +117,17 @@ def _analyze(args: argparse.Namespace) -> int:
         profile = _in_file(args.profile, parse_profile, profile_bytes)
         profile_digest = _digest(profile_bytes)
 
-    model = device.power
     if args.power_model:
-        model = _in_file(args.power_model, parse_power_model, read_file(args.power_model), model)
+        power = _in_file(args.power_model, parse_coefficients, read_file(args.power_model), device.power)
+        device = device._replace(power=power)
 
     report = build_report(
         netlist,
         metrics=metrics,
-        weights=device.weights,
-        model=model,
+        device=device,
         profile=profile,
         group_depth=args.group_depth,
         include_block_nets=not args.block_delay_nodes_only,
-        device=device.name,
         netlist_digest=_digest(netlist_bytes),
         profile_digest=profile_digest,
     )

@@ -51,22 +51,17 @@ class DeviceProfile(NamedTuple):
 BUILTIN_DEVICES = tuple(sorted(_LUT6_PS))
 
 
-def builtin_device(name: str) -> DeviceProfile:
-    if name not in _LUT6_PS:
-        raise BlockscopeError(f"unknown device profile {name!r}")
-    return DeviceProfile(name, _scaled_delays(_LUT6_PS[name]), AreaWeights(), PowerModel())
-
-
 def resolve_device(name_or_path: str) -> DeviceProfile:
     """Built-in name, or a path to a custom device profile file."""
     if name_or_path in _LUT6_PS:
-        return builtin_device(name_or_path)
+        return DeviceProfile(name_or_path, _scaled_delays(_LUT6_PS[name_or_path]),
+                             AreaWeights(), PowerModel())
     path = Path(name_or_path)
     if not name_or_path or not path.exists():  # Path("") is the working directory
         raise BlockscopeError(
             f"unknown device profile {name_or_path!r}; built-ins: {', '.join(BUILTIN_DEVICES)}"
         )
-    base = builtin_device("virtex7")
+    base = resolve_device("virtex7")
     delays, weights = dict(base.logic_delays), dict(base.weights.weights)
     power = parse_coefficients(read_file(path), base.power, (delays, weights))
     return DeviceProfile(path.stem, delays, AreaWeights(weights), power)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 
 from .annotation import BlockLabel, extract_block_label
-from .devices import DeviceProfile, builtin_device
+from .devices import DeviceProfile, resolve_device
 from .model import SINK_KINDS, SOURCE_KINDS, BlockscopeError, Cell, CellKind, Net, Netlist
 from .power import ActivityProfile
 
@@ -30,7 +30,7 @@ def gen_gcd(bit_width: int = 2, device: DeviceProfile | str = "virtex7") -> tupl
     if not 1 <= bit_width <= 8:
         raise BlockscopeError("gcd bit width must be between 1 and 8")
     if isinstance(device, str):
-        device = builtin_device(device)
+        device = resolve_device(device)
     delays = device.logic_delays
     cells: list[Cell] = []
     nets: list[Net] = []
@@ -193,12 +193,10 @@ def gen_random(seed: int, n_cells: int) -> Netlist:
         cells.append(Cell(cid, kind, 0 if kind in SOURCE_KINDS else delay()))
 
     nets: list[Net] = []
-    cands = [j for j in range(n_src) if cells[j].kind not in SINK_KINDS]  # non-sink cells below i
+    cands = list(range(n_src))  # non-sink cells below i: the n_src >= 1 sources, then LUTs
     for i in range(n_src, n_cells):
         if i > n_src and cells[i - 1].kind not in SINK_KINDS:
             cands.append(i - 1)
-        if not cands:
-            continue
         for j in rng.sample(cands, rng.randint(1, min(3, len(cands)))):
             nets.append(Net(cells[j].id, cells[i].id, delay()))
 

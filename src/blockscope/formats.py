@@ -462,8 +462,3 @@ def parse_coefficients(
         seen.add((keyword, kind_text))
         table[key] = value
     return PowerModel(static, dynamic, frequency)
-
-
-def parse_power_model(data: bytes | str, base: PowerModel | None = None) -> PowerModel:
-    """Overlay static/dynamic/frequency directives on a base model (defaults)."""
-    return parse_coefficients(data, PowerModel() if base is None else base)

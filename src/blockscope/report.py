@@ -16,10 +16,11 @@ from typing import Iterable, NamedTuple
 
 from . import __version__
 from .annotation import BlockLabel, build_registry, group_to_depth
-from .area import RESOURCE_KINDS, AreaReport, AreaWeights, BlockArea, area_report
+from .area import RESOURCE_KINDS, AreaReport, BlockArea, area_report
 from .delay import BlockDelay, DelayReport, PathResult, delay_report
+from .devices import DeviceProfile, resolve_device
 from .model import BlockscopeError, Netlist
-from .power import ActivityProfile, BlockPower, PowerModel, PowerScore, power_score
+from .power import ActivityProfile, BlockPower, PowerScore, power_score
 
 SCHEMA = "blockscope-report v1"
 UNANNOTATED_LABEL = "(unannotated)"
@@ -47,8 +48,8 @@ def metric_names(names: Iterable[str]) -> tuple[str, ...]:
 
 
 class ReportMetadata(NamedTuple):
-    """The report header, filled by build_report: the version, group depth and
-    block-net setting it ran with, and its caller's device and digests."""
+    """The report header, filled by build_report: the version, device name,
+    group depth and block-net setting it ran with, and its caller's digests."""
 
     tool_version: str
     device: str
@@ -69,35 +70,37 @@ def build_report(
     netlist: Netlist,
     *,
     metrics: tuple[str, ...] = ("area", "delay"),
-    weights: AreaWeights | None = None,
-    model: PowerModel | None = None,
+    device: DeviceProfile | None = None,
     profile: ActivityProfile | None = None,
     group_depth: int | None = None,
     include_block_nets: bool = True,
-    device: str = "virtex7",
     netlist_digest: str | None = None,
     profile_digest: str | None = None,
 ) -> CombinedReport:
     """Run the requested analyses over one registry so all sections share the
     same block label set.
 
-    device, netlist_digest and profile_digest are provenance that the analysis
-    cannot see; they are copied into the header unchecked."""
+    Area weighs with device.weights, power scores with device.power, and the
+    header names device.name (None: the built-in virtex7). netlist_digest and
+    profile_digest are provenance that the analysis cannot see; they are
+    copied into the header unchecked."""
     metrics = metric_names(metrics)
+    if device is None:
+        device = resolve_device("virtex7")
     registry = build_registry(netlist)
     if group_depth is not None:
         registry = group_to_depth(registry, group_depth)
         if profile is not None:
             profile = profile.truncated(group_depth)
-    metadata = ReportMetadata(__version__, device, netlist_digest, profile_digest,
+    metadata = ReportMetadata(__version__, device.name, netlist_digest, profile_digest,
                               group_depth, include_block_nets)
-    area = area_report(netlist, registry, weights) if "area" in metrics else None
+    area = area_report(netlist, registry, device.weights) if "area" in metrics else None
     delay = (
         delay_report(netlist, registry, include_block_nets=include_block_nets)
         if "delay" in metrics
         else None
     )
-    power = power_score(netlist, registry, model, profile) if "power" in metrics else None
+    power = power_score(netlist, registry, device.power, profile) if "power" in metrics else None
     _check_alignment(area, delay, power)
     return CombinedReport(metadata, area, delay, power)
 

@@ -227,7 +227,9 @@ def test_round_trips_for_all_wire_formats():
 
 # (module, name) of helpers that only tests called, and of wrappers that added nothing
 DELETED = (
+    ("devices", "builtin_device"),
     ("formats", "NetlistDocument"),
+    ("formats", "parse_power_model"),
     ("model", "ValidationReport"),
     ("model", "topological_order"),
     ("power", "active_cycles"),
@@ -249,5 +251,7 @@ def test_public_api_resolves_without_the_deleted_helpers():
     for cls, name in ((blockscope.Netlist, "cell_ids"), (blockscope.AreaWeights, "default"),
                       (blockscope.PowerModel, "default"), (blockscope.BlockLabel, "depth")):
         assert not hasattr(cls, name), (cls.__name__, name)
-    assert "registry" not in inspect.signature(blockscope.build_report).parameters
-    print(f"PASS: {len(blockscope.__all__)} public names resolve and {len(DELETED) + 5} deleted ones stay gone")
+    params = inspect.signature(blockscope.build_report).parameters
+    for name in ("registry", "weights", "model"):  # the device record carries weights and power
+        assert name not in params, name
+    print(f"PASS: {len(blockscope.__all__)} public names resolve and {len(DELETED) + 7} deleted ones stay gone")

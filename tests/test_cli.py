@@ -320,6 +320,35 @@ def test_power_model_overlay(gcd_files, tmp_path):
     assert doc["power"]["frequency_hz"] == 1e6
 
 
+def test_device_file_with_power_model_overlay(gcd_files, tmp_path):
+    from blockscope.area import DEFAULT_WEIGHTS, RESOURCE_KINDS
+    from blockscope.power import DEFAULT_STATIC_UW
+
+    bnl, bpf = gcd_files
+    dev = tmp_path / "board.bdv"
+    dev.write_text(f"{DEVICE_HEADER}\nweight LUT4 2.5\nweight FF 3\n"
+                   "static LUT4 7\nstatic LUT3 1.5\nstatic FF 2\n")
+    pm = tmp_path / "hot.bpm"
+    pm.write_text("static LUT4 10\n")
+    result = run_cli("analyze", "--netlist", str(bnl), "--profile", str(bpf), "--device", str(dev),
+                     "--power-model", str(pm), "--format", "structured")
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["metadata"]["device"] == "board"
+    weights = {**DEFAULT_WEIGHTS, "LUT4": 2.5, "FF": 3.0}
+    static = {**DEFAULT_STATIC_UW, "LUT3": 1.5, "FF": 2.0, "LUT4": 10.0}  # LUT4: the power model's
+    area_rows = {e["block"]: e for e in doc["area"]["blocks"]}
+    assert sorted(area_rows) == ["subtract", "swap", "x", "y"]
+    for entry in doc["area"]["blocks"] + [doc["area"]["totals"]]:
+        expected = sum(entry["counts"][k] * weights[k] for k in RESOURCE_KINDS)
+        assert entry["weighted_area"] == pytest.approx(expected), entry["block"]
+    for entry in doc["power"]["blocks"]:
+        counts = area_rows[entry["block"]]["counts"]
+        expected = sum(counts[k] * static[k] for k in RESOURCE_KINDS)
+        assert entry["static_uw"] == pytest.approx(expected), entry["block"]
+    assert any(area_rows[b]["counts"]["LUT3"] and area_rows[b]["counts"]["LUT4"] for b in area_rows)
+
+
 def _reject_constant(name):
     raise ValueError(f"report holds {name}")
 

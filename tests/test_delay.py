@@ -12,7 +12,7 @@ from blockscope.annotation import BlockLabel, BlockRegistry, build_registry, gro
 from blockscope.area import BlockArea, area_report
 from blockscope.delay import BlockDelay, PathResult, ZERO_PATH, delay_report
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
-from blockscope.model import SOURCE_KINDS, Cell, CellKind, Net, Netlist, validate
+from blockscope.model import SOURCE_KINDS, Cell, CellKind, Net, Netlist, ValidationError, validate
 from blockscope.power import ActivityProfile
 from blockscope.report import build_report
 
@@ -400,6 +400,20 @@ def test_block_delay_of_port_only_blocks():
     assert nodes_only.per_block[ports].block == PathResult(0, 0, 0, ("i1", "k__a", "k__b", "p__o"))
     for report in (with_nets, nodes_only):
         assert report.unannotated.block == PathResult(0, 0, 0, ("i0", "k__c", "o1"))
+
+
+def test_cyclic_netlist_is_a_delay_error_but_still_has_an_area():
+    cells = [Cell("b__i", CellKind.IN), Cell("b__m1", CellKind.LUT2, 1),
+             Cell("b__m2", CellKind.LUT1, 1), Cell("b__o", CellKind.OUT)]
+    nets = [Net("b__i", "b__m1", 1), Net("b__m1", "b__m2", 1), Net("b__m2", "b__m1", 1),
+            Net("b__m2", "b__o", 1)]
+    nl = Netlist(cells, nets)
+    assert nl.cycle is not None and nl.cycle.rule == "combinational-cycle"
+    with pytest.raises(ValidationError) as err:
+        delay_report(nl, build_registry(nl))
+    assert err.value.violations == (nl.cycle,)
+    area = build_report(nl, metrics=("area",)).area
+    assert area.totals.counts["LUT2"] == area.totals.counts["LUT1"] == 1
 
 
 def test_block_net_into_a_zero_logic_register_input_counts():

@@ -3,11 +3,7 @@
 import pytest
 
 from blockscope.cli import main
-from blockscope.devices import (
-    BUILTIN_DEVICES,
-    builtin_device,
-    resolve_device,
-)
+from blockscope.devices import BUILTIN_DEVICES, resolve_device
 from blockscope.fixtures import gen_fig6, gen_random
 from blockscope.formats import DEVICE_HEADER, ParseError, VersionError, parse_netlist, serialize_netlist
 from blockscope.model import BlockscopeError, CellKind, Net, Netlist, validate
@@ -27,7 +23,7 @@ def test_builtin_lut_delay_tables():
         "virtex7": {1: 7, 2: 13, 3: 20, 4: 27, 5: 33, 6: 40},
     }
     for name, table in expected.items():
-        device = builtin_device(name)
+        device = resolve_device(name)
         got = {k: device.logic_delays[CellKind[f"LUT{k}"]] for k in range(1, 7)}
         assert got == table, name
         for kind in (CellKind.FF_D, CellKind.FF_Q, CellKind.CLK, CellKind.IN,
@@ -36,14 +32,14 @@ def test_builtin_lut_delay_tables():
 
 
 def test_delays_scale_strictly_down_the_generations():
-    s6, v5, v7 = (builtin_device(n) for n in BUILTIN_DEVICES)
+    s6, v5, v7 = (resolve_device(n) for n in BUILTIN_DEVICES)
     for k in range(1, 7):
         kind = CellKind[f"LUT{k}"]
         assert s6.logic_delays[kind] > v5.logic_delays[kind] > v7.logic_delays[kind] > 0
 
 
 def test_builtins_share_weights_and_power_model():
-    profiles = [builtin_device(n) for n in BUILTIN_DEVICES]
+    profiles = [resolve_device(n) for n in BUILTIN_DEVICES]
     assert len({id(p.weights.weights) for p in profiles}) >= 1
     for p in profiles[1:]:
         assert p.weights == profiles[0].weights
@@ -52,7 +48,7 @@ def test_builtins_share_weights_and_power_model():
 
 def test_apply_delays_rewrites_logic_only():
     nl = gen_fig6()
-    device = builtin_device("spartan6")
+    device = resolve_device("spartan6")
     scaled = device.apply_delays(nl)
     assert validate(scaled) == ()
     assert scaled.cell("core__a1").logic_delay == 33  # LUT1 on spartan6
@@ -63,7 +59,7 @@ def test_apply_delays_rewrites_logic_only():
 
 
 def test_apply_delays_shares_the_graph_and_its_order():
-    device = builtin_device("spartan6")
+    device = resolve_device("spartan6")
     parsed = parse_netlist(serialize_netlist(gen_random(4, 200)))
     for nl in (gen_fig6(), parsed):
         scaled = device.apply_delays(nl)
@@ -154,9 +150,6 @@ def test_resolve_device_by_name_or_path(tmp_path):
             resolve_device(unknown)
         assert str(err.value) == f"unknown device profile {unknown!r}; built-ins: spartan6, virtex5, virtex7"
         assert not isinstance(err.value, ParseError)  # a name has no line to point at
-    with pytest.raises(BlockscopeError) as err:
-        builtin_device("kintex9")
-    assert str(err.value) == "unknown device profile 'kintex9'" and not isinstance(err.value, ParseError)
 
 
 def test_unreadable_device_path_is_an_input_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockscope.annotation import build_registry, extract_block_label
-from blockscope.devices import builtin_device
+from blockscope.devices import resolve_device
 from blockscope.fixtures import (
     GCD_NET_PS,
     gen_fig6,
@@ -57,7 +57,7 @@ def test_gcd_delays_come_from_the_device():
     assert nl.cell("subtract__diff0").logic_delay == 100  # LUT3
     assert nl.cell("subtract__guard").logic_delay == 133  # LUT4
     assert all(n.net_delay == GCD_NET_PS for n in nl.nets)
-    via_profile = gen_gcd(2, builtin_device("spartan6"))[0]
+    via_profile = gen_gcd(2, resolve_device("spartan6"))[0]
     assert via_profile == nl
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockscope.devices import builtin_device
+from blockscope.devices import resolve_device
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.formats import (
     DEVICE_HEADER,
@@ -20,7 +20,6 @@ from blockscope.formats import (
     _scan,
     parse_coefficients,
     parse_netlist,
-    parse_power_model,
     parse_profile,
     serialize_netlist,
     serialize_profile,
@@ -589,20 +588,20 @@ def test_every_adjacent_field_swap_in_profile_fails_to_parse():
 
 
 def test_power_model_defaults_and_overrides():
-    model = parse_power_model("")
+    model = parse_coefficients("", PowerModel())
     assert model == PowerModel()
     assert model.static_of("LUT3") == pytest.approx(0.3)
     assert model.dynamic_of("FF") == pytest.approx(1.0)
     assert model.frequency_hz == pytest.approx(1e8)
 
     text = "static LUT3 2.5\ndynamic FF 0.25\nfrequency 5e7\n"
-    model = parse_power_model(text)
+    model = parse_coefficients(text, PowerModel())
     assert model.static_of("LUT3") == pytest.approx(2.5)
     assert model.static_of("LUT4") == pytest.approx(0.4)  # untouched default
     assert model.dynamic_of("FF") == pytest.approx(0.25)
     assert model.frequency_hz == pytest.approx(5e7)
 
-    layered = parse_power_model("static FF 9\n", base=model)
+    layered = parse_coefficients("static FF 9\n", model)
     assert layered.static_of("FF") == pytest.approx(9.0)
     assert layered.frequency_hz == pytest.approx(5e7)
 
@@ -619,7 +618,7 @@ def test_power_model_errors():
     ]
     for body, fragment in cases:
         with pytest.raises(ParseError) as err:
-            parse_power_model(body)
+            parse_coefficients(body, PowerModel())
         assert fragment in str(err.value), body
 
 
@@ -664,12 +663,16 @@ def test_split_and_regex_agree_on_every_whitespace_code_point():
     assert all(ch.isspace() == bool(space.match(ch)) for ch in map(chr, range(0x110000)))
 
 
+def _parse_power_model(data):
+    return parse_coefficients(data, PowerModel())
+
+
 def _parse_device(data):
-    base = builtin_device("virtex7")
+    base = resolve_device("virtex7")
     return parse_coefficients(data, base.power, (dict(base.logic_delays), dict(base.weights.weights)))
 
 
-_PARSERS = (parse_netlist, parse_profile, parse_power_model, _parse_device)
+_PARSERS = (parse_netlist, parse_profile, _parse_power_model, _parse_device)
 
 
 def _parses_or_fails_cleanly(data):

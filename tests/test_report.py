@@ -7,6 +7,7 @@ import json
 import pytest
 
 from blockscope.annotation import BlockLabel, build_registry
+from blockscope.devices import resolve_device
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import BlockscopeError
 from blockscope.report import (
@@ -197,14 +198,14 @@ def test_default_metadata_is_generated():
 def test_header_records_the_settings_build_report_applied():
     nl, profile = gen_gcd()
     report = build_report(nl, metrics=("area", "delay", "power"), profile=profile, group_depth=1,
-                          include_block_nets=False, device="virtex7",
+                          include_block_nets=False, device=resolve_device("spartan6"),
                           netlist_digest="sha256:0a", profile_digest="sha256:0b")
     import blockscope
 
     assert render_text(report).decode().splitlines()[:7] == [
         SCHEMA,
         f"tool: {blockscope.__version__}",
-        "device: virtex7",
+        "device: spartan6",
         "netlist-digest: sha256:0a",
         "profile-digest: sha256:0b",
         "group-depth: 1",
@@ -212,7 +213,7 @@ def test_header_records_the_settings_build_report_applied():
     ]
     assert json.loads(render_structured(report))["metadata"] == {
         "tool": blockscope.__version__,
-        "device": "virtex7",
+        "device": "spartan6",
         "netlist_digest": "sha256:0a",
         "profile_digest": "sha256:0b",
         "group_depth": 1,
