@@ -6,11 +6,13 @@ both ports fall in the same partition cell set; an unpaired port (or a pair
 split across partitions, which generators never emit) counts as one FF each
 and is flagged. Weighted area is the count-weighted sum under a weight table;
 power does not read it (static power comes from ``PowerModel.static_uw``).
+A weight table names every resource kind; ``resolve_device`` builds the built-in one.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Mapping, NamedTuple
 
 from .annotation import BlockLabel, BlockRegistry
@@ -35,23 +37,24 @@ RESOURCE_OF_KIND: dict[CellKind, str] = {
     kind: ("FF" if kind in (CellKind.FF_D, CellKind.FF_Q) else kind.value) for kind in CellKind
 }
 
-DEFAULT_WEIGHTS: dict[str, float] = {
-    "LUT1": 1.0,
-    "LUT2": 1.0,
-    "LUT3": 1.0,
-    "LUT4": 1.0,
-    "LUT5": 1.0,
-    "LUT6": 1.0,
-    "FF": 1.0,
-    "CLK": 0.0,
-    "IN": 0.0,
-    "OUT": 0.0,
-    "MEM_IN": 0.0,
-}
-
 
 class AreaError(BlockscopeError):
     pass
+
+
+def _check_table(table: Mapping[str, float], error: type[BlockscopeError], name: str, what: str) -> None:
+    """Raise error unless the table maps every resource kind, and no other key,
+    to a non-negative int or float that converts to a finite float."""
+    for kind, value in table.items():
+        if kind not in RESOURCE_KINDS:
+            raise error(f"unknown resource kind {kind!r} in {name} table")
+        if value.__class__ not in (int, float) or not abs(value) <= sys.float_info.max:  # bool, NaN, inf
+            raise error(f"{what} for {kind} must be a finite number")
+        if value < 0:
+            raise error(f"{what} for {kind} must be non-negative")
+    missing = set(RESOURCE_KINDS).difference(table)
+    if missing:
+        raise error(f"{name} table lacks resource kind {min(missing)}")
 
 
 class _AreaWeights(NamedTuple):
@@ -59,21 +62,13 @@ class _AreaWeights(NamedTuple):
 
 
 class AreaWeights(_AreaWeights):
-    """Non-negative weight per resource kind; unknown kinds are rejected."""
+    """Non-negative weight for every resource kind; unknown kinds are rejected."""
 
     __slots__ = ()
 
-    def __new__(cls, weights: Mapping[str, float] | None = None) -> "AreaWeights":
-        weights = dict(DEFAULT_WEIGHTS) if weights is None else weights
-        for kind, w in weights.items():
-            if kind not in RESOURCE_KINDS:
-                raise AreaError(f"unknown resource kind {kind!r} in weight table")
-            if w < 0:
-                raise AreaError(f"weight for {kind} must be non-negative")
+    def __new__(cls, weights: Mapping[str, float]) -> "AreaWeights":
+        _check_table(weights, AreaError, "weight", "weight")
         return super().__new__(cls, weights)
-
-    def weight(self, kind: str) -> float:
-        return float(self.weights.get(kind, DEFAULT_WEIGHTS[kind]))
 
 
 class BlockArea(NamedTuple):
@@ -126,21 +121,16 @@ def resource_counts(cells: Iterable[str], netlist: Netlist) -> tuple[dict[str, i
 
 
 def weighted_area(counts: Mapping[str, int], weights: AreaWeights) -> float:
-    return sum(counts[kind] * weights.weight(kind) for kind in RESOURCE_KINDS)
+    return sum(counts[kind] * float(weights.weights[kind]) for kind in RESOURCE_KINDS)
 
 
-def area_report(
-    netlist: Netlist, registry: BlockRegistry, weights: AreaWeights | None = None
-) -> AreaReport:
+def area_report(netlist: Netlist, registry: BlockRegistry, weights: AreaWeights) -> AreaReport:
     """Per-block counts and weighted area plus a totals row.
 
     Totals are the kind-by-kind sum of all blocks and the pseudo-block, so
     conservation holds by construction; a mismatch between registry and
     netlist cell ids is an error.
     """
-    if weights is None:
-        weights = AreaWeights()
-
     def finite(area: float, name: str) -> float:
         if not math.isfinite(area):
             raise AreaError(f"weighted area of {name} overflows; lower the area weights")

@@ -7,47 +7,18 @@ state the block reads. A cycle counts once no matter how many causes hit it,
 so alpha is always within [0, 1]; the raw event count keeps the multiplicity.
 
 Scores rank blocks under one device profile; they are not comparable across
-profiles.
+profiles. Both tables name every resource kind; ``resolve_device`` builds the built-in model.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Mapping, NamedTuple
 
 from .annotation import BlockLabel, BlockRegistry
-from .area import RESOURCE_KINDS, resource_counts
+from .area import RESOURCE_KINDS, _check_table, resource_counts
 from .model import BlockscopeError, Netlist
-
-DEFAULT_STATIC_UW: dict[str, float] = {
-    "LUT1": 0.1,
-    "LUT2": 0.2,
-    "LUT3": 0.3,
-    "LUT4": 0.4,
-    "LUT5": 0.5,
-    "LUT6": 0.6,
-    "FF": 0.2,
-    "CLK": 0.0,
-    "IN": 0.0,
-    "OUT": 0.0,
-    "MEM_IN": 0.0,
-}
-
-DEFAULT_DYNAMIC_PJ: dict[str, float] = {
-    "LUT1": 0.5,
-    "LUT2": 1.0,
-    "LUT3": 1.5,
-    "LUT4": 2.0,
-    "LUT5": 2.5,
-    "LUT6": 3.0,
-    "FF": 1.0,
-    "CLK": 0.0,
-    "IN": 0.0,
-    "OUT": 0.0,
-    "MEM_IN": 0.0,
-}
-
-DEFAULT_FREQUENCY_HZ = 100_000_000.0
 
 
 class PowerError(BlockscopeError):
@@ -61,7 +32,7 @@ class _PowerModel(NamedTuple):
 
 
 class PowerModel(_PowerModel):
-    """Static uW and dynamic pJ per resource kind, plus the clock frequency.
+    """Static uW and dynamic pJ for every resource kind, plus the clock frequency.
 
     Coefficients are configuration, not silicon ground truth; they make
     blocks comparable under one device profile.
@@ -69,27 +40,15 @@ class PowerModel(_PowerModel):
 
     __slots__ = ()
 
-    def __new__(
-        cls, static_uw: Mapping[str, float] | None = None, dynamic_pj: Mapping[str, float] | None = None,
-        frequency_hz: float = DEFAULT_FREQUENCY_HZ,
-    ) -> "PowerModel":
-        static_uw = dict(DEFAULT_STATIC_UW) if static_uw is None else static_uw
-        dynamic_pj = dict(DEFAULT_DYNAMIC_PJ) if dynamic_pj is None else dynamic_pj
-        for table, name in ((static_uw, "static"), (dynamic_pj, "dynamic")):
-            for kind, value in table.items():
-                if kind not in RESOURCE_KINDS:
-                    raise PowerError(f"unknown resource kind {kind!r} in {name} table")
-                if value < 0:
-                    raise PowerError(f"{name} coefficient for {kind} must be non-negative")
-        if not frequency_hz > 0:
+    def __new__(cls, static_uw: Mapping[str, float], dynamic_pj: Mapping[str, float],
+                frequency_hz: float) -> "PowerModel":
+        _check_table(static_uw, PowerError, "static", "static coefficient")
+        _check_table(dynamic_pj, PowerError, "dynamic", "dynamic coefficient")
+        if frequency_hz.__class__ in (int, float) and not frequency_hz > 0:  # NaN too
             raise PowerError("frequency must be positive")
+        if frequency_hz.__class__ not in (int, float) or not frequency_hz <= sys.float_info.max:
+            raise PowerError("frequency must be a finite number")
         return super().__new__(cls, static_uw, dynamic_pj, frequency_hz)
-
-    def static_of(self, kind: str) -> float:
-        return float(self.static_uw.get(kind, DEFAULT_STATIC_UW[kind]))
-
-    def dynamic_of(self, kind: str) -> float:
-        return float(self.dynamic_pj.get(kind, DEFAULT_DYNAMIC_PJ[kind]))
 
 
 class ActivityProfile(NamedTuple):
@@ -189,7 +148,7 @@ class PowerScore(NamedTuple):
 def power_score(
     netlist: Netlist,
     registry: BlockRegistry,
-    model: PowerModel | None = None,
+    model: PowerModel,
     profile: ActivityProfile | None = None,
 ) -> PowerScore:
     """Score every block; ranking is by descending P_avg, ties by label.
@@ -197,15 +156,13 @@ def power_score(
     Without a profile all alphas are 0 and the ranking degenerates to the
     static-power ranking.
     """
-    if model is None:
-        model = PowerModel()
     known = profile.blocks() if profile is not None else frozenset()
     index = _ActivityIndex(profile) if profile is not None else None
 
     def score(cells: frozenset[str], label: BlockLabel | None) -> BlockPower:
         counts, _ = resource_counts(cells, netlist)
-        p_s = sum(counts[kind] * model.static_of(kind) for kind in RESOURCE_KINDS)
-        p_d = sum(counts[kind] * model.dynamic_of(kind) for kind in RESOURCE_KINDS)
+        p_s = sum(counts[kind] * float(model.static_uw[kind]) for kind in RESOURCE_KINDS)
+        p_d = sum(counts[kind] * float(model.dynamic_pj[kind]) for kind in RESOURCE_KINDS)
         profiled = profile is not None and label is not None and label in known
         if profiled:
             active, events = index.activity(label)  # one block's cycle set alive at a time

@@ -13,6 +13,7 @@ import time
 
 from blockscope.annotation import BlockLabel, build_registry
 from blockscope.delay import delay_report
+from blockscope.devices import resolve_device
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.formats import (
     parse_netlist,
@@ -114,7 +115,7 @@ def test_block_delays_never_exceed_system_or_global():
 
 def test_switching_factors_replay_exactly():
     nl, profile = gen_gcd()
-    score = power_score(nl, build_registry(nl), profile=profile)
+    score = power_score(nl, build_registry(nl), resolve_device("virtex7").power, profile)
     assert score.per_block[BlockLabel.parse("subtract")].alpha == 0.5
     for seed in range(N_RANDOM):
         p = gen_random_profile(seed)
@@ -122,7 +123,7 @@ def test_switching_factors_replay_exactly():
         index = _ActivityIndex(p)
         # one cell per profile block, so power_score gives every block its alpha
         nl = Netlist([Cell(f"{block}__c", CellKind.LUT1, 1) for block in p.blocks()])
-        score = power_score(nl, build_registry(nl), profile=p)
+        score = power_score(nl, build_registry(nl), resolve_device("virtex7").power, p)
         for block in p.blocks():
             assert index.activity(block)[0] == replay[block], (seed, str(block))
             alpha = score.per_block[block].alpha
@@ -227,11 +228,20 @@ def test_round_trips_for_all_wire_formats():
 
 # (module, name) of helpers that only tests called, and of wrappers that added nothing
 DELETED = (
+    ("area", "DEFAULT_WEIGHTS"),
+    ("delay", "WeightingMode"),
+    ("delay", "longest_path"),
     ("devices", "builtin_device"),
+    ("devices", "load_device_file"),
+    ("fixtures", "gcd_profile"),
     ("formats", "NetlistDocument"),
     ("formats", "parse_power_model"),
     ("model", "ValidationReport"),
     ("model", "topological_order"),
+    ("model", "topological_ranks"),
+    ("power", "DEFAULT_DYNAMIC_PJ"),
+    ("power", "DEFAULT_FREQUENCY_HZ"),
+    ("power", "DEFAULT_STATIC_UW"),
     ("power", "active_cycles"),
     ("power", "activity_events"),
     ("power", "switching_factor"),
@@ -248,10 +258,22 @@ def test_public_api_resolves_without_the_deleted_helpers():
     for module, name in DELETED:
         assert name not in blockscope.__all__ and not hasattr(blockscope, name), name
         assert not hasattr(importlib.import_module(f"blockscope.{module}"), name), (module, name)
-    for cls, name in ((blockscope.Netlist, "cell_ids"), (blockscope.AreaWeights, "default"),
-                      (blockscope.PowerModel, "default"), (blockscope.BlockLabel, "depth")):
+    attributes = ((blockscope.Netlist, "cell_ids"), (blockscope.AreaWeights, "default"),
+                  (blockscope.AreaWeights, "weight"), (blockscope.PowerModel, "default"),
+                  (blockscope.PowerModel, "static_of"), (blockscope.PowerModel, "dynamic_of"),
+                  (blockscope.BlockLabel, "depth"), (blockscope.BlockRegistry, "all_cells"),
+                  (blockscope.CellKind, "is_source"), (blockscope.CellKind, "is_sink"))
+    for cls, name in attributes:
         assert not hasattr(cls, name), (cls.__name__, name)
     params = inspect.signature(blockscope.build_report).parameters
-    for name in ("registry", "weights", "model"):  # the device record carries weights and power
+    gone = ("registry", "weights", "model")  # the device record carries weights and power
+    for name in gone:
         assert name not in params, name
-    print(f"PASS: {len(blockscope.__all__)} public names resolve and {len(DELETED) + 7} deleted ones stay gone")
+    # the coefficient tables come from the caller, never from a default
+    defaults = ((blockscope.area_report, "weights"), (blockscope.power_score, "model"),
+                (blockscope.AreaWeights, "weights"), (blockscope.PowerModel, "static_uw"),
+                (blockscope.PowerModel, "dynamic_pj"), (blockscope.PowerModel, "frequency_hz"))
+    for function, name in defaults:
+        assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty, name
+    count = len(DELETED) + len(attributes) + len(gone) + len(defaults)
+    print(f"PASS: {len(blockscope.__all__)} public names resolve and {count} deleted ones stay gone")

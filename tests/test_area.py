@@ -14,6 +14,7 @@ from blockscope.area import (
     weighted_area,
 )
 from blockscope.delay import delay_report
+from blockscope.devices import resolve_device
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist
 from blockscope.power import power_score
@@ -27,7 +28,7 @@ def nonzero(counts):
 
 def test_gcd_block_counts_and_weighted_area():
     nl, _ = gen_gcd()
-    report = area_report(nl, build_registry(nl))
+    report = area_report(nl, build_registry(nl), resolve_device("virtex7").weights)
     got = {str(label): nonzero(ba.counts) for label, ba in report.per_block.items()}
     assert got == {
         "subtract": {"LUT3": 1, "LUT4": 4},
@@ -47,7 +48,7 @@ def test_counts_identical_across_device_profiles():
     reports = []
     for dev in ("spartan6", "virtex5", "virtex7"):
         nl, _ = gen_gcd(3, dev)
-        reports.append(area_report(nl, build_registry(nl)))
+        reports.append(area_report(nl, build_registry(nl), resolve_device("virtex7").weights))
     first = reports[0]
     for other in reports[1:]:
         assert {str(k): v.counts for k, v in other.per_block.items()} == {
@@ -57,7 +58,7 @@ def test_counts_identical_across_device_profiles():
 
 def test_fig6_counts_all_ffs_unpaired():
     nl = gen_fig6()
-    report = area_report(nl, build_registry(nl))
+    report = area_report(nl, build_registry(nl), resolve_device("virtex7").weights)
     assert nonzero(report.per_block[BlockLabel.parse("core")].counts) == {"LUT1": 4}
     # no ffpair directives: each port is its own FF resource, and flagged
     assert report.unannotated.counts["FF"] == 5
@@ -76,7 +77,7 @@ def test_pair_split_across_blocks_counts_one_ff_each():
         [],
         [("left__d", "right__q")],
     )
-    report = area_report(nl, build_registry(nl))
+    report = area_report(nl, build_registry(nl), resolve_device("virtex7").weights)
     left = report.per_block[BlockLabel.parse("left")]
     right = report.per_block[BlockLabel.parse("right")]
     assert left.counts["FF"] == 1 and right.counts["FF"] == 1
@@ -94,7 +95,7 @@ def test_co_located_pair_counts_once():
 
 
 def test_custom_weights_and_validation():
-    weights = AreaWeights({"LUT4": 2.5, "FF": 0.0})
+    weights = AreaWeights({**resolve_device("virtex7").weights.weights, "LUT4": 2.5, "FF": 0.0})
     nl, _ = gen_gcd()
     report = area_report(nl, build_registry(nl), weights)
     assert report.per_block[BlockLabel.parse("subtract")].weighted_area == pytest.approx(
@@ -114,9 +115,10 @@ def test_registry_netlist_mismatch_is_an_error():
     ghost = BlockRegistry({BlockLabel.parse("core"): cells}, frozenset())
     cases = ((other, build_registry(nl), "subtract__diff0"), (gen_fig6(), ghost, "ghost_a"))
     for netlist, registry, name in cases:
-        for analysis in (area_report, power_score):  # the smallest unknown id, whatever the hash order
+        device = resolve_device("virtex7")
+        for analysis, table in ((area_report, device.weights), (power_score, device.power)):
             with pytest.raises(AreaError, match=f"^registry references unknown cell {name}$"):
-                analysis(netlist, registry)
+                analysis(netlist, registry, table)  # the smallest unknown id, whatever the hash order
         with pytest.raises(BlockscopeError, match=f"^registry references unknown cell {name}$"):
             delay_report(netlist, registry)
 
@@ -131,8 +133,8 @@ def test_grouping_aggregates_counts_exactly():
     ]
     nl = Netlist(cells, [], [("top.a__d0", "top.a__q0")])
     registry = build_registry(nl)
-    fine = area_report(nl, registry)
-    coarse = area_report(nl, group_to_depth(registry, 1))
+    fine = area_report(nl, registry, resolve_device("virtex7").weights)
+    coarse = area_report(nl, group_to_depth(registry, 1), resolve_device("virtex7").weights)
     top = coarse.per_block[BlockLabel.parse("top")]
     assert top.counts == {
         k: fine.per_block[BlockLabel.parse("top.a")].counts[k]
@@ -146,17 +148,17 @@ def test_grouping_aggregates_counts_exactly():
 def test_weighted_area_helper_matches_report():
     nl, _ = gen_gcd()
     registry = build_registry(nl)
-    report = area_report(nl, registry)
+    report = area_report(nl, registry, resolve_device("virtex7").weights)
     for label, cells in registry.blocks.items():
         counts, _ = resource_counts(cells, nl)
-        assert weighted_area(counts, AreaWeights()) == report.per_block[label].weighted_area
+        assert weighted_area(counts, resolve_device("virtex7").weights) == report.per_block[label].weighted_area
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 24))
 def test_totals_conserve_cells_on_random_netlists(seed, n):
     nl = gen_random(seed, n)
-    report = area_report(nl, build_registry(nl))
+    report = area_report(nl, build_registry(nl), resolve_device("virtex7").weights)
     assert nonzero(report.totals.counts) == nonzero(oracle_resource_counts(nl))
     # every cell is counted exactly once; each co-located pair merges two cells
     assert sum(report.totals.counts.values()) == len(nl.cells) - len(nl.ff_pairs)

@@ -321,8 +321,8 @@ def test_power_model_overlay(gcd_files, tmp_path):
 
 
 def test_device_file_with_power_model_overlay(gcd_files, tmp_path):
-    from blockscope.area import DEFAULT_WEIGHTS, RESOURCE_KINDS
-    from blockscope.power import DEFAULT_STATIC_UW
+    from blockscope.area import RESOURCE_KINDS
+    from blockscope.devices import resolve_device
 
     bnl, bpf = gcd_files
     dev = tmp_path / "board.bdv"
@@ -335,8 +335,9 @@ def test_device_file_with_power_model_overlay(gcd_files, tmp_path):
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
     assert doc["metadata"]["device"] == "board"
-    weights = {**DEFAULT_WEIGHTS, "LUT4": 2.5, "FF": 3.0}
-    static = {**DEFAULT_STATIC_UW, "LUT3": 1.5, "FF": 2.0, "LUT4": 10.0}  # LUT4: the power model's
+    base = resolve_device("virtex7")
+    weights = {**base.weights.weights, "LUT4": 2.5, "FF": 3.0}
+    static = {**base.power.static_uw, "LUT3": 1.5, "FF": 2.0, "LUT4": 10.0}  # LUT4: the power model's
     area_rows = {e["block"]: e for e in doc["area"]["blocks"]}
     assert sorted(area_rows) == ["subtract", "swap", "x", "y"]
     for entry in doc["area"]["blocks"] + [doc["area"]["totals"]]:

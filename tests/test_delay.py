@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from blockscope.annotation import BlockLabel, BlockRegistry, build_registry, group_to_depth
 from blockscope.area import BlockArea, area_report
 from blockscope.delay import BlockDelay, PathResult, ZERO_PATH, delay_report
+from blockscope.devices import resolve_device
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import SOURCE_KINDS, Cell, CellKind, Net, Netlist, ValidationError, validate
 from blockscope.power import ActivityProfile
@@ -627,7 +628,8 @@ def test_order_preserving_label_rename_only_renames_rows_at_scale():
             relabel[old]: BlockDelay(moved(bd.system), moved(bd.block))
             for old, bd in before.per_block.items()
         }
-    area_before, area_after = area_report(nl, registry), area_report(renamed, new_registry)
+    weights = resolve_device("virtex7").weights
+    area_before, area_after = area_report(nl, registry, weights), area_report(renamed, new_registry, weights)
     assert area_after.totals == area_before.totals
     assert area_after.per_block == {
         relabel[old]: BlockArea(ba.counts, ba.weighted_area, tuple(ids[c] for c in ba.unpaired_ff))

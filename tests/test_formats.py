@@ -25,7 +25,6 @@ from blockscope.formats import (
     serialize_profile,
 )
 from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist, validate
-from blockscope.power import PowerModel
 
 import parse_corpus
 from profiles import gen_random_profile
@@ -588,21 +587,21 @@ def test_every_adjacent_field_swap_in_profile_fails_to_parse():
 
 
 def test_power_model_defaults_and_overrides():
-    model = parse_coefficients("", PowerModel())
-    assert model == PowerModel()
-    assert model.static_of("LUT3") == pytest.approx(0.3)
-    assert model.dynamic_of("FF") == pytest.approx(1.0)
+    model = parse_coefficients("", resolve_device("virtex7").power)
+    assert model == resolve_device("virtex7").power
+    assert model.static_uw["LUT3"] == pytest.approx(0.3)
+    assert model.dynamic_pj["FF"] == pytest.approx(1.0)
     assert model.frequency_hz == pytest.approx(1e8)
 
     text = "static LUT3 2.5\ndynamic FF 0.25\nfrequency 5e7\n"
-    model = parse_coefficients(text, PowerModel())
-    assert model.static_of("LUT3") == pytest.approx(2.5)
-    assert model.static_of("LUT4") == pytest.approx(0.4)  # untouched default
-    assert model.dynamic_of("FF") == pytest.approx(0.25)
+    model = parse_coefficients(text, resolve_device("virtex7").power)
+    assert model.static_uw["LUT3"] == pytest.approx(2.5)
+    assert model.static_uw["LUT4"] == pytest.approx(0.4)  # untouched default
+    assert model.dynamic_pj["FF"] == pytest.approx(0.25)
     assert model.frequency_hz == pytest.approx(5e7)
 
     layered = parse_coefficients("static FF 9\n", model)
-    assert layered.static_of("FF") == pytest.approx(9.0)
+    assert layered.static_uw["FF"] == pytest.approx(9.0)
     assert layered.frequency_hz == pytest.approx(5e7)
 
 
@@ -618,7 +617,7 @@ def test_power_model_errors():
     ]
     for body, fragment in cases:
         with pytest.raises(ParseError) as err:
-            parse_coefficients(body, PowerModel())
+            parse_coefficients(body, resolve_device("virtex7").power)
         assert fragment in str(err.value), body
 
 
@@ -664,7 +663,7 @@ def test_split_and_regex_agree_on_every_whitespace_code_point():
 
 
 def _parse_power_model(data):
-    return parse_coefficients(data, PowerModel())
+    return parse_coefficients(data, resolve_device("virtex7").power)
 
 
 def _parse_device(data):

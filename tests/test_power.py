@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from blockscope.annotation import BlockLabel, build_registry, group_to_depth
 from blockscope.area import RESOURCE_KINDS, area_report, resource_counts
+from blockscope.devices import resolve_device
 from blockscope.fixtures import gen_gcd, gen_random
 from blockscope.model import Cell, CellKind, Netlist
 from blockscope.power import (
@@ -27,7 +28,7 @@ SWAP = BlockLabel.parse("swap")
 def profile_scores(profile):
     """power_score's BlockPower per profile block, over one cell in each block."""
     nl = Netlist([Cell(f"{block}__c", CellKind.LUT1, 1) for block in sorted(profile.blocks(), key=str)])
-    return power_score(nl, build_registry(nl), profile=profile).per_block
+    return power_score(nl, build_registry(nl), resolve_device("virtex7").power, profile).per_block
 
 
 def test_average_power_formula():
@@ -42,7 +43,7 @@ def test_gcd_active_cycles_and_alpha():
     index = _ActivityIndex(profile)
     assert index.activity(SUB)[0] == {2, 3, 4, 5, 6}
     assert index.activity(SWAP)[0] == {1, 2, 3, 4, 5, 6}
-    score = power_score(nl, build_registry(nl), profile=profile).per_block
+    score = power_score(nl, build_registry(nl), resolve_device("virtex7").power, profile).per_block
     assert score[SUB].alpha == pytest.approx(0.5)
     assert score[SWAP].alpha == pytest.approx(0.6)
     # events keep multiplicity: overlapping triggers exceed distinct cycles
@@ -84,7 +85,7 @@ def test_self_write_counts_as_next_cycle_activity():
 
 def test_gcd_power_score_and_ranking():
     nl, profile = gen_gcd()
-    score = power_score(nl, build_registry(nl), profile=profile)
+    score = power_score(nl, build_registry(nl), resolve_device("virtex7").power, profile)
     sub = score.per_block[SUB]
     assert sub.static_uw == pytest.approx(1.9)
     assert sub.dynamic_pj == pytest.approx(9.5)
@@ -103,7 +104,7 @@ def test_gcd_power_score_and_ranking():
 
 def test_without_profile_ranking_is_static_order():
     nl, _ = gen_gcd()
-    score = power_score(nl, build_registry(nl))
+    score = power_score(nl, build_registry(nl), resolve_device("virtex7").power)
     assert all(bp.alpha == 0.0 and not bp.profiled for bp in score.per_block.values())
     statics = [score.per_block[b].static_uw for b in score.ranking]
     assert statics == sorted(statics, reverse=True)
@@ -112,12 +113,13 @@ def test_without_profile_ranking_is_static_order():
 
 
 def test_power_model_validation():
+    base = resolve_device("virtex7").power
     with pytest.raises(PowerError):
-        PowerModel({"LUT1": -0.1}, {}, 1e8)
+        PowerModel({**base.static_uw, "LUT1": -0.1}, base.dynamic_pj, 1e8)
     with pytest.raises(PowerError):
-        PowerModel({}, {"bogus": 1.0}, 1e8)
+        PowerModel(base.static_uw, {**base.dynamic_pj, "bogus": 1.0}, 1e8)
     with pytest.raises(PowerError):
-        PowerModel({}, {}, 0.0)
+        PowerModel(base.static_uw, base.dynamic_pj, 0.0)
 
 
 def test_profile_truncation_merges_reads():
@@ -202,7 +204,7 @@ def test_unannotated_cells_score_but_never_rank():
             Cell("n_ff", CellKind.FF_D),
         ]
     )
-    score = power_score(nl, build_registry(nl))
+    score = power_score(nl, build_registry(nl), resolve_device("virtex7").power)
     assert score.unannotated is not None
     assert score.unannotated.static_uw == pytest.approx(0.2)
     assert [str(b) for b in score.ranking] == ["b"]
@@ -216,8 +218,9 @@ def test_power_counts_resources_like_the_area_report(seed, n, depth):
     registry = build_registry(nl)
     if depth is not None:
         registry = group_to_depth(registry, depth)
-    area = area_report(nl, registry)
-    model = PowerModel()
+    device = resolve_device("virtex7")
+    area = area_report(nl, registry, device.weights)
+    model = device.power
     power = power_score(nl, registry, model)
     rows = [(area.per_block[label], power.per_block[label], cells) for label, cells in registry.blocks.items()]
     if registry.unannotated:
@@ -225,5 +228,5 @@ def test_power_counts_resources_like_the_area_report(seed, n, depth):
     for block_area, block_power, cells in rows:
         counts, unpaired = resource_counts(cells, nl)
         assert (counts, unpaired) == (block_area.counts, block_area.unpaired_ff)
-        assert block_power.static_uw == sum(counts[k] * model.static_of(k) for k in RESOURCE_KINDS)
-        assert block_power.dynamic_pj == sum(counts[k] * model.dynamic_of(k) for k in RESOURCE_KINDS)
+        assert block_power.static_uw == sum(counts[k] * model.static_uw[k] for k in RESOURCE_KINDS)
+        assert block_power.dynamic_pj == sum(counts[k] * model.dynamic_pj[k] for k in RESOURCE_KINDS)

@@ -1,6 +1,6 @@
 """The public record types: fields, repr, equality, hash, immutability,
-ordering, constructor checks and default tables, and what importing the CLI
-pulls in."""
+ordering, constructor checks, the built-in tables resolve_device returns, and
+what importing the CLI pulls in."""
 
 import subprocess
 import sys
@@ -8,19 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from blockscope.annotation import AnnotationError, BlockLabel, BlockRegistry
-from blockscope.area import DEFAULT_WEIGHTS, AreaError, AreaReport, AreaWeights, BlockArea
+from blockscope.annotation import AnnotationError, BlockLabel, BlockRegistry, build_registry
+from blockscope.area import RESOURCE_KINDS, AreaError, AreaReport, AreaWeights, BlockArea, area_report
 from blockscope.delay import BlockDelay, DelayReport, PathResult
-from blockscope.devices import DeviceProfile
-from blockscope.model import Cell, CellKind, Net, Violation
+from blockscope.devices import BUILTIN_DEVICES, DeviceProfile, resolve_device
+from blockscope.model import Cell, CellKind, Net, Netlist, Violation
 from blockscope.power import (
-    DEFAULT_DYNAMIC_PJ,
-    DEFAULT_STATIC_UW,
     ActivityProfile,
     BlockPower,
     PowerError,
     PowerModel,
     PowerScore,
+    power_score,
 )
 from blockscope.report import CombinedReport, ReportMetadata
 
@@ -32,10 +31,19 @@ PATH = PathResult(5, 3, 2, ("a", "b"))
 P = "PathResult(total_delay=5, logic_delay=3, network_delay=2, path=('a', 'b'))"
 BDELAY = BlockDelay(PATH, PathResult(3, 3, 0, ("b",)))
 BD = f"BlockDelay(system={P}, block=PathResult(total_delay=3, logic_delay=3, network_delay=0, path=('b',)))"
-WEIGHTS = AreaWeights({"LUT2": 1.5})
-W = "AreaWeights(weights={'LUT2': 1.5})"
-MODEL = PowerModel({"LUT2": 0.2}, {"LUT2": 1.0}, 1e8)
-M = "PowerModel(static_uw={'LUT2': 0.2}, dynamic_pj={'LUT2': 1.0}, frequency_hz=100000000.0)"
+REST = "'LUT3': 0, 'LUT4': 0, 'LUT5': 0, 'LUT6': 0, 'FF': 0, 'CLK': 0, 'IN': 0, 'OUT': 0, 'MEM_IN': 0"
+
+
+def table(**values):
+    """A complete coefficient table: the given kinds' values and 0 for every other kind."""
+    return {**dict.fromkeys(RESOURCE_KINDS, 0), **values}
+
+
+WEIGHTS = AreaWeights(table(LUT2=1.5))
+W = f"AreaWeights(weights={{'LUT1': 0, 'LUT2': 1.5, {REST}}})"
+MODEL = PowerModel(table(LUT2=0.2), table(LUT2=1.0), 1e8)
+M = (f"PowerModel(static_uw={{'LUT1': 0, 'LUT2': 0.2, {REST}}}, "
+     f"dynamic_pj={{'LUT1': 0, 'LUT2': 1.0, {REST}}}, frequency_hz=100000000.0)")
 BPOWER = BlockPower(0.2, 1.0, 0.5, 2, 3, 50.2, True)
 BP = ("BlockPower(static_uw=0.2, dynamic_pj=1.0, alpha=0.5, active_cycles=2, events=3, "
       "average_uw=50.2, profiled=True)")
@@ -127,15 +135,37 @@ def test_block_label_sorts_by_segments():
     (lambda: AreaWeights({"LUT7": 1.0}), AreaError, "unknown resource kind 'LUT7' in weight table"),
     (lambda: AreaWeights({"FF": -1.0}), AreaError, "weight for FF must be non-negative"),
     (lambda: AreaWeights({"FF": -1.0, "LUT7": 1.0}), AreaError, "weight for FF must be non-negative"),
-    (lambda: PowerModel(static_uw={"LUT7": 1.0}), PowerError, "unknown resource kind 'LUT7' in static table"),
-    (lambda: PowerModel(dynamic_pj={"LUT7": 1.0}), PowerError, "unknown resource kind 'LUT7' in dynamic table"),
-    (lambda: PowerModel(static_uw={"FF": -0.5}), PowerError, "static coefficient for FF must be non-negative"),
-    (lambda: PowerModel(dynamic_pj={"FF": -0.5}), PowerError, "dynamic coefficient for FF must be non-negative"),
+    (lambda: PowerModel({"LUT7": 1.0}, table(), 1e8), PowerError, "unknown resource kind 'LUT7' in static table"),
+    (lambda: PowerModel(table(), {"LUT7": 1.0}, 1e8), PowerError, "unknown resource kind 'LUT7' in dynamic table"),
+    (lambda: PowerModel({"FF": -0.5}, table(), 1e8), PowerError, "static coefficient for FF must be non-negative"),
+    (lambda: PowerModel(table(), {"FF": -0.5}, 1e8), PowerError, "dynamic coefficient for FF must be non-negative"),
     (lambda: PowerModel({"FF": -0.5}, {"LUT7": 1.0}, 0.0), PowerError,
      "static coefficient for FF must be non-negative"),
-    (lambda: PowerModel({}, {"LUT7": 1.0}, 0.0), PowerError, "unknown resource kind 'LUT7' in dynamic table"),
-    (lambda: PowerModel(frequency_hz=0.0), PowerError, "frequency must be positive"),
-    (lambda: PowerModel(frequency_hz=float("nan")), PowerError, "frequency must be positive"),
+    (lambda: PowerModel(table(), {"LUT7": 1.0}, 0.0), PowerError, "unknown resource kind 'LUT7' in dynamic table"),
+    (lambda: PowerModel(table(), table(), 0.0), PowerError, "frequency must be positive"),
+    (lambda: PowerModel(table(), table(), float("nan")), PowerError, "frequency must be positive"),
+    # every kind, and only numbers that stay finite as floats
+    (lambda: AreaWeights({}), AreaError, "weight table lacks resource kind CLK"),
+    (lambda: AreaWeights({k: 1 for k in RESOURCE_KINDS if k not in ("MEM_IN", "LUT3")}), AreaError,
+     "weight table lacks resource kind LUT3"),
+    (lambda: PowerModel({}, table(), 1e8), PowerError, "static table lacks resource kind CLK"),
+    (lambda: PowerModel(table(), {"FF": 1.0}, 1e8), PowerError, "dynamic table lacks resource kind CLK"),
+    (lambda: PowerModel(table(), table(), float("inf")), PowerError, "frequency must be a finite number"),
+    (lambda: PowerModel(table(), table(), 10**400), PowerError, "frequency must be a finite number"),
+    (lambda: PowerModel(table(), table(), True), PowerError, "frequency must be a finite number"),
+    (lambda: PowerModel(table(), table(), "1e8"), PowerError, "frequency must be a finite number"),
+    (lambda: PowerModel(table(), table(), None), PowerError, "frequency must be a finite number"),
+] + [
+    (lambda value=value: AreaWeights(table(FF=value)), AreaError, "weight for FF must be a finite number")
+    for value in (float("nan"), float("inf"), -float("inf"), 10**400, "1", True, False, None)
+] + [
+    (lambda value=value: PowerModel(table(LUT1=value), table(), 1e8), PowerError,
+     "static coefficient for LUT1 must be a finite number")
+    for value in (float("nan"), float("inf"), "0.5", True)
+] + [
+    (lambda value=value: PowerModel(table(), table(LUT1=value), 1e8), PowerError,
+     "dynamic coefficient for LUT1 must be a finite number")
+    for value in (float("nan"), float("inf"), "0.5", True)
 ])
 def test_constructor_checks(build, error, message):
     with pytest.raises(error) as err:
@@ -143,19 +173,30 @@ def test_constructor_checks(build, error, message):
     assert str(err.value) == message
 
 
-def test_default_tables_are_fresh_copies():
-    assert AreaWeights() == AreaWeights(DEFAULT_WEIGHTS) and AreaWeights().weights is not AreaWeights().weights
-    weights = AreaWeights()
-    weights.weights["FF"] = 9.0
-    assert DEFAULT_WEIGHTS["FF"] == 1.0 and AreaWeights().weights["FF"] == 1.0
+def test_int_coefficients_give_float_scores():
+    netlist = Netlist([Cell("b__l", CellKind.LUT2, 1), Cell("b__d", CellKind.FF_D), Cell("b__q", CellKind.FF_Q)],
+                      [], [("b__d", "b__q")])
+    registry = build_registry(netlist)
+    area = area_report(netlist, registry, AreaWeights(table(LUT2=3, FF=2)))
+    assert area.totals.weighted_area == 5.0 and area.totals.weighted_area.__class__ is float
+    power = power_score(netlist, registry, PowerModel(table(LUT2=1), table(FF=4), 10**6)).per_block
+    (block,) = power.values()
+    assert (block.static_uw, block.dynamic_pj) == (1.0, 4.0)
+    assert block.static_uw.__class__ is float and block.dynamic_pj.__class__ is float
 
-    assert PowerModel() == PowerModel(DEFAULT_STATIC_UW, DEFAULT_DYNAMIC_PJ, 1e8)
-    first, second = PowerModel(), PowerModel()
-    assert first.static_uw is not second.static_uw and first.dynamic_pj is not second.dynamic_pj
-    first.static_uw["FF"] = 9.0
-    first.dynamic_pj["FF"] = 9.0
-    assert DEFAULT_STATIC_UW["FF"] == 0.2 and DEFAULT_DYNAMIC_PJ["FF"] == 1.0
-    assert PowerModel().static_uw["FF"] == 0.2 and PowerModel().dynamic_pj["FF"] == 1.0
+
+def test_default_tables_are_fresh_copies():
+    """Emptying every table resolve_device returned leaves the next call's
+    tables as they were, for every built-in."""
+    def tables(device):
+        return device.logic_delays, device.weights.weights, device.power.static_uw, device.power.dynamic_pj
+
+    for name in BUILTIN_DEVICES:
+        changed = resolve_device(name)
+        expected = [dict(t) for t in tables(changed)]
+        for t in tables(changed):
+            t.clear()
+        assert [dict(t) for t in tables(resolve_device(name))] == expected, name
 
 
 def test_importing_the_cli_skips_dataclasses_and_inspect():
