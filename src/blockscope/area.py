@@ -5,7 +5,7 @@ MEM_IN. An FF_D/FF_Q pair listed in ff_pairs counts as one FF resource when
 both ports fall in the same partition cell set; an unpaired port (or a pair
 split across partitions, which generators never emit) counts as one FF each
 and is flagged. Weighted area is the count-weighted sum under a weight table;
-power does not read it (static power comes from ``PowerModel.static_uw``).
+power weighs the same counts by its own tables (``power_score`` takes the report).
 A weight table names every resource kind; ``resolve_device`` builds the built-in one.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
 from .annotation import BlockLabel, BlockRegistry
@@ -32,9 +33,11 @@ RESOURCE_KINDS: tuple[str, ...] = (
     "MEM_IN",
 )
 
+_FF_PORTS = frozenset((CellKind.FF_D, CellKind.FF_Q))
+
 #: CellKind -> resource kind name; both FF ports map onto the FF resource.
 RESOURCE_OF_KIND: dict[CellKind, str] = {
-    kind: ("FF" if kind in (CellKind.FF_D, CellKind.FF_Q) else kind.value) for kind in CellKind
+    kind: ("FF" if kind in _FF_PORTS else kind.value) for kind in CellKind
 }
 
 
@@ -88,7 +91,7 @@ def cell_indices(netlist: Netlist, cells: Iterable[str]) -> set[int]:
     AreaError naming the smallest such id."""
     index = netlist.index
     try:
-        return {index[cid] for cid in cells}
+        return set(map(index.__getitem__, cells))
     except KeyError:
         missing = min(cid for cid in cells if cid not in index)  # not the set's hash order
         raise AreaError(f"registry references unknown cell {missing}") from None
@@ -97,40 +100,38 @@ def cell_indices(netlist: Netlist, cells: Iterable[str]) -> set[int]:
 def resource_counts(cells: Iterable[str], netlist: Netlist) -> tuple[dict[str, int], tuple[str, ...]]:
     """Count resource kinds over a cell set; returns (counts, unpaired FF ids).
 
-    The FF_Q of a co-located pair is skipped so the pair counts once at its D
-    port.
+    Every port counts one FF, then the FF_Q of a co-located pair is taken
+    back so the pair counts once at its D port.
     """
-    counts = {kind: 0 for kind in RESOURCE_KINDS}
-    unpaired: list[str] = []
-    kinds, partner = netlist.kind, netlist.partner
     members = cell_indices(netlist, cells)
-    for i in sorted(members):  # index order is id order
-        kind = kinds[i]
-        if kind is CellKind.FF_D:
-            counts["FF"] += 1
+    kinds, partner = netlist.kind, netlist.partner
+    counts = dict.fromkeys(RESOURCE_KINDS, 0)
+    for kind, n in Counter(map(kinds.__getitem__, members)).items():
+        counts[RESOURCE_OF_KIND[kind]] += n
+    unpaired: list[str] = []
+    if counts["FF"]:
+        for i in sorted(i for i in members if kinds[i] in _FF_PORTS):  # index order is id order
             if partner[i] not in members:
                 unpaired.append(netlist.ids[i])
-        elif kind is CellKind.FF_Q:
-            if partner[i] in members:
-                continue  # counted at the D port
-            counts["FF"] += 1
-            unpaired.append(netlist.ids[i])
-        else:
-            counts[RESOURCE_OF_KIND[kind]] += 1
+            elif kinds[i] is CellKind.FF_Q:
+                counts["FF"] -= 1  # counted at the D port
     return counts, tuple(unpaired)
 
 
-def weighted_area(counts: Mapping[str, int], weights: AreaWeights) -> float:
-    return sum(counts[kind] * float(weights.weights[kind]) for kind in RESOURCE_KINDS)
+def weighted_area(counts: Mapping[str, int], table: Mapping[str, float]) -> float:
+    """The counts weighed by one per-kind table: area weights, static or dynamic power."""
+    return sum(counts[kind] * float(table[kind]) for kind in RESOURCE_KINDS)
 
 
 def area_report(netlist: Netlist, registry: BlockRegistry, weights: AreaWeights) -> AreaReport:
     """Per-block counts and weighted area plus a totals row.
 
     Totals are the kind-by-kind sum of all blocks and the pseudo-block, so
-    conservation holds by construction; a mismatch between registry and
-    netlist cell ids is an error.
+    conservation holds by construction. A registry cell the netlist lacks, or a
+    kind deleted from the table after AreaWeights checked it, is an error.
     """
+    table = weights.weights
+    _check_table(table, AreaError, "weight", "weight")
     def finite(area: float, name: str) -> float:
         if not math.isfinite(area):
             raise AreaError(f"weighted area of {name} overflows; lower the area weights")
@@ -138,7 +139,7 @@ def area_report(netlist: Netlist, registry: BlockRegistry, weights: AreaWeights)
 
     def block_area(cells: frozenset[str], name: str) -> BlockArea:
         counts, unpaired = resource_counts(cells, netlist)
-        return BlockArea(counts, finite(weighted_area(counts, weights), name), unpaired)
+        return BlockArea(counts, finite(weighted_area(counts, table), name), unpaired)
 
     per_block = {
         label: block_area(cells, f"block {label}") for label, cells in registry.blocks.items()
@@ -152,7 +153,7 @@ def area_report(netlist: Netlist, registry: BlockRegistry, weights: AreaWeights)
         total_unpaired.extend(ba.unpaired_ff)
     totals = BlockArea(
         total_counts,
-        finite(weighted_area(total_counts, weights), "the totals"),
+        finite(weighted_area(total_counts, table), "the totals"),
         tuple(sorted(total_unpaired)),
     )
     return AreaReport(per_block, unannotated, totals)

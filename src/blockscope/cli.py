@@ -12,7 +12,6 @@ from pathlib import Path
 from . import __version__
 from .annotation import check_group_depth
 from .devices import BUILTIN_DEVICES, resolve_device
-from .fixtures import gen_fig6, gen_gcd, gen_random
 from .formats import (
     ParseError,
     parse_coefficients,
@@ -141,6 +140,7 @@ def _analyze(args: argparse.Namespace) -> int:
 
 def _fixture_files(args: argparse.Namespace) -> list[tuple[str, bytes]]:
     """The (file name, bytes) a fixture name stands for; rejects an unknown name."""
+    from .fixtures import gen_fig6, gen_gcd, gen_random  # here: only this command needs random
     if args.name == "gcd":
         netlist, profile = gen_gcd(args.bit_width, _in_file(args.device, resolve_device, args.device))
         return [("gcd.bnl", serialize_netlist(netlist)), ("gcd.bpf", serialize_profile(profile))]

@@ -7,7 +7,7 @@ state the block reads. A cycle counts once no matter how many causes hit it,
 so alpha is always within [0, 1]; the raw event count keeps the multiplicity.
 
 Scores rank blocks under one device profile; they are not comparable across
-profiles. Both tables name every resource kind; ``resolve_device`` builds the built-in model.
+profiles. Both tables name every resource kind and weigh the area report's counts.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import math
 import sys
 from typing import Mapping, NamedTuple
 
-from .annotation import BlockLabel, BlockRegistry
-from .area import RESOURCE_KINDS, _check_table, resource_counts
-from .model import BlockscopeError, Netlist
+from .annotation import BlockLabel
+from .area import AreaReport, _check_table, weighted_area
+from .model import BlockscopeError
 
 
 class PowerError(BlockscopeError):
@@ -145,24 +145,21 @@ class PowerScore(NamedTuple):
     unknown_blocks: tuple[BlockLabel, ...] = ()  # profile blocks absent from the netlist
 
 
-def power_score(
-    netlist: Netlist,
-    registry: BlockRegistry,
-    model: PowerModel,
-    profile: ActivityProfile | None = None,
-) -> PowerScore:
-    """Score every block; ranking is by descending P_avg, ties by label.
+def power_score(area: AreaReport, model: PowerModel, profile: ActivityProfile | None = None) -> PowerScore:
+    """Score every block of the area report by its counts; ranking is by
+    descending P_avg, ties by label. A table that lost a kind is an error.
 
     Without a profile all alphas are 0 and the ranking degenerates to the
     static-power ranking.
     """
+    _check_table(model.static_uw, PowerError, "static", "static coefficient")
+    _check_table(model.dynamic_pj, PowerError, "dynamic", "dynamic coefficient")
     known = profile.blocks() if profile is not None else frozenset()
     index = _ActivityIndex(profile) if profile is not None else None
 
-    def score(cells: frozenset[str], label: BlockLabel | None) -> BlockPower:
-        counts, _ = resource_counts(cells, netlist)
-        p_s = sum(counts[kind] * float(model.static_uw[kind]) for kind in RESOURCE_KINDS)
-        p_d = sum(counts[kind] * float(model.dynamic_pj[kind]) for kind in RESOURCE_KINDS)
+    def score(counts: dict[str, int], label: BlockLabel | None) -> BlockPower:
+        p_s = weighted_area(counts, model.static_uw)
+        p_d = weighted_area(counts, model.dynamic_pj)
         profiled = profile is not None and label is not None and label in known
         if profiled:
             active, events = index.activity(label)  # one block's cycle set alive at a time
@@ -176,8 +173,9 @@ def power_score(
             raise PowerError(f"average power of {name} overflows; lower its coefficients or the frequency")
         return BlockPower(p_s, p_d, alpha, n_active, events, average, profiled)
 
-    per_block = {label: score(cells, label) for label, cells in registry.blocks.items()}
-    unannotated = score(registry.unannotated, None) if registry.unannotated else None
+    per_block = {label: score(block.counts, label) for label, block in area.per_block.items()}
+    counts = area.unannotated.counts
+    unannotated = score(counts, None) if any(counts.values()) else None
     ranking = tuple(
         sorted(per_block, key=lambda label: (-per_block[label].average_uw, str(label)))
     )

@@ -9,14 +9,13 @@ sorts keys, keeps delays as integer picoseconds, and fixes decimal places
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from typing import Iterable, NamedTuple
 
 from . import __version__
 from .annotation import BlockLabel, build_registry, group_to_depth
-from .area import RESOURCE_KINDS, AreaReport, BlockArea, area_report
+from .area import RESOURCE_KINDS, AreaReport, AreaWeights, BlockArea, area_report
 from .delay import BlockDelay, DelayReport, PathResult, delay_report
 from .devices import DeviceProfile, resolve_device
 from .model import BlockscopeError, Netlist
@@ -78,7 +77,7 @@ def build_report(
     profile_digest: str | None = None,
 ) -> CombinedReport:
     """Run the requested analyses over one registry so all sections share the
-    same block label set.
+    same block label set; power scores the area report's counts.
 
     Area weighs with device.weights, power scores with device.power, and the
     header names device.name (None: the built-in virtex7). netlist_digest and
@@ -94,26 +93,18 @@ def build_report(
             profile = profile.truncated(group_depth)
     metadata = ReportMetadata(__version__, device.name, netlist_digest, profile_digest,
                               group_depth, include_block_nets)
-    area = area_report(netlist, registry, device.weights) if "area" in metrics else None
+    area = None
+    if "area" in metrics or "power" in metrics:  # power weighs the area report's counts
+        # a power-only report weighs by zeros, so an area it never prints cannot fail it
+        weights = device.weights if "area" in metrics else AreaWeights(dict.fromkeys(RESOURCE_KINDS, 0))
+        area = area_report(netlist, registry, weights)
     delay = (
         delay_report(netlist, registry, include_block_nets=include_block_nets)
         if "delay" in metrics
         else None
     )
-    power = power_score(netlist, registry, device.power, profile) if "power" in metrics else None
-    _check_alignment(area, delay, power)
-    return CombinedReport(metadata, area, delay, power)
-
-
-def _check_alignment(area, delay, power) -> None:
-    label_sets = [
-        set(section.per_block)
-        for section in (area, delay, power)
-        if section is not None
-    ]
-    for other in label_sets[1:]:
-        if other != label_sets[0]:
-            raise RuntimeError("internal error: report sections disagree on block labels")
+    power = power_score(area, device.power, profile) if "power" in metrics else None
+    return CombinedReport(metadata, area if "area" in metrics else None, delay, power)
 
 
 def _labels(report: CombinedReport) -> list[BlockLabel]:
@@ -237,7 +228,7 @@ def report_document(report: CombinedReport) -> dict:
         doc["area"] = {
             "blocks": [_area_entry(str(l), a.per_block[l]) for l in labels],
             "unannotated": _area_entry(UNANNOTATED_LABEL, a.unannotated)
-            if a.unannotated.counts and sum(a.unannotated.counts.values())
+            if any(a.unannotated.counts.values())
             else None,
             "totals": _area_entry("total", a.totals),
         }
@@ -383,6 +374,7 @@ _CSV_SECTIONS = {
 
 
 def render_csv(report: CombinedReport) -> bytes:
+    import csv  # here, not at the top: only this format needs it
     doc = report_document(report)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -1,10 +1,11 @@
-"""Exit 1, naming them, if importing blockscope.cli loads dataclasses, inspect
-or hashlib.
+"""Exit 1, naming them, if importing blockscope.cli loads dataclasses, inspect,
+hashlib, random or csv.
 
-All three are slow to import (dataclasses pulls in inspect, ast, dis and
-tokenize; hashlib loads OpenSSL), and every blockscope command is a fresh
-process that pays for its imports. Only an analysis needs hashlib, for the
-input digests, so the CLI imports it there.
+dataclasses pulls in inspect, ast, dis and tokenize, and hashlib loads
+OpenSSL; every blockscope command is a fresh process that pays for its
+imports. The last three serve one command each: only an analysis needs
+hashlib, for the input digests, only `blockscope fixtures` needs random, and
+only CSV output needs csv. So each is imported where it is used.
 The modules loaded are compared against this interpreter's own start, so
 what site hooks import does not count. Run it with the package to check on
 the path:
@@ -15,7 +16,7 @@ the path:
 
 import sys
 
-FORBIDDEN = {"dataclasses", "inspect", "hashlib"}
+FORBIDDEN = {"dataclasses", "inspect", "hashlib", "random", "csv"}
 
 before = set(sys.modules)
 import blockscope.cli  # noqa: E402

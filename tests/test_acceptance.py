@@ -12,6 +12,7 @@ import sys
 import time
 
 from blockscope.annotation import BlockLabel, build_registry
+from blockscope.area import area_report
 from blockscope.delay import delay_report
 from blockscope.devices import resolve_device
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
@@ -115,7 +116,8 @@ def test_block_delays_never_exceed_system_or_global():
 
 def test_switching_factors_replay_exactly():
     nl, profile = gen_gcd()
-    score = power_score(nl, build_registry(nl), resolve_device("virtex7").power, profile)
+    device = resolve_device("virtex7")
+    score = power_score(area_report(nl, build_registry(nl), device.weights), device.power, profile)
     assert score.per_block[BlockLabel.parse("subtract")].alpha == 0.5
     for seed in range(N_RANDOM):
         p = gen_random_profile(seed)
@@ -123,7 +125,7 @@ def test_switching_factors_replay_exactly():
         index = _ActivityIndex(p)
         # one cell per profile block, so power_score gives every block its alpha
         nl = Netlist([Cell(f"{block}__c", CellKind.LUT1, 1) for block in p.blocks()])
-        score = power_score(nl, build_registry(nl), resolve_device("virtex7").power, p)
+        score = power_score(area_report(nl, build_registry(nl), device.weights), device.power, p)
         for block in p.blocks():
             assert index.activity(block)[0] == replay[block], (seed, str(block))
             alpha = score.per_block[block].alpha

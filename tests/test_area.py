@@ -17,7 +17,6 @@ from blockscope.delay import delay_report
 from blockscope.devices import resolve_device
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist
-from blockscope.power import power_score
 
 from oracles import oracle_resource_counts
 
@@ -108,6 +107,15 @@ def test_custom_weights_and_validation():
         AreaWeights({"FF": -0.5})
 
 
+def test_a_kind_deleted_after_construction_is_named():
+    """AreaWeights keeps the caller's dict, so area_report checks it again."""
+    nl, _ = gen_gcd()
+    weights = resolve_device("virtex7").weights
+    del weights.weights["FF"]
+    with pytest.raises(AreaError, match="^weight table lacks resource kind FF$"):
+        area_report(nl, build_registry(nl), weights)
+
+
 def test_registry_netlist_mismatch_is_an_error():
     nl, _ = gen_gcd()
     other = Netlist([Cell("x__q0", CellKind.FF_Q)])
@@ -115,10 +123,9 @@ def test_registry_netlist_mismatch_is_an_error():
     ghost = BlockRegistry({BlockLabel.parse("core"): cells}, frozenset())
     cases = ((other, build_registry(nl), "subtract__diff0"), (gen_fig6(), ghost, "ghost_a"))
     for netlist, registry, name in cases:
-        device = resolve_device("virtex7")
-        for analysis, table in ((area_report, device.weights), (power_score, device.power)):
-            with pytest.raises(AreaError, match=f"^registry references unknown cell {name}$"):
-                analysis(netlist, registry, table)  # the smallest unknown id, whatever the hash order
+        with pytest.raises(AreaError, match=f"^registry references unknown cell {name}$"):
+            # the smallest unknown id, whatever the hash order
+            area_report(netlist, registry, resolve_device("virtex7").weights)
         with pytest.raises(BlockscopeError, match=f"^registry references unknown cell {name}$"):
             delay_report(netlist, registry)
 
@@ -151,7 +158,7 @@ def test_weighted_area_helper_matches_report():
     report = area_report(nl, registry, resolve_device("virtex7").weights)
     for label, cells in registry.blocks.items():
         counts, _ = resource_counts(cells, nl)
-        assert weighted_area(counts, resolve_device("virtex7").weights) == report.per_block[label].weighted_area
+        assert weighted_area(counts, resolve_device("virtex7").weights.weights) == report.per_block[label].weighted_area
 
 
 @settings(max_examples=120, deadline=None)

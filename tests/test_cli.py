@@ -403,6 +403,24 @@ def test_non_finite_weighted_area_exits_1(gcd_files, tmp_path):
         assert result.stdout == b""
 
 
+def test_power_only_report_ignores_the_area_weights(gcd_files, tmp_path, capsysbinary):
+    """Power weighs the area report's counts, but a report that prints no area
+    never fails on its weights."""
+    bnl, bpf = gcd_files
+    device = tmp_path / "device"
+    device.write_text(f"{DEVICE_HEADER}\nweight LUT4 1e308\n")  # subtract's area overflows
+    power = []
+    for name in (str(device), "virtex7"):
+        code = main(["analyze", "--netlist", str(bnl), "--profile", str(bpf), "--device", name,
+                     "--metrics", "power", "--format", "structured"])
+        out, err = capsysbinary.readouterr()
+        assert (code, err) == (0, b""), name
+        doc = json.loads(out)
+        assert doc["area"] is None, name
+        power.append(doc["power"])
+    assert power[0] == power[1]
+
+
 # sha256 of every report for fixed inputs: the report bytes are the contract,
 # so a change that moves one byte of text, CSV or JSON output fails here.
 GOLDEN_REPORTS = {

@@ -365,6 +365,11 @@ def test_profile_reference_and_shape_errors():
         ("cycles 2\nfires r9 0", "undeclared rule r9"),
         ("cycles 2\nrule r0 block b\nfires r0 0\nfires r0 1", "duplicate fires"),
         ("cycles 2\nrule r0 block b\nfires r0 0,0", "strictly increasing"),
+        # a repeat at the end of a 200-cycle list, and a drop after a long rise
+        ("cycles 300\nrule r0 block b\nfires r0 " + ",".join(map(str, [*range(199), 198])),
+         "firing cycles must be strictly increasing, found 198 then 198 (line 4, col 10)"),
+        ("cycles 300\nrule r0 block b\nfires r0 " + ",".join(map(str, [*range(150), 7])),
+         "firing cycles must be strictly increasing, found 149 then 7 (line 4, col 10)"),
         ("cycles 2\nrule r0 block b\nfires r0 2", "out of range"),
         ("cycles 2\nrule r0 block b\nfires r0 1,x", "malformed firing cycle"),
         ("cycles 2\nrule r0 block b\nfires r0 1," + "1" * 5000, "out of range"),

@@ -25,10 +25,16 @@ SUB = BlockLabel.parse("subtract")
 SWAP = BlockLabel.parse("swap")
 
 
+def score_of(nl, profile=None):
+    """power_score over the netlist's own registry, under virtex7."""
+    device = resolve_device("virtex7")
+    return power_score(area_report(nl, build_registry(nl), device.weights), device.power, profile)
+
+
 def profile_scores(profile):
     """power_score's BlockPower per profile block, over one cell in each block."""
     nl = Netlist([Cell(f"{block}__c", CellKind.LUT1, 1) for block in sorted(profile.blocks(), key=str)])
-    return power_score(nl, build_registry(nl), resolve_device("virtex7").power, profile).per_block
+    return score_of(nl, profile).per_block
 
 
 def test_average_power_formula():
@@ -43,7 +49,7 @@ def test_gcd_active_cycles_and_alpha():
     index = _ActivityIndex(profile)
     assert index.activity(SUB)[0] == {2, 3, 4, 5, 6}
     assert index.activity(SWAP)[0] == {1, 2, 3, 4, 5, 6}
-    score = power_score(nl, build_registry(nl), resolve_device("virtex7").power, profile).per_block
+    score = score_of(nl, profile).per_block
     assert score[SUB].alpha == pytest.approx(0.5)
     assert score[SWAP].alpha == pytest.approx(0.6)
     # events keep multiplicity: overlapping triggers exceed distinct cycles
@@ -85,7 +91,7 @@ def test_self_write_counts_as_next_cycle_activity():
 
 def test_gcd_power_score_and_ranking():
     nl, profile = gen_gcd()
-    score = power_score(nl, build_registry(nl), resolve_device("virtex7").power, profile)
+    score = score_of(nl, profile)
     sub = score.per_block[SUB]
     assert sub.static_uw == pytest.approx(1.9)
     assert sub.dynamic_pj == pytest.approx(9.5)
@@ -104,7 +110,7 @@ def test_gcd_power_score_and_ranking():
 
 def test_without_profile_ranking_is_static_order():
     nl, _ = gen_gcd()
-    score = power_score(nl, build_registry(nl), resolve_device("virtex7").power)
+    score = score_of(nl)
     assert all(bp.alpha == 0.0 and not bp.profiled for bp in score.per_block.values())
     statics = [score.per_block[b].static_uw for b in score.ranking]
     assert statics == sorted(statics, reverse=True)
@@ -204,10 +210,33 @@ def test_unannotated_cells_score_but_never_rank():
             Cell("n_ff", CellKind.FF_D),
         ]
     )
-    score = power_score(nl, build_registry(nl), resolve_device("virtex7").power)
+    score = score_of(nl)
     assert score.unannotated is not None
     assert score.unannotated.static_uw == pytest.approx(0.2)
     assert [str(b) for b in score.ranking] == ["b"]
+
+
+def test_unannotated_row_exists_exactly_when_cells_are_unannotated():
+    # an unannotated FF_Q whose D port is in block b is an unpaired FF of the unannotated row
+    pair = Netlist([Cell("b__d", CellKind.FF_D), Cell("n_q", CellKind.FF_Q)], [], [("b__d", "n_q")])
+    assert score_of(pair).unannotated.static_uw == resolve_device("virtex7").power.static_uw["FF"]
+    seen = set()
+    for nl in [pair, Netlist([Cell("b__l", CellKind.LUT1, 1)])] + [gen_random(seed, 12) for seed in range(40)]:
+        empty = not build_registry(nl).unannotated
+        assert (score_of(nl).unannotated is None) == empty
+        seen.add(empty)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field, name", [("static_uw", "static"), ("dynamic_pj", "dynamic")])
+def test_a_kind_deleted_after_construction_is_named(field, name):
+    """PowerModel keeps the caller's dicts, so power_score checks them again."""
+    nl, profile = gen_gcd()
+    device = resolve_device("virtex7")
+    area = area_report(nl, build_registry(nl), device.weights)
+    del getattr(device.power, field)["FF"]
+    with pytest.raises(PowerError, match=f"^{name} table lacks resource kind FF$"):
+        power_score(area, device.power, profile)
 
 
 @settings(max_examples=100, deadline=None)
@@ -221,7 +250,7 @@ def test_power_counts_resources_like_the_area_report(seed, n, depth):
     device = resolve_device("virtex7")
     area = area_report(nl, registry, device.weights)
     model = device.power
-    power = power_score(nl, registry, model)
+    power = power_score(area, model)
     rows = [(area.per_block[label], power.per_block[label], cells) for label, cells in registry.blocks.items()]
     if registry.unannotated:
         rows.append((area.unannotated, power.unannotated, registry.unannotated))

@@ -179,7 +179,7 @@ def test_int_coefficients_give_float_scores():
     registry = build_registry(netlist)
     area = area_report(netlist, registry, AreaWeights(table(LUT2=3, FF=2)))
     assert area.totals.weighted_area == 5.0 and area.totals.weighted_area.__class__ is float
-    power = power_score(netlist, registry, PowerModel(table(LUT2=1), table(FF=4), 10**6)).per_block
+    power = power_score(area, PowerModel(table(LUT2=1), table(FF=4), 10**6)).per_block
     (block,) = power.values()
     assert (block.static_uw, block.dynamic_pj) == (1.0, 4.0)
     assert block.static_uw.__class__ is float and block.dynamic_pj.__class__ is float

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from blockscope import area
 from blockscope.annotation import BlockLabel, build_registry
 from blockscope.devices import resolve_device
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
@@ -219,3 +220,16 @@ def test_header_records_the_settings_build_report_applied():
         "group_depth": 1,
         "block_delay_nets": False,
     }
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_area_and_power_resolve_each_block_once(seed, monkeypatch):
+    """Power scores the area report's counts: one cell lookup per block and
+    one for the unannotated cells."""
+    calls = []
+    real = area.cell_indices
+    monkeypatch.setattr(area, "cell_indices", lambda netlist, cells: calls.append(1) or real(netlist, cells))
+    nl = gen_random(seed, 40)
+    report = build_report(nl, metrics=("area", "power"), profile=gen_random_profile(seed))
+    assert len(report.area.per_block) == len(report.power.per_block) > 1
+    assert len(calls) == len(build_registry(nl).blocks) + 1
