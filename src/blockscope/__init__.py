@@ -11,7 +11,7 @@ from .annotation import (
     extract_block_label,
     group_to_depth,
 )
-from .area import AreaReport, AreaWeights, area_report, resource_counts, weighted_area
+from .area import AreaReport, area_report, resource_counts, weighted_area
 from .delay import DelayReport, PathResult, delay_report
 from .devices import BUILTIN_DEVICES, DeviceProfile, resolve_device
 from .formats import (
@@ -53,7 +53,6 @@ __all__ = [
     "ActivityProfile",
     "AnnotationError",
     "AreaReport",
-    "AreaWeights",
     "BUILTIN_DEVICES",
     "BlockLabel",
     "BlockRegistry",

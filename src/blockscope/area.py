@@ -6,7 +6,8 @@ both ports fall in the same partition cell set; an unpaired port (or a pair
 split across partitions, which generators never emit) counts as one FF each
 and is flagged. Weighted area is the count-weighted sum under a weight table;
 power weighs the same counts by its own tables (``power_score`` takes the report).
-A weight table names every resource kind; ``resolve_device`` builds the built-in one.
+A weight table is a plain dict naming every resource kind; ``resolve_device``
+builds the built-in one, and ``area_report`` checks it when it weighs.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class AreaError(BlockscopeError):
     pass
 
 
-def _check_table(table: Mapping[str, float], error: type[BlockscopeError], name: str, what: str) -> None:
+def _check_table(table: Mapping[str, float], error: type[BlockscopeError], name: str) -> None:
     """Raise error unless the table maps every resource kind, and no other key,
     to a non-negative int or float that converts to a finite float."""
+    what = "weight" if name == "weight" else f"{name} coefficient"
     for kind, value in table.items():
         if kind not in RESOURCE_KINDS:
             raise error(f"unknown resource kind {kind!r} in {name} table")
@@ -58,20 +60,6 @@ def _check_table(table: Mapping[str, float], error: type[BlockscopeError], name:
     missing = set(RESOURCE_KINDS).difference(table)
     if missing:
         raise error(f"{name} table lacks resource kind {min(missing)}")
-
-
-class _AreaWeights(NamedTuple):
-    weights: Mapping[str, float]
-
-
-class AreaWeights(_AreaWeights):
-    """Non-negative weight for every resource kind; unknown kinds are rejected."""
-
-    __slots__ = ()
-
-    def __new__(cls, weights: Mapping[str, float]) -> "AreaWeights":
-        _check_table(weights, AreaError, "weight", "weight")
-        return super().__new__(cls, weights)
 
 
 class BlockArea(NamedTuple):
@@ -123,15 +111,14 @@ def weighted_area(counts: Mapping[str, int], table: Mapping[str, float]) -> floa
     return sum(counts[kind] * float(table[kind]) for kind in RESOURCE_KINDS)
 
 
-def area_report(netlist: Netlist, registry: BlockRegistry, weights: AreaWeights) -> AreaReport:
+def area_report(netlist: Netlist, registry: BlockRegistry, weights: Mapping[str, float]) -> AreaReport:
     """Per-block counts and weighted area plus a totals row.
 
     Totals are the kind-by-kind sum of all blocks and the pseudo-block, so
-    conservation holds by construction. A registry cell the netlist lacks, or a
-    kind deleted from the table after AreaWeights checked it, is an error.
+    conservation holds by construction. A registry cell the netlist lacks, or
+    a weight table that misses a kind or holds a bad weight, is an error.
     """
-    table = weights.weights
-    _check_table(table, AreaError, "weight", "weight")
+    _check_table(weights, AreaError, "weight")
     def finite(area: float, name: str) -> float:
         if not math.isfinite(area):
             raise AreaError(f"weighted area of {name} overflows; lower the area weights")
@@ -139,7 +126,7 @@ def area_report(netlist: Netlist, registry: BlockRegistry, weights: AreaWeights)
 
     def block_area(cells: frozenset[str], name: str) -> BlockArea:
         counts, unpaired = resource_counts(cells, netlist)
-        return BlockArea(counts, finite(weighted_area(counts, table), name), unpaired)
+        return BlockArea(counts, finite(weighted_area(counts, weights), name), unpaired)
 
     per_block = {
         label: block_area(cells, f"block {label}") for label, cells in registry.blocks.items()
@@ -153,7 +140,7 @@ def area_report(netlist: Netlist, registry: BlockRegistry, weights: AreaWeights)
         total_unpaired.extend(ba.unpaired_ff)
     totals = BlockArea(
         total_counts,
-        finite(weighted_area(total_counts, table), "the totals"),
+        finite(weighted_area(total_counts, weights), "the totals"),
         tuple(sorted(total_unpaired)),
     )
     return AreaReport(per_block, unannotated, totals)

@@ -2,8 +2,9 @@
 
 A device profile is a named coefficient set: per-kind cell logic delays (used
 when generating fixtures or when --override-delays rewrites a netlist), an
-area weight table, and a power model, each naming every kind. The built-in
-coefficients are written only here, and only ``resolve_device`` reads them.
+area weight table, and a power model, each naming every kind and checked when
+``area_report`` or ``power_score`` weighs it. The built-in coefficients are
+written only here, and only ``resolve_device`` reads them.
 Built-ins differ only in LUT speed; LUT_k scales as LUT6 * k / 6, rounded
 half-up in integer picoseconds. The weights and power model are deliberately
 shared across built-ins so scores stay comparable within one device and delay
@@ -24,7 +25,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .area import AreaWeights
 from .formats import parse_coefficients, read_file
 from .model import BlockscopeError, CellKind, Netlist
 from .power import PowerModel
@@ -86,7 +86,7 @@ def _scaled_delays(lut6_ps: int) -> dict[CellKind, int]:
 class DeviceProfile(NamedTuple):
     name: str
     logic_delays: dict[CellKind, int]
-    weights: AreaWeights
+    weights: dict[str, float]
     power: PowerModel
 
     def apply_delays(self, netlist: Netlist) -> Netlist:
@@ -100,7 +100,7 @@ BUILTIN_DEVICES = tuple(sorted(_LUT6_PS))
 def resolve_device(name_or_path: str) -> DeviceProfile:
     """Built-in name, or a path to a custom device profile file; every call builds new tables."""
     if name_or_path in _LUT6_PS:
-        return DeviceProfile(name_or_path, _scaled_delays(_LUT6_PS[name_or_path]), AreaWeights(dict(_WEIGHTS)),
+        return DeviceProfile(name_or_path, _scaled_delays(_LUT6_PS[name_or_path]), dict(_WEIGHTS),
                              PowerModel(dict(_STATIC_UW), dict(_DYNAMIC_PJ), _FREQUENCY_HZ))
     path = Path(name_or_path)
     if not name_or_path or not path.exists():  # Path("") is the working directory
@@ -108,5 +108,5 @@ def resolve_device(name_or_path: str) -> DeviceProfile:
             f"unknown device profile {name_or_path!r}; built-ins: {', '.join(BUILTIN_DEVICES)}"
         )
     base = resolve_device("virtex7")  # new tables, so the file's delay and weight lines fill them in place
-    power = parse_coefficients(read_file(path), base.power, (base.logic_delays, base.weights.weights))
-    return DeviceProfile(path.stem, base.logic_delays, AreaWeights(base.weights.weights), power)
+    power = parse_coefficients(read_file(path), base.power, (base.logic_delays, base.weights))
+    return DeviceProfile(path.stem, base.logic_delays, base.weights, power)

@@ -25,30 +25,17 @@ class PowerError(BlockscopeError):
     pass
 
 
-class _PowerModel(NamedTuple):
-    static_uw: Mapping[str, float]
-    dynamic_pj: Mapping[str, float]
-    frequency_hz: float
-
-
-class PowerModel(_PowerModel):
+class PowerModel(NamedTuple):
     """Static uW and dynamic pJ for every resource kind, plus the clock frequency.
 
     Coefficients are configuration, not silicon ground truth; they make
-    blocks comparable under one device profile.
+    blocks comparable under one device profile. ``power_score`` checks the
+    tables and the frequency when it weighs, so ``_replace`` is safe.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, static_uw: Mapping[str, float], dynamic_pj: Mapping[str, float],
-                frequency_hz: float) -> "PowerModel":
-        _check_table(static_uw, PowerError, "static", "static coefficient")
-        _check_table(dynamic_pj, PowerError, "dynamic", "dynamic coefficient")
-        if frequency_hz.__class__ in (int, float) and not frequency_hz > 0:  # NaN too
-            raise PowerError("frequency must be positive")
-        if frequency_hz.__class__ not in (int, float) or not frequency_hz <= sys.float_info.max:
-            raise PowerError("frequency must be a finite number")
-        return super().__new__(cls, static_uw, dynamic_pj, frequency_hz)
+    static_uw: Mapping[str, float]
+    dynamic_pj: Mapping[str, float]
+    frequency_hz: float
 
 
 class ActivityProfile(NamedTuple):
@@ -147,13 +134,18 @@ class PowerScore(NamedTuple):
 
 def power_score(area: AreaReport, model: PowerModel, profile: ActivityProfile | None = None) -> PowerScore:
     """Score every block of the area report by its counts; ranking is by
-    descending P_avg, ties by label. A table that lost a kind is an error.
+    descending P_avg, ties by label. A bad table or frequency is an error.
 
     Without a profile all alphas are 0 and the ranking degenerates to the
     static-power ranking.
     """
-    _check_table(model.static_uw, PowerError, "static", "static coefficient")
-    _check_table(model.dynamic_pj, PowerError, "dynamic", "dynamic coefficient")
+    _check_table(model.static_uw, PowerError, "static")
+    _check_table(model.dynamic_pj, PowerError, "dynamic")
+    frequency_hz = model.frequency_hz
+    if frequency_hz.__class__ in (int, float) and not frequency_hz > 0:  # NaN too
+        raise PowerError("frequency must be positive")
+    if frequency_hz.__class__ not in (int, float) or not frequency_hz <= sys.float_info.max:
+        raise PowerError("frequency must be a finite number")
     known = profile.blocks() if profile is not None else frozenset()
     index = _ActivityIndex(profile) if profile is not None else None
 
@@ -167,7 +159,7 @@ def power_score(area: AreaReport, model: PowerModel, profile: ActivityProfile | 
             alpha = n_active / profile.cycles
         else:
             alpha, events, n_active = 0.0, 0, 0
-        average = average_power_uw(p_s, p_d, alpha, model.frequency_hz)
+        average = average_power_uw(p_s, p_d, alpha, frequency_hz)
         if not math.isfinite(average):
             name = "the unannotated cells" if label is None else f"block {label}"
             raise PowerError(f"average power of {name} overflows; lower its coefficients or the frequency")
@@ -180,4 +172,4 @@ def power_score(area: AreaReport, model: PowerModel, profile: ActivityProfile | 
         sorted(per_block, key=lambda label: (-per_block[label].average_uw, str(label)))
     )
     unknown = tuple(sorted(known - per_block.keys(), key=str))
-    return PowerScore(per_block, unannotated, ranking, model.frequency_hz, unknown)
+    return PowerScore(per_block, unannotated, ranking, frequency_hz, unknown)

@@ -10,12 +10,11 @@ sorts keys, keeps delays as integer picoseconds, and fixes decimal places
 from __future__ import annotations
 
 import io
-import json
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
 from .annotation import BlockLabel, build_registry, group_to_depth
-from .area import RESOURCE_KINDS, AreaReport, AreaWeights, BlockArea, area_report
+from .area import RESOURCE_KINDS, AreaReport, BlockArea, area_report
 from .delay import BlockDelay, DelayReport, PathResult, delay_report
 from .devices import DeviceProfile, resolve_device
 from .model import BlockscopeError, Netlist
@@ -96,7 +95,7 @@ def build_report(
     area = None
     if "area" in metrics or "power" in metrics:  # power weighs the area report's counts
         # a power-only report weighs by zeros, so an area it never prints cannot fail it
-        weights = device.weights if "area" in metrics else AreaWeights(dict.fromkeys(RESOURCE_KINDS, 0))
+        weights = device.weights if "area" in metrics else dict.fromkeys(RESOURCE_KINDS, 0)
         area = area_report(netlist, registry, weights)
     delay = (
         delay_report(netlist, registry, include_block_nets=include_block_nets)
@@ -128,12 +127,10 @@ def _fmt_scalar(value, key: str) -> str:
         if key not in _FLOAT_PRECISION:
             raise RuntimeError(f"internal error: no precision rule for float field {key!r}")
         return f"{value:.{_FLOAT_PRECISION[key]}f}"
-    if isinstance(value, str):
-        return json.dumps(value)
     raise RuntimeError(f"internal error: unsupported JSON value {type(value).__name__}")
 
 
-def _emit(value, key: str, indent: int, out: list[str]) -> None:
+def _emit(value, key: str, indent: int, out: list[str], dumps: Callable[[str], str]) -> None:
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -142,8 +139,8 @@ def _emit(value, key: str, indent: int, out: list[str]) -> None:
         out.append("{\n")
         items = sorted(value.items())
         for i, (k, v) in enumerate(items):
-            out.append(f"{pad}  {json.dumps(k)}: ")
-            _emit(v, k, indent + 1, out)
+            out.append(f"{pad}  {dumps(k)}: ")
+            _emit(v, k, indent + 1, out, dumps)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(value, list):
@@ -153,17 +150,21 @@ def _emit(value, key: str, indent: int, out: list[str]) -> None:
         out.append("[\n")
         for i, v in enumerate(value):
             out.append(pad + "  ")
-            _emit(v, key, indent + 1, out)
+            _emit(v, key, indent + 1, out, dumps)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(pad + "]")
+    elif isinstance(value, str):
+        out.append(dumps(value))
     else:
         out.append(_fmt_scalar(value, key))
 
 
 def canonical_json(doc) -> bytes:
     """Sorted keys, two-space indent, fixed decimal places, trailing newline."""
+    from json import dumps  # once per document: only structured output needs json
+
     out: list[str] = []
-    _emit(doc, "", 0, out)
+    _emit(doc, "", 0, out, dumps)
     out.append("\n")
     return "".join(out).encode("utf-8")
 

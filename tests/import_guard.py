@@ -1,11 +1,12 @@
 """Exit 1, naming them, if importing blockscope.cli loads dataclasses, inspect,
-hashlib, random or csv.
+hashlib, random, csv or json.
 
 dataclasses pulls in inspect, ast, dis and tokenize, and hashlib loads
 OpenSSL; every blockscope command is a fresh process that pays for its
-imports. The last three serve one command each: only an analysis needs
-hashlib, for the input digests, only `blockscope fixtures` needs random, and
-only CSV output needs csv. So each is imported where it is used.
+imports. The last four serve one command each: only an analysis needs
+hashlib, for the input digests, only `blockscope fixtures` needs random, only
+CSV output needs csv, and only structured output needs json. So each is
+imported where it is used.
 The modules loaded are compared against this interpreter's own start, so
 what site hooks import does not count. Run it with the package to check on
 the path:
@@ -16,7 +17,7 @@ the path:
 
 import sys
 
-FORBIDDEN = {"dataclasses", "inspect", "hashlib", "random", "csv"}
+FORBIDDEN = {"dataclasses", "inspect", "hashlib", "random", "csv", "json"}
 
 before = set(sys.modules)
 import blockscope.cli  # noqa: E402

@@ -230,6 +230,7 @@ def test_round_trips_for_all_wire_formats():
 
 # (module, name) of helpers that only tests called, and of wrappers that added nothing
 DELETED = (
+    ("area", "AreaWeights"),
     ("area", "DEFAULT_WEIGHTS"),
     ("delay", "WeightingMode"),
     ("delay", "longest_path"),
@@ -260,8 +261,7 @@ def test_public_api_resolves_without_the_deleted_helpers():
     for module, name in DELETED:
         assert name not in blockscope.__all__ and not hasattr(blockscope, name), name
         assert not hasattr(importlib.import_module(f"blockscope.{module}"), name), (module, name)
-    attributes = ((blockscope.Netlist, "cell_ids"), (blockscope.AreaWeights, "default"),
-                  (blockscope.AreaWeights, "weight"), (blockscope.PowerModel, "default"),
+    attributes = ((blockscope.Netlist, "cell_ids"), (blockscope.PowerModel, "default"),
                   (blockscope.PowerModel, "static_of"), (blockscope.PowerModel, "dynamic_of"),
                   (blockscope.BlockLabel, "depth"), (blockscope.BlockRegistry, "all_cells"),
                   (blockscope.CellKind, "is_source"), (blockscope.CellKind, "is_sink"))
@@ -273,9 +273,13 @@ def test_public_api_resolves_without_the_deleted_helpers():
         assert name not in params, name
     # the coefficient tables come from the caller, never from a default
     defaults = ((blockscope.area_report, "weights"), (blockscope.power_score, "model"),
-                (blockscope.AreaWeights, "weights"), (blockscope.PowerModel, "static_uw"),
-                (blockscope.PowerModel, "dynamic_pj"), (blockscope.PowerModel, "frequency_hz"))
+                (blockscope.PowerModel, "static_uw"), (blockscope.PowerModel, "dynamic_pj"),
+                (blockscope.PowerModel, "frequency_hz"))
     for function, name in defaults:
         assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty, name
+    # a plain record, since power_score checks it: no private base, and the
+    # constructor is the one NamedTuple generates, not one of its own
+    assert blockscope.PowerModel.__bases__ == (tuple,)
+    assert blockscope.PowerModel.__new__.__module__ == "namedtuple_PowerModel"
     count = len(DELETED) + len(attributes) + len(gone) + len(defaults)
     print(f"PASS: {len(blockscope.__all__)} public names resolve and {count} deleted ones stay gone")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from blockscope.annotation import BlockLabel, BlockRegistry, build_registry, group_to_depth
 from blockscope.area import (
     AreaError,
-    AreaWeights,
     RESOURCE_KINDS,
     area_report,
     resource_counts,
@@ -94,24 +93,25 @@ def test_co_located_pair_counts_once():
 
 
 def test_custom_weights_and_validation():
-    weights = AreaWeights({**resolve_device("virtex7").weights.weights, "LUT4": 2.5, "FF": 0.0})
+    weights = {**resolve_device("virtex7").weights, "LUT4": 2.5, "FF": 0.0}
     nl, _ = gen_gcd()
-    report = area_report(nl, build_registry(nl), weights)
+    registry = build_registry(nl)
+    report = area_report(nl, registry, weights)
     assert report.per_block[BlockLabel.parse("subtract")].weighted_area == pytest.approx(
         1 * 1.0 + 4 * 2.5
     )
     assert report.per_block[BlockLabel.parse("x")].weighted_area == 0.0
-    with pytest.raises(AreaError):
-        AreaWeights({"LUT9": 1.0})
-    with pytest.raises(AreaError):
-        AreaWeights({"FF": -0.5})
+    with pytest.raises(AreaError, match="^unknown resource kind 'LUT9' in weight table$"):
+        area_report(nl, registry, {"LUT9": 1.0})
+    with pytest.raises(AreaError, match="^weight for FF must be non-negative$"):
+        area_report(nl, registry, {"FF": -0.5})
 
 
 def test_a_kind_deleted_after_construction_is_named():
-    """AreaWeights keeps the caller's dict, so area_report checks it again."""
+    """The weight table is a plain dict, so area_report checks it when it weighs."""
     nl, _ = gen_gcd()
     weights = resolve_device("virtex7").weights
-    del weights.weights["FF"]
+    del weights["FF"]
     with pytest.raises(AreaError, match="^weight table lacks resource kind FF$"):
         area_report(nl, build_registry(nl), weights)
 
@@ -158,7 +158,7 @@ def test_weighted_area_helper_matches_report():
     report = area_report(nl, registry, resolve_device("virtex7").weights)
     for label, cells in registry.blocks.items():
         counts, _ = resource_counts(cells, nl)
-        assert weighted_area(counts, resolve_device("virtex7").weights.weights) == report.per_block[label].weighted_area
+        assert weighted_area(counts, resolve_device("virtex7").weights) == report.per_block[label].weighted_area
 
 
 @settings(max_examples=120, deadline=None)

@@ -336,7 +336,7 @@ def test_device_file_with_power_model_overlay(gcd_files, tmp_path):
     doc = json.loads(result.stdout)
     assert doc["metadata"]["device"] == "board"
     base = resolve_device("virtex7")
-    weights = {**base.weights.weights, "LUT4": 2.5, "FF": 3.0}
+    weights = {**base.weights, "LUT4": 2.5, "FF": 3.0}
     static = {**base.power.static_uw, "LUT3": 1.5, "FF": 2.0, "LUT4": 10.0}  # LUT4: the power model's
     area_rows = {e["block"]: e for e in doc["area"]["blocks"]}
     assert sorted(area_rows) == ["subtract", "swap", "x", "y"]

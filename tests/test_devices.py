@@ -40,7 +40,7 @@ def test_delays_scale_strictly_down_the_generations():
 
 def test_builtins_share_weights_and_power_model():
     profiles = [resolve_device(n) for n in BUILTIN_DEVICES]
-    assert len({id(p.weights.weights) for p in profiles}) == len(profiles)  # equal, not one shared table
+    assert len({id(p.weights) for p in profiles}) == len(profiles)  # equal, not one shared table
     for p in profiles[1:]:
         assert p.weights == profiles[0].weights
         assert p.power == profiles[0].power
@@ -106,8 +106,8 @@ def test_custom_device_file_overrides_base(tmp_path):
     assert device.logic_delays[CellKind.LUT6] == 600
     # unspecified entries fall back to virtex7
     assert device.logic_delays[CellKind.LUT3] == 20
-    assert device.weights.weights["LUT6"] == pytest.approx(2.0)
-    assert device.weights.weights["LUT5"] == pytest.approx(1.0)
+    assert device.weights["LUT6"] == pytest.approx(2.0)
+    assert device.weights["LUT5"] == pytest.approx(1.0)
     assert device.power.static_uw["FF"] == pytest.approx(0.9)
     assert device.power.dynamic_pj["LUT1"] == pytest.approx(4.5)
     assert device.power.frequency_hz == pytest.approx(2.5e7)

@@ -673,7 +673,7 @@ def _parse_power_model(data):
 
 def _parse_device(data):
     base = resolve_device("virtex7")
-    return parse_coefficients(data, base.power, (dict(base.logic_delays), dict(base.weights.weights)))
+    return parse_coefficients(data, base.power, (dict(base.logic_delays), dict(base.weights)))
 
 
 _PARSERS = (parse_netlist, parse_profile, _parse_power_model, _parse_device)

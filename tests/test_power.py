@@ -12,7 +12,6 @@ from blockscope.model import Cell, CellKind, Netlist
 from blockscope.power import (
     ActivityProfile,
     PowerError,
-    PowerModel,
     _ActivityIndex,
     average_power_uw,
     power_score,
@@ -118,14 +117,26 @@ def test_without_profile_ranking_is_static_order():
     assert [str(b) for b in score.ranking[-2:]] == ["x", "y"]
 
 
-def test_power_model_validation():
-    base = resolve_device("virtex7").power
-    with pytest.raises(PowerError):
-        PowerModel({**base.static_uw, "LUT1": -0.1}, base.dynamic_pj, 1e8)
-    with pytest.raises(PowerError):
-        PowerModel(base.static_uw, {**base.dynamic_pj, "bogus": 1.0}, 1e8)
-    with pytest.raises(PowerError):
-        PowerModel(base.static_uw, base.dynamic_pj, 0.0)
+@pytest.mark.parametrize("change, message", [
+    (dict(static_uw={**resolve_device("virtex7").power.static_uw, "LUT1": -0.1}),
+     "static coefficient for LUT1 must be non-negative"),
+    (dict(dynamic_pj={**resolve_device("virtex7").power.dynamic_pj, "bogus": 1.0}),
+     "unknown resource kind 'bogus' in dynamic table"),
+    (dict(frequency_hz=0.0), "frequency must be positive"),
+    (dict(frequency_hz=-1e8), "frequency must be positive"),
+    (dict(frequency_hz=float("nan")), "frequency must be positive"),
+    (dict(frequency_hz=True), "frequency must be a finite number"),
+])
+def test_power_model_validation(change, message):
+    """PowerModel is plain data, so a model changed by _replace is checked
+    when power_score weighs it, before any block is scored."""
+    nl, profile = gen_gcd()
+    device = resolve_device("virtex7")
+    area = area_report(nl, build_registry(nl), device.weights)
+    model = device.power._replace(**change)
+    with pytest.raises(PowerError) as err:
+        power_score(area, model, profile)
+    assert str(err.value) == message
 
 
 def test_profile_truncation_merges_reads():
@@ -230,7 +241,7 @@ def test_unannotated_row_exists_exactly_when_cells_are_unannotated():
 
 @pytest.mark.parametrize("field, name", [("static_uw", "static"), ("dynamic_pj", "dynamic")])
 def test_a_kind_deleted_after_construction_is_named(field, name):
-    """PowerModel keeps the caller's dicts, so power_score checks them again."""
+    """PowerModel's tables are plain dicts, so power_score checks them when it weighs."""
     nl, profile = gen_gcd()
     device = resolve_device("virtex7")
     area = area_report(nl, build_registry(nl), device.weights)

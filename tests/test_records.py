@@ -1,6 +1,7 @@
 """The public record types: fields, repr, equality, hash, immutability,
-ordering, constructor checks, the built-in tables resolve_device returns, and
-what importing the CLI pulls in."""
+ordering, constructor checks, the coefficient checks area_report and
+power_score run when they weigh, the built-in tables resolve_device returns,
+and what importing the CLI pulls in."""
 
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from blockscope.annotation import AnnotationError, BlockLabel, BlockRegistry, build_registry
-from blockscope.area import RESOURCE_KINDS, AreaError, AreaReport, AreaWeights, BlockArea, area_report
+from blockscope.area import RESOURCE_KINDS, AreaError, AreaReport, BlockArea, area_report
 from blockscope.delay import BlockDelay, DelayReport, PathResult
 from blockscope.devices import BUILTIN_DEVICES, DeviceProfile, resolve_device
 from blockscope.model import Cell, CellKind, Net, Netlist, Violation
@@ -39,8 +40,8 @@ def table(**values):
     return {**dict.fromkeys(RESOURCE_KINDS, 0), **values}
 
 
-WEIGHTS = AreaWeights(table(LUT2=1.5))
-W = f"AreaWeights(weights={{'LUT1': 0, 'LUT2': 1.5, {REST}}})"
+WEIGHTS = table(LUT2=1.5)
+W = f"{{'LUT1': 0, 'LUT2': 1.5, {REST}}}"
 MODEL = PowerModel(table(LUT2=0.2), table(LUT2=1.0), 1e8)
 M = (f"PowerModel(static_uw={{'LUT1': 0, 'LUT2': 0.2, {REST}}}, "
      f"dynamic_pj={{'LUT1': 0, 'LUT2': 1.0, {REST}}}, frequency_hz=100000000.0)")
@@ -61,7 +62,6 @@ RECORDS = [
     (LABEL, ("segments",), L),
     (BlockRegistry({LABEL: frozenset({"s0.m1__a"})}, frozenset({"x"})), ("blocks", "unannotated"),
      f"BlockRegistry(blocks={{{L}: frozenset({{'s0.m1__a'}})}}, unannotated=frozenset({{'x'}}))"),
-    (WEIGHTS, ("weights",), W),
     (AREA, ("counts", "weighted_area", "unpaired_ff"), A),
     (AreaReport({LABEL: AREA}, AREA, AREA), ("per_block", "unannotated", "totals"),
      f"AreaReport(per_block={{{L}: {A}}}, unannotated={A}, totals={A})"),
@@ -132,40 +132,6 @@ def test_block_label_sorts_by_segments():
     (lambda: BlockLabel(("s0", "")), AnnotationError, "malformed block label segment ''"),
     (lambda: BlockLabel(("s0", "a b")), AnnotationError, "malformed block label segment 'a b'"),
     (lambda: BlockLabel(("a__b", "c d")), AnnotationError, "malformed block label segment 'a__b'"),
-    (lambda: AreaWeights({"LUT7": 1.0}), AreaError, "unknown resource kind 'LUT7' in weight table"),
-    (lambda: AreaWeights({"FF": -1.0}), AreaError, "weight for FF must be non-negative"),
-    (lambda: AreaWeights({"FF": -1.0, "LUT7": 1.0}), AreaError, "weight for FF must be non-negative"),
-    (lambda: PowerModel({"LUT7": 1.0}, table(), 1e8), PowerError, "unknown resource kind 'LUT7' in static table"),
-    (lambda: PowerModel(table(), {"LUT7": 1.0}, 1e8), PowerError, "unknown resource kind 'LUT7' in dynamic table"),
-    (lambda: PowerModel({"FF": -0.5}, table(), 1e8), PowerError, "static coefficient for FF must be non-negative"),
-    (lambda: PowerModel(table(), {"FF": -0.5}, 1e8), PowerError, "dynamic coefficient for FF must be non-negative"),
-    (lambda: PowerModel({"FF": -0.5}, {"LUT7": 1.0}, 0.0), PowerError,
-     "static coefficient for FF must be non-negative"),
-    (lambda: PowerModel(table(), {"LUT7": 1.0}, 0.0), PowerError, "unknown resource kind 'LUT7' in dynamic table"),
-    (lambda: PowerModel(table(), table(), 0.0), PowerError, "frequency must be positive"),
-    (lambda: PowerModel(table(), table(), float("nan")), PowerError, "frequency must be positive"),
-    # every kind, and only numbers that stay finite as floats
-    (lambda: AreaWeights({}), AreaError, "weight table lacks resource kind CLK"),
-    (lambda: AreaWeights({k: 1 for k in RESOURCE_KINDS if k not in ("MEM_IN", "LUT3")}), AreaError,
-     "weight table lacks resource kind LUT3"),
-    (lambda: PowerModel({}, table(), 1e8), PowerError, "static table lacks resource kind CLK"),
-    (lambda: PowerModel(table(), {"FF": 1.0}, 1e8), PowerError, "dynamic table lacks resource kind CLK"),
-    (lambda: PowerModel(table(), table(), float("inf")), PowerError, "frequency must be a finite number"),
-    (lambda: PowerModel(table(), table(), 10**400), PowerError, "frequency must be a finite number"),
-    (lambda: PowerModel(table(), table(), True), PowerError, "frequency must be a finite number"),
-    (lambda: PowerModel(table(), table(), "1e8"), PowerError, "frequency must be a finite number"),
-    (lambda: PowerModel(table(), table(), None), PowerError, "frequency must be a finite number"),
-] + [
-    (lambda value=value: AreaWeights(table(FF=value)), AreaError, "weight for FF must be a finite number")
-    for value in (float("nan"), float("inf"), -float("inf"), 10**400, "1", True, False, None)
-] + [
-    (lambda value=value: PowerModel(table(LUT1=value), table(), 1e8), PowerError,
-     "static coefficient for LUT1 must be a finite number")
-    for value in (float("nan"), float("inf"), "0.5", True)
-] + [
-    (lambda value=value: PowerModel(table(), table(LUT1=value), 1e8), PowerError,
-     "dynamic coefficient for LUT1 must be a finite number")
-    for value in (float("nan"), float("inf"), "0.5", True)
 ])
 def test_constructor_checks(build, error, message):
     with pytest.raises(error) as err:
@@ -173,11 +139,64 @@ def test_constructor_checks(build, error, message):
     assert str(err.value) == message
 
 
+NETLIST = Netlist([Cell("b__l", CellKind.LUT2, 1), Cell("b__d", CellKind.FF_D), Cell("b__q", CellKind.FF_Q)],
+                  [], [("b__d", "b__q")])
+
+
+def weigh_area(weights):
+    return area_report(NETLIST, build_registry(NETLIST), weights)
+
+
+def weigh_power(static_uw, dynamic_pj, frequency_hz):
+    return power_score(weigh_area(table()), PowerModel(static_uw, dynamic_pj, frequency_hz))
+
+
+@pytest.mark.parametrize("weigh, error, message", [
+    (lambda: weigh_area({"LUT7": 1.0}), AreaError, "unknown resource kind 'LUT7' in weight table"),
+    (lambda: weigh_area({"FF": -1.0}), AreaError, "weight for FF must be non-negative"),
+    (lambda: weigh_area({"FF": -1.0, "LUT7": 1.0}), AreaError, "weight for FF must be non-negative"),
+    (lambda: weigh_power({"LUT7": 1.0}, table(), 1e8), PowerError, "unknown resource kind 'LUT7' in static table"),
+    (lambda: weigh_power(table(), {"LUT7": 1.0}, 1e8), PowerError, "unknown resource kind 'LUT7' in dynamic table"),
+    (lambda: weigh_power({"FF": -0.5}, table(), 1e8), PowerError, "static coefficient for FF must be non-negative"),
+    (lambda: weigh_power(table(), {"FF": -0.5}, 1e8), PowerError, "dynamic coefficient for FF must be non-negative"),
+    (lambda: weigh_power({"FF": -0.5}, {"LUT7": 1.0}, 0.0), PowerError,
+     "static coefficient for FF must be non-negative"),
+    (lambda: weigh_power(table(), {"LUT7": 1.0}, 0.0), PowerError, "unknown resource kind 'LUT7' in dynamic table"),
+    (lambda: weigh_power(table(), table(), 0.0), PowerError, "frequency must be positive"),
+    (lambda: weigh_power(table(), table(), float("nan")), PowerError, "frequency must be positive"),
+    # every kind, and only numbers that stay finite as floats
+    (lambda: weigh_area({}), AreaError, "weight table lacks resource kind CLK"),
+    (lambda: weigh_area({k: 1 for k in RESOURCE_KINDS if k not in ("MEM_IN", "LUT3")}), AreaError,
+     "weight table lacks resource kind LUT3"),
+    (lambda: weigh_power({}, table(), 1e8), PowerError, "static table lacks resource kind CLK"),
+    (lambda: weigh_power(table(), {"FF": 1.0}, 1e8), PowerError, "dynamic table lacks resource kind CLK"),
+    (lambda: weigh_power(table(), table(), float("inf")), PowerError, "frequency must be a finite number"),
+    (lambda: weigh_power(table(), table(), 10**400), PowerError, "frequency must be a finite number"),
+    (lambda: weigh_power(table(), table(), True), PowerError, "frequency must be a finite number"),
+    (lambda: weigh_power(table(), table(), "1e8"), PowerError, "frequency must be a finite number"),
+    (lambda: weigh_power(table(), table(), None), PowerError, "frequency must be a finite number"),
+] + [
+    (lambda value=value: weigh_area(table(FF=value)), AreaError, "weight for FF must be a finite number")
+    for value in (float("nan"), float("inf"), -float("inf"), 10**400, "1", True, False, None)
+] + [
+    (lambda value=value: weigh_power(table(LUT1=value), table(), 1e8), PowerError,
+     "static coefficient for LUT1 must be a finite number")
+    for value in (float("nan"), float("inf"), "0.5", True)
+] + [
+    (lambda value=value: weigh_power(table(), table(LUT1=value), 1e8), PowerError,
+     "dynamic coefficient for LUT1 must be a finite number")
+    for value in (float("nan"), float("inf"), "0.5", True)
+])
+def test_tables_are_checked_where_they_are_weighed(weigh, error, message):
+    """The records take any value; area_report and power_score reject a bad
+    table or frequency when they weigh it."""
+    with pytest.raises(error) as err:
+        weigh()
+    assert str(err.value) == message
+
+
 def test_int_coefficients_give_float_scores():
-    netlist = Netlist([Cell("b__l", CellKind.LUT2, 1), Cell("b__d", CellKind.FF_D), Cell("b__q", CellKind.FF_Q)],
-                      [], [("b__d", "b__q")])
-    registry = build_registry(netlist)
-    area = area_report(netlist, registry, AreaWeights(table(LUT2=3, FF=2)))
+    area = weigh_area(table(LUT2=3, FF=2))
     assert area.totals.weighted_area == 5.0 and area.totals.weighted_area.__class__ is float
     power = power_score(area, PowerModel(table(LUT2=1), table(FF=4), 10**6)).per_block
     (block,) = power.values()
@@ -189,7 +208,7 @@ def test_default_tables_are_fresh_copies():
     """Emptying every table resolve_device returned leaves the next call's
     tables as they were, for every built-in."""
     def tables(device):
-        return device.logic_delays, device.weights.weights, device.power.static_uw, device.power.dynamic_pj
+        return device.logic_delays, device.weights, device.power.static_uw, device.power.dynamic_pj
 
     for name in BUILTIN_DEVICES:
         changed = resolve_device(name)
