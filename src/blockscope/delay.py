@@ -79,13 +79,14 @@ class _Shared:
         order, self.rank = netlist.order, netlist.rank
         self.free: dict[int, State] = {}
         self.critical = self._search(set(), True, order, (), self.free)
-        free, succ, succ_delay, sink = self.free, netlist.succ, netlist.succ_delay, netlist.sink
+        free, sink, logic = self.free, netlist.sink, netlist.logic
+        succ, succ_first, succ_delay = netlist.succ, netlist.succ_first, netlist.succ_delay
         prefix = [0 if s else -1 for s in netlist.source]  # heaviest source-to-i weight before i
         for i in order:
             a = prefix[i]
             if a >= 0 and i in free and not sink[i]:
-                a += netlist.logic[i]
-                for k, j in enumerate(succ[i], netlist.succ_first[i]):
+                a += logic[i]
+                for k, j in enumerate(succ[i], succ_first[i]):
                     if a + succ_delay[k] > prefix[j]:
                         prefix[j] = a + succ_delay[k]
         self.through = [

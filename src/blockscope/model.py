@@ -82,16 +82,19 @@ def delay_row_key(row: tuple) -> tuple:
 
 
 def _successors(
-    netlist: "Netlist", at: list[int], out: list[Violation],
-) -> tuple[array, list[tuple[int, ...]], list[int], bool]:
-    """Each cell's successors in ascending order, and the maximum delay of
-    the parallel nets into each, flat, with each cell's first position in it;
-    and whether every net was indexed. A net with an unknown endpoint is
+    netlist: "Netlist", out: list[Violation],
+) -> tuple[list[list[int]], list[list[int]], list[int], bool]:
+    """Each cell's successors and the delays of the nets into them, in net
+    order, parallel nets kept; each cell's in-degree over those nets; and
+    whether every net was indexed. A net with an unknown endpoint is
     skipped. A net whose delay is not a non-negative integer is indexed with
     delay 0, so the cycle check still sees its edge. Each broken net appends
     its violations to out, in net order."""
     get, kind, source, sink = netlist.index.get, netlist.kind, netlist.source, netlist.sink
-    rows: list[list[tuple[int, int]]] = [[] for _ in at]
+    n = len(netlist.ids)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    delays: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
     complete = True
     for src, dst, d in zip(netlist.net_src, netlist.net_dst, netlist.net_delay):
         i, j = get(src), get(dst)
@@ -106,20 +109,65 @@ def _successors(
             out += _net_violations(src, dst, d, kind[i], kind[j])
             if _bad_delay(d):
                 d = 0
-        rows[i].append((j, d))
+        rows[i].append(j)
+        delays[i].append(d)
+        indeg[j] += 1
+    return rows, delays, indeg, complete
+
+
+class _DelayGraph(NamedTuple):
+    """What only the delay search reads; see Netlist."""
+
+    succ: list[tuple[int, ...]]
+    succ_first: array
+    succ_delay: list[int]
+    pred: list[tuple[int, ...]]
+    rank: array | None
+
+
+class _LazyGraph:
+    """The per-cell successor rows that construction indexed, turned into
+    the delay graph on the first read. Netlist copies share one holder, so
+    the graph is built once for all of them, whichever copy reads it first."""
+
+    __slots__ = ("rows", "delays", "order", "graph")
+
+    def __init__(self, rows: list[list[int]], delays: list[list[int]], order: array | None) -> None:
+        self.rows, self.delays, self.order = rows, delays, order
+        self.graph: _DelayGraph | None = None
+
+    def get(self) -> _DelayGraph:
+        if self.graph is None:
+            self.graph = _delay_graph(self.rows, self.delays, self.order)
+            self.rows = self.delays = None  # type: ignore[assignment]
+        return self.graph
+
+
+def _delay_graph(rows: list[list[int]], delays: list[list[int]], order: array | None) -> _DelayGraph:
+    """Ascending successors with parallel nets collapsed to their maximum
+    delay, flat, with each cell's first position in it; ascending
+    predecessors; and each cell's position in order."""
     succ: list[tuple[int, ...]] = []
-    delays: list[int] = []
-    for row in rows:
-        if len(row) == 1:  # no sort or dict: without this, deep_paths parsed slower in 20/20 A/B pairs
-            (j, d), = row
-            succ.append((j,))
-            delays.append(d)
+    flat: list[int] = []
+    for row, ds in zip(rows, delays):
+        if len(row) < 2:  # no sort or dict: without this, deep_paths indexed slower in 20/20 A/B pairs
+            succ.append(tuple(row))
+            flat += ds
         else:
-            row.sort()
-            best = dict(row)  # the last, largest delay of each successor wins
+            best = dict(sorted(zip(row, ds)))  # the last, largest delay of each successor wins
             succ.append(tuple(best))
-            delays += best.values()
-    return array("i", accumulate(map(len, succ), initial=0)), succ, delays, complete
+            flat += best.values()
+    pred: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].append(i)  # i ascends, so every row does too
+    rank = None
+    if order is not None:
+        rank = array("i", order)
+        for r, i in enumerate(order):
+            rank[i] = r
+    first = array("i", accumulate(map(len, succ), initial=0))
+    return _DelayGraph(succ, first, flat, [tuple(row) for row in pred], rank)
 
 
 def _net_violations(src: str, dst: str, delay, src_kind: CellKind, dst_kind: CellKind) -> list[Violation]:
@@ -156,19 +204,22 @@ class Netlist:
     is the i-th distinct id in sorted order, so comparing indices compares
     ids; for a duplicate id the first cell wins. Per index the netlist keeps
     its kind, logic delay, source and sink flags and FF partner (-1 for none).
-    succ[i] is the tuple of i's successors in ascending order, and
+    Nets with an unknown endpoint are left out of the index. order is the
+    topological order; it is None and cycle holds the combinational-cycle
+    violation when the indexed graph has a cycle.
+
+    The delay graph, which only the delay search reads, is built on the first
+    read of any of its fields, once for this netlist and its copies: succ[i]
+    is the tuple of i's successors in ascending order, and
     succ_delay[succ_first[i] + p] the maximum delay of the parallel nets into
-    succ[i][p]; pred[i] holds i's predecessors the same way. Nets with an
-    unknown endpoint are left out of the index. order and rank (position in
-    order) are the topological order; both are None and cycle holds the
-    combinational-cycle violation when the indexed graph has a cycle.
+    succ[i][p]; pred[i] holds i's predecessors the same way; rank[i] is i's
+    position in order (None with order).
     """
 
     __slots__ = (
         "cell_id", "cell_kind", "cell_logic", "net_src", "net_dst", "net_delay", "ff_pairs",
         "ids", "index", "_pos", "kind", "logic", "source", "sink",
-        "succ", "succ_first", "succ_delay", "pred", "partner", "order", "rank", "cycle",
-        "graph_violations",
+        "partner", "order", "_graph", "cycle", "graph_violations",
     )
 
     def __init__(
@@ -206,20 +257,15 @@ class Netlist:
         self.ids = ids = sorted(index)
         n = len(ids)
         self._pos = array("i", map(index.__getitem__, ids))  # position of cell i in the columns
-        at = list(range(n))  # one int object per index, shared by the dict and every row
-        index.update(zip(ids, at))  # only values change, so the dict is reused in place
+        # only values change, so the dict is reused in place; its int objects are shared by every row
+        index.update(zip(ids, range(n)))
         self.index = index
         self.kind = kind = list(map(self.cell_kind.__getitem__, self._pos))
         self.logic = list(map(self.cell_logic.__getitem__, self._pos))
         self.source = bytes(map(SOURCE_KINDS.__contains__, kind))
         self.sink = bytes(map(SINK_KINDS.__contains__, kind))
         out: list[Violation] = []
-        self.succ_first, self.succ, self.succ_delay, complete = _successors(self, at, out)
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for i, row in zip(at, self.succ):
-            for j in row:
-                pred[j].append(i)  # i ascends, so every row does too
-        self.pred = [tuple(row) for row in pred]
+        rows, delays, indeg, complete = _successors(self, out)
         self.partner = partner = array("i", [-1]) * n
         paired: set[int] = set()
         for d, q in self.ff_pairs:  # a later pair overrides; -1 marks an unknown partner
@@ -242,20 +288,36 @@ class Netlist:
                     message = f"cell {cid} appears in more than one ffpair"
                     out.append(Violation("ffpair-duplicate", cid, message))
                 paired.add(x)
-        del at, pred, paired  # free the transients before the sort
-        self.order = self.rank = self.cycle = None
-        indeg = [len(row) for row in self.pred]
-        order = _kahn(self.succ, indeg)
-        if len(order) == n:
-            self.order = array("i", order)
-            self.rank = rank = array("i", order)
-            for r, i in enumerate(order):
-                rank[i] = r
-        else:
-            self.cycle = _find_cycle(self.pred, ids, indeg)
+        del paired  # free the transient before the sort
+        order = _kahn(rows, indeg)
+        self.order = array("i", order) if len(order) == n else None
+        self._graph = _LazyGraph(rows, delays, self.order)
+        self.cycle = None
+        if self.order is None:
+            self.cycle = _find_cycle(self._graph.get().pred, ids, indeg)
             if complete and n == len(cell_id):  # only a cycle of real, well-formed edges is reported
                 out.append(self.cycle)
         self.graph_violations: tuple[Violation, ...] = tuple(out)
+
+    @property
+    def succ(self) -> list[tuple[int, ...]]:
+        return self._graph.get().succ
+
+    @property
+    def succ_first(self) -> array:
+        return self._graph.get().succ_first
+
+    @property
+    def succ_delay(self) -> list[int]:
+        return self._graph.get().succ_delay
+
+    @property
+    def pred(self) -> list[tuple[int, ...]]:
+        return self._graph.get().pred
+
+    @property
+    def rank(self) -> array | None:
+        return self._graph.get().rank
 
     @property
     def cells(self) -> tuple[Cell, ...]:
@@ -271,9 +333,9 @@ class Netlist:
         """This netlist with each cell's logic delay replaced by its kind's.
 
         Only the logic delay columns are new: the other columns, ff_pairs, the
-        index, the topological order and the graph violations are shared,
-        since ids and edges are unchanged and no graph rule reads a logic
-        delay.
+        index, the topological order, the graph violations and the delay
+        graph, built or not, are shared, since ids and edges are unchanged
+        and no graph rule reads a logic delay.
         """
         new = copy.copy(self)
         new.cell_logic = list(map(delays.__getitem__, self.cell_kind))
@@ -349,9 +411,10 @@ def validate(netlist: Netlist) -> tuple[Violation, ...]:
     return (*out, *netlist.graph_violations)
 
 
-def _kahn(succ: list[tuple[int, ...]], indeg: list[int]) -> list[int]:
+def _kahn(succ: list[list[int]], indeg: list[int]) -> list[int]:
     """Kahn's algorithm with a heap, so ties pop in ascending index (= id)
-    order. It consumes indeg: a cell left out of the order keeps its
+    order; a successor listed once per parallel net is counted in indeg as
+    often. It consumes indeg: a cell left out of the order keeps its
     in-degree from the other cells left out."""
     ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
     order: list[int] = []

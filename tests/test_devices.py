@@ -2,6 +2,7 @@
 
 import pytest
 
+from blockscope import model
 from blockscope.cli import main
 from blockscope.devices import BUILTIN_DEVICES, resolve_device
 from blockscope.fixtures import gen_fig6, gen_random
@@ -58,7 +59,7 @@ def test_apply_delays_rewrites_logic_only():
     assert sorted(scaled.ids) == sorted(nl.ids)
 
 
-def test_apply_delays_shares_the_graph_and_its_order():
+def test_apply_delays_shares_the_graph_and_its_order(monkeypatch):
     device = resolve_device("spartan6")
     parsed = parse_netlist(serialize_netlist(gen_random(4, 200)))
     for nl in (gen_fig6(), parsed):
@@ -87,6 +88,17 @@ def test_apply_delays_shares_the_graph_and_its_order():
     assert scaled.graph_violations is broken.graph_violations
     assert [v.rule for v in scaled.graph_violations] == ["dangling-net-dst"]
     assert scaled.cycle is broken.cycle and scaled.cycle.cells == (cid,)
+    # a copy made before the graph is built shares its one build, read copy first
+    builds = []
+    real = model._delay_graph
+    monkeypatch.setattr(model, "_delay_graph", lambda *args: builds.append(1) or real(*args))
+    nl = parse_netlist(serialize_netlist(gen_random(4, 200)))
+    scaled = device.apply_delays(nl)
+    assert builds == []
+    for name in ("succ", "succ_first", "succ_delay", "pred", "rank"):
+        assert getattr(scaled, name) is getattr(nl, name), name
+        assert getattr(scaled, name) == getattr(parsed, name), name
+    assert len(builds) == 1
 
 
 def test_custom_device_file_overrides_base(tmp_path):

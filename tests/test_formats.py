@@ -387,6 +387,16 @@ def test_profile_reference_and_shape_errors():
         assert fragment in str(err.value), body
 
 
+@pytest.mark.parametrize("text, values", [
+    ("0", (0,)), ("0,1,10", (0, 1, 10)), ("00,01,010", (0, 1, 10)), ("0,007", (0, 7)),
+    ("9007199254740990", (2**53 - 2,)), ("1,09007199254740990", (1, 2**53 - 2)),
+])
+def test_fires_lists_read_alike_with_and_without_leading_zeros(text, values):
+    # a list of JSON integers is read in one call, any other is walked part by part
+    p = parse_profile(f"{PROFILE_HEADER}\ncycles {2**53 - 1}\nrule r0 block b\nfires r0 {text}\n")
+    assert p.firings == {"r0": values}
+
+
 def test_rule_without_fires_line_means_it_never_fired():
     p = parse_profile(f"{PROFILE_HEADER}\ncycles 3\nrule r0 block b\n")
     assert p.firings == {"r0": ()}

@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from blockscope import area
+from blockscope import area, model
 from blockscope.annotation import BlockLabel, build_registry
 from blockscope.devices import resolve_device
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
+from blockscope.formats import parse_netlist, serialize_netlist
 from blockscope.model import BlockscopeError
 from blockscope.report import (
     CSV_HEADER,
@@ -233,3 +234,23 @@ def test_area_and_power_resolve_each_block_once(seed, monkeypatch):
     report = build_report(nl, metrics=("area", "power"), profile=gen_random_profile(seed))
     assert len(report.area.per_block) == len(report.power.per_block) > 1
     assert len(calls) == len(build_registry(nl).blocks) + 1
+
+
+def test_only_delay_builds_the_delay_graph(monkeypatch):
+    """An area and power report leaves the delay graph unbuilt; the first
+    delay report builds it once, and every later read returns its objects."""
+    builds = []
+    real = model._delay_graph
+    monkeypatch.setattr(model, "_delay_graph", lambda *args: builds.append(1) or real(*args))
+    built, profile = gen_gcd()
+    for nl in (built, parse_netlist(serialize_netlist(built))):
+        builds.clear()
+        build_report(nl, metrics=("area", "power"), profile=profile)
+        assert builds == []
+        build_report(nl, metrics=("area", "delay", "power"), profile=profile)
+        assert len(builds) == 1
+        names = ("succ", "succ_first", "succ_delay", "pred", "rank")
+        graph = [getattr(nl, name) for name in names]
+        build_report(nl, metrics=("delay",))
+        assert all(getattr(nl, name) is obj for name, obj in zip(names, graph))
+        assert len(builds) == 1
