@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .annotation import BlockLabel, BlockRegistry
 from .area import cell_indices
-from .model import Netlist, ValidationError
+from .model import Netlist
 
 
 class PathResult(NamedTuple):
@@ -74,15 +74,13 @@ class _Shared:
 
     def __init__(self, netlist: Netlist, include_block_nets: bool) -> None:
         self.netlist, self.include_block_nets = netlist, include_block_nets
-        if netlist.order is None:
-            raise ValidationError((netlist.cycle,))
-        order, self.rank = netlist.order, netlist.rank
+        self.succ, self.succ_first, self.succ_delay, self.pred, self.rank = netlist.delay_graph()
         self.free: dict[int, State] = {}
-        self.critical = self._search(set(), True, order, (), self.free)
+        self.critical = self._search(set(), True, netlist.order, (), self.free)
         free, sink, logic = self.free, netlist.sink, netlist.logic
-        succ, succ_first, succ_delay = netlist.succ, netlist.succ_first, netlist.succ_delay
+        succ, succ_first, succ_delay = self.succ, self.succ_first, self.succ_delay
         prefix = [0 if s else -1 for s in netlist.source]  # heaviest source-to-i weight before i
-        for i in order:
+        for i in netlist.order:
             a = prefix[i]
             if a >= 0 and i in free and not sink[i]:
                 a += logic[i]
@@ -100,15 +98,14 @@ class _Shared:
         if weight < 0:
             return ZERO_PATH
         top = [c for c in seeds if through[c] == weight]
-        up = _reach(top, self.netlist.pred, lambda p: through[p] >= weight)
+        up = _reach(top, self.pred, lambda p: through[p] >= weight)
         return self._search(seeds, True, (), sorted(up, key=self.rank.__getitem__), self.free)
 
     def block(self, seeds: set[int]) -> PathResult:
         """The complete path through a seed on which the seeds weigh the most."""
-        netlist, nets = self.netlist, self.include_block_nets
-        logic, succ = netlist.logic, netlist.succ
+        logic, succ, nets = self.netlist.logic, self.succ, self.include_block_nets
         weighs = [c for c in seeds if logic[c] or nets and not seeds.isdisjoint(succ[c])]
-        cone = _reach(weighs, netlist.pred)
+        cone = _reach(weighs, self.pred)
         down = _reach(cone.intersection(seeds), succ, cone.__contains__)
         return self._search(seeds, False, sorted(down, key=self.rank.__getitem__), (), {})
 
@@ -125,7 +122,7 @@ class _Shared:
         still reaches one."""
         netlist, include_block_nets = self.netlist, self.include_block_nets
         logic, sink, succ, succ_first, succ_delay = (
-            netlist.logic, netlist.sink, netlist.succ, netlist.succ_first, netlist.succ_delay,
+            netlist.logic, netlist.sink, self.succ, self.succ_first, self.succ_delay,
         )
         bound: dict[int, State] = {}
         for nodes, states, outside in ((down, free, self.free), (up, bound, ())):
@@ -160,7 +157,7 @@ class _Shared:
         else:
             weight = {c: free[c][0] if c in free else 0 for c in seeds if self.through[c] >= 0}
             total = max(weight.values(), default=-1)
-            onward = _reach([c for c, w in weight.items() if w == total], netlist.pred)
+            onward = _reach([c for c, w in weight.items() if w == total], self.pred)
             root = min((i for i in onward if netlist.source[i]), default=-1)
         if root < 0:
             return ZERO_PATH

@@ -115,35 +115,17 @@ def _successors(
     return rows, delays, indeg, complete
 
 
-class _DelayGraph(NamedTuple):
-    """What only the delay search reads; see Netlist."""
+class DelayGraph(NamedTuple):
+    """What only the delay search reads; see Netlist.delay_graph."""
 
     succ: list[tuple[int, ...]]
     succ_first: array
     succ_delay: list[int]
     pred: list[tuple[int, ...]]
-    rank: array | None
+    rank: array
 
 
-class _LazyGraph:
-    """The per-cell successor rows that construction indexed, turned into
-    the delay graph on the first read. Netlist copies share one holder, so
-    the graph is built once for all of them, whichever copy reads it first."""
-
-    __slots__ = ("rows", "delays", "order", "graph")
-
-    def __init__(self, rows: list[list[int]], delays: list[list[int]], order: array | None) -> None:
-        self.rows, self.delays, self.order = rows, delays, order
-        self.graph: _DelayGraph | None = None
-
-    def get(self) -> _DelayGraph:
-        if self.graph is None:
-            self.graph = _delay_graph(self.rows, self.delays, self.order)
-            self.rows = self.delays = None  # type: ignore[assignment]
-        return self.graph
-
-
-def _delay_graph(rows: list[list[int]], delays: list[list[int]], order: array | None) -> _DelayGraph:
+def _delay_graph(rows: list[list[int]], delays: list[list[int]], order: array) -> DelayGraph:
     """Ascending successors with parallel nets collapsed to their maximum
     delay, flat, with each cell's first position in it; ascending
     predecessors; and each cell's position in order."""
@@ -161,13 +143,11 @@ def _delay_graph(rows: list[list[int]], delays: list[list[int]], order: array | 
     for i, row in enumerate(succ):
         for j in row:
             pred[j].append(i)  # i ascends, so every row does too
-    rank = None
-    if order is not None:
-        rank = array("i", order)
-        for r, i in enumerate(order):
-            rank[i] = r
+    rank = array("i", order)
+    for r, i in enumerate(order):
+        rank[i] = r
     first = array("i", accumulate(map(len, succ), initial=0))
-    return _DelayGraph(succ, first, flat, [tuple(row) for row in pred], rank)
+    return DelayGraph(succ, first, flat, [tuple(row) for row in pred], rank)
 
 
 def _net_violations(src: str, dst: str, delay, src_kind: CellKind, dst_kind: CellKind) -> list[Violation]:
@@ -208,18 +188,18 @@ class Netlist:
     topological order; it is None and cycle holds the combinational-cycle
     violation when the indexed graph has a cycle.
 
-    The delay graph, which only the delay search reads, is built on the first
-    read of any of its fields, once for this netlist and its copies: succ[i]
-    is the tuple of i's successors in ascending order, and
+    The delay graph, which only the delay search reads, is the DelayGraph
+    that delay_graph() builds on its first call and returns from then on:
+    succ[i] is the tuple of i's successors in ascending order, and
     succ_delay[succ_first[i] + p] the maximum delay of the parallel nets into
     succ[i][p]; pred[i] holds i's predecessors the same way; rank[i] is i's
-    position in order (None with order).
+    position in order.
     """
 
     __slots__ = (
         "cell_id", "cell_kind", "cell_logic", "net_src", "net_dst", "net_delay", "ff_pairs",
         "ids", "index", "_pos", "kind", "logic", "source", "sink",
-        "partner", "order", "_graph", "cycle", "graph_violations",
+        "partner", "order", "_rows", "_graph", "cycle", "graph_violations",
     )
 
     def __init__(
@@ -291,33 +271,23 @@ class Netlist:
         del paired  # free the transient before the sort
         order = _kahn(rows, indeg)
         self.order = array("i", order) if len(order) == n else None
-        self._graph = _LazyGraph(rows, delays, self.order)
+        self._rows, self._graph = (rows, delays), None
         self.cycle = None
         if self.order is None:
-            self.cycle = _find_cycle(self._graph.get().pred, ids, indeg)
+            self.cycle = _find_cycle(rows, ids, indeg)
             if complete and n == len(cell_id):  # only a cycle of real, well-formed edges is reported
                 out.append(self.cycle)
         self.graph_violations: tuple[Violation, ...] = tuple(out)
 
-    @property
-    def succ(self) -> list[tuple[int, ...]]:
-        return self._graph.get().succ
-
-    @property
-    def succ_first(self) -> array:
-        return self._graph.get().succ_first
-
-    @property
-    def succ_delay(self) -> list[int]:
-        return self._graph.get().succ_delay
-
-    @property
-    def pred(self) -> list[tuple[int, ...]]:
-        return self._graph.get().pred
-
-    @property
-    def rank(self) -> array | None:
-        return self._graph.get().rank
+    def delay_graph(self) -> DelayGraph:
+        """The delay graph, built from the construction rows on the first call;
+        a cyclic netlist raises its cycle as a ValidationError."""
+        if self._graph is None:
+            if self.order is None:
+                raise ValidationError((self.cycle,))
+            self._graph = _delay_graph(*self._rows, self.order)
+            self._rows = None
+        return self._graph
 
     @property
     def cells(self) -> tuple[Cell, ...]:
@@ -333,9 +303,10 @@ class Netlist:
         """This netlist with each cell's logic delay replaced by its kind's.
 
         Only the logic delay columns are new: the other columns, ff_pairs, the
-        index, the topological order, the graph violations and the delay
-        graph, built or not, are shared, since ids and edges are unchanged
-        and no graph rule reads a logic delay.
+        index, the topological order and the graph violations are shared,
+        since ids and edges are unchanged and no graph rule reads a logic
+        delay. So is the delay graph if it is already built; if not, each
+        copy builds its own when it is read.
         """
         new = copy.copy(self)
         new.cell_logic = list(map(delays.__getitem__, self.cell_kind))
@@ -428,22 +399,27 @@ def _kahn(succ: list[list[int]], indeg: list[int]) -> list[int]:
     return order
 
 
-def _find_cycle(pred: list[tuple[int, ...]], ids: list[str], indeg: list[int]) -> Violation:
+def _find_cycle(rows: list[list[int]], ids: list[str], indeg: list[int]) -> Violation:
     """The combinational-cycle violation of one real cycle among the cells
     Kahn's algorithm left out, those with in-degree left in indeg.
 
-    Walks predecessors inside that remainder (every remaining node keeps at
-    least one remaining predecessor), then rotates the cycle to start at its
-    smallest id for determinism.
+    Walks each remaining node's smallest remaining predecessor, read from the
+    successor rows (every remaining node keeps at least one), then rotates
+    the cycle to start at its smallest id for determinism.
     """
-    remaining = {i for i, d in enumerate(indeg) if d > 0}
+    remaining = [i for i, d in enumerate(indeg) if d > 0]
+    back: dict[int, int] = {}
+    for i in remaining:  # ascending, so a node's first predecessor is its smallest
+        for j in rows[i]:
+            if indeg[j] > 0:
+                back.setdefault(j, i)
     seen_at: dict[int, int] = {}
     walk: list[int] = []
-    node = min(remaining)
+    node = remaining[0]
     while node not in seen_at:
         seen_at[node] = len(walk)
         walk.append(node)
-        node = next(p for p in pred[node] if p in remaining)
+        node = back[node]
     cycle = walk[seen_at[node]:]
     cycle.reverse()  # predecessor walk is backwards; report in edge direction
     pivot = cycle.index(min(cycle))

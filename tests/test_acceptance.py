@@ -240,6 +240,7 @@ DELETED = (
     ("formats", "NetlistDocument"),
     ("formats", "parse_power_model"),
     ("model", "ValidationReport"),
+    ("model", "_LazyGraph"),
     ("model", "topological_order"),
     ("model", "topological_ranks"),
     ("power", "DEFAULT_DYNAMIC_PJ"),
@@ -264,7 +265,9 @@ def test_public_api_resolves_without_the_deleted_helpers():
     attributes = ((blockscope.Netlist, "cell_ids"), (blockscope.PowerModel, "default"),
                   (blockscope.PowerModel, "static_of"), (blockscope.PowerModel, "dynamic_of"),
                   (blockscope.BlockLabel, "depth"), (blockscope.BlockRegistry, "all_cells"),
-                  (blockscope.CellKind, "is_source"), (blockscope.CellKind, "is_sink"))
+                  (blockscope.CellKind, "is_source"), (blockscope.CellKind, "is_sink"),
+                  *((blockscope.Netlist, name)
+                    for name in ("succ", "succ_first", "succ_delay", "pred", "rank")))
     for cls, name in attributes:
         assert not hasattr(cls, name), (cls.__name__, name)
     params = inspect.signature(blockscope.build_report).parameters

@@ -544,18 +544,18 @@ def test_build_report_peak_memory_at_scale():
         frozenset((r, f"st{b}") for b, r in enumerate(rules)),
         frozenset((label, f"st{b - 1}") for b, label in enumerate(labels) if b),
     )
-    nl.succ  # the first read builds the graph
+    nl.delay_graph()  # the first call builds the graph
     assert _peak_bytes(lambda: build_report(nl, metrics=("area", "delay", "power"), profile=profile)) <= 7_000_000
 
 
 def test_first_delay_graph_read_peak_memory_at_scale():
-    # the first read of the delay graph builds it: on the 21,184 cells and
+    # the first delay_graph() call builds the graph: on the 21,184 cells and
     # 48,675 nets above, Python 3.11 peaked at 5.9 MB, the graph included,
     # so 7.5 MB leaves 27% headroom; holding every cell's sorted (successor,
     # delay) pairs at once peaked at 11.1 MB
     nl = _layered(5, stages=4, modules=8, ops=4, layers=13)
     assert len(nl.cells) >= 20_000 and len(nl.net_src) >= 45_000
-    assert _peak_bytes(lambda: nl.succ) <= 7_500_000
+    assert _peak_bytes(nl.delay_graph) <= 7_500_000
 
 
 def test_metamorphic_properties_at_scale():

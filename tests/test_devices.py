@@ -73,10 +73,12 @@ def test_apply_delays_shares_the_graph_and_its_order(monkeypatch):
         fresh = Netlist(scaled.cells, scaled.nets, scaled.ff_pairs)
         assert scaled == fresh
         assert topological_order(scaled) == topological_order(fresh)
-        for name in ("ids", "index", "source", "sink", "succ", "succ_first", "succ_delay", "pred",
-                     "partner", "order", "rank", "graph_violations"):
+        for name in ("ids", "index", "source", "sink", "partner", "order", "graph_violations"):
             assert getattr(scaled, name) is getattr(nl, name), name
             assert getattr(scaled, name) == getattr(fresh, name), name
+        # a copy made before the build builds an equal graph; one made after shares it
+        assert scaled.delay_graph() == nl.delay_graph() == fresh.delay_graph()
+        assert device.apply_delays(nl).delay_graph() is nl.delay_graph()
         assert scaled.logic == fresh.logic != nl.logic
         for cid in nl.ids:
             assert scaled.cell(cid) == fresh.cell(cid)
@@ -88,16 +90,34 @@ def test_apply_delays_shares_the_graph_and_its_order(monkeypatch):
     assert scaled.graph_violations is broken.graph_violations
     assert [v.rule for v in scaled.graph_violations] == ["dangling-net-dst"]
     assert scaled.cycle is broken.cycle and scaled.cycle.cells == (cid,)
-    # a copy made before the graph is built shares its one build, read copy first
+    # a copy made before the graph is built builds its own when read, copy first;
+    # one made after the build returns the same record and builds nothing
     builds = []
     real = model._delay_graph
     monkeypatch.setattr(model, "_delay_graph", lambda *args: builds.append(1) or real(*args))
     nl = parse_netlist(serialize_netlist(gen_random(4, 200)))
     scaled = device.apply_delays(nl)
     assert builds == []
-    for name in ("succ", "succ_first", "succ_delay", "pred", "rank"):
-        assert getattr(scaled, name) is getattr(nl, name), name
-        assert getattr(scaled, name) == getattr(parsed, name), name
+    graph = scaled.delay_graph()
+    assert len(builds) == 1 and scaled.delay_graph() is graph
+    assert graph == nl.delay_graph() == parsed.delay_graph()
+    assert len(builds) == 2
+    assert device.apply_delays(nl).delay_graph() is nl.delay_graph()
+    assert device.apply_delays(scaled).delay_graph() is graph
+    assert len(builds) == 2
+
+
+def test_override_delays_run_builds_the_delay_graph_once(monkeypatch, tmp_path, capsys):
+    """The CLI copies the netlist with the device's delays before any read,
+    so only the copy builds the graph."""
+    builds = []
+    real = model._delay_graph
+    monkeypatch.setattr(model, "_delay_graph", lambda *args: builds.append(1) or real(*args))
+    bnl = tmp_path / "n.bnl"
+    bnl.write_bytes(serialize_netlist(gen_random(4, 200)))
+    assert main(["analyze", "--netlist", str(bnl), "--device", "spartan6", "--override-delays",
+                 "--metrics", "delay"]) == 0
+    assert "global-critical: " in capsys.readouterr().out
     assert len(builds) == 1
 
 

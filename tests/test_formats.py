@@ -24,7 +24,7 @@ from blockscope.formats import (
     serialize_netlist,
     serialize_profile,
 )
-from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist, validate
+from blockscope.model import BlockscopeError, Cell, CellKind, Net, Netlist, ValidationError, validate
 
 import parse_corpus
 from profiles import gen_random_profile
@@ -510,14 +510,21 @@ def test_a_delay_the_wire_format_cannot_spell_still_compares_and_is_named(delay,
         assert str(err.value) == message
 
 
-# everything a Netlist indexes, compared between its two entry points
-INDEX_FIELDS = ("ids", "index", "kind", "logic", "source", "sink", "succ", "succ_first", "succ_delay",
-                "pred", "partner", "order", "rank", "cycle", "graph_violations")
+# everything a Netlist indexes, compared between its two entry points, and its delay graph
+INDEX_FIELDS = ("ids", "index", "kind", "logic", "source", "sink", "partner", "order", "cycle",
+                "graph_violations")
 
 
 def _assert_same_netlist(got, want, fields=INDEX_FIELDS + ("cells", "nets", "ff_pairs")):
     for name in fields:
         assert getattr(got, name) == getattr(want, name), name
+    if want.order is not None:
+        assert got.delay_graph() == want.delay_graph()
+        return
+    for nl in (got, want):  # a cyclic netlist has no delay graph
+        with pytest.raises(ValidationError) as err:
+            nl.delay_graph()
+        assert err.value.violations == (want.cycle,)
 
 
 def _netlist_text(cells, nets, pairs) -> str:

@@ -1,9 +1,12 @@
 """Netlist construction, validation rules, and deterministic topological order."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockscope import model
 from blockscope.fixtures import gen_fig6, gen_random
 from blockscope.model import (
     Cell,
@@ -121,6 +124,11 @@ def test_cycle_detected_and_rotated_to_smallest_id():
     with pytest.raises(ValidationError) as err:
         topological_order(nl)
     assert err.value.violations[0].cells == ("m1", "m2", "m3")
+    # two cycles through m1: the walk back from m1 takes its smallest
+    # predecessor, whatever the net order
+    two = [Net("m1", "m2", 1), Net("m2", "m1", 1), Net("m1", "m3", 1), Net("m3", "m1", 1)]
+    for nets in (two, two[::-1]):
+        assert Netlist(cells[1:4], nets).cycle.cells == ("m1", "m2")
 
 
 def test_construction_indexes_broken_netlists_without_raising():
@@ -182,10 +190,15 @@ def test_construction_indexes_broken_netlists_without_raising():
     assert nl.ids == ["a", "b", "i", "o"]
     assert nl.cell("a") == cells[2]  # the first cell with an id wins
     assert list(nl.logic) == [1, 2, 0, 0]
-    assert nl.succ == [(1,), (0, 3), (0,), ()]
-    assert list(nl.succ_first) == [0, 1, 3, 4, 4]
-    assert nl.succ_delay == [5, 1, 1, 1]  # parallel nets a -> b collapse to their maximum
-    assert nl.pred == [(1, 2), (0,), (), (1,)]
+    with pytest.raises(ValidationError) as err:  # a cyclic netlist has no delay graph
+        nl.delay_graph()
+    assert err.value.violations == (cycle,)
+    # the graph of the rows construction indexed, with a stand-in for the missing order
+    graph = model._delay_graph(*nl._rows, array("i", range(4)))
+    assert graph.succ == [(1,), (0, 3), (0,), ()]
+    assert list(graph.succ_first) == [0, 1, 3, 4, 4]
+    assert graph.succ_delay == [5, 1, 1, 1]  # parallel nets a -> b collapse to their maximum
+    assert graph.pred == [(1, 2), (0,), (), (1,)]
     with pytest.raises(ValidationError) as err:
         topological_order(Netlist(unique, nets[:5]))
     assert err.value.violations == (cycle,)
@@ -210,8 +223,9 @@ def test_one_shot_iterables_build_the_same_netlist():
     got = Netlist(iter(cells), (n for n in nets), iter(pairs))
     assert got == want
     for name in ("cell_id", "cell_kind", "cell_logic", "net_src", "net_dst", "net_delay", "ff_pairs",
-                 "cells", "nets", "succ", "pred", "partner", "order"):
+                 "cells", "nets", "partner", "order"):
         assert getattr(got, name) == getattr(want, name), name
+    assert got.delay_graph() == want.delay_graph()
     assert got.cells == tuple(cells) and got.nets == tuple(nets)
 
 
@@ -300,7 +314,8 @@ def test_bad_net_delay_is_a_violation_with_its_edge_kept(bad):
                         ([Net("a", "b", bad), Net("a", "b", 4)], 4)):
         nl = Netlist(cells, nets)
         assert validate(nl) == want
-        assert (nl.succ, nl.succ_delay, nl.pred) == ([(1,), ()], [delay], [(), (0,)])
+        graph = nl.delay_graph()
+        assert (graph.succ, graph.succ_delay, graph.pred) == ([(1,), ()], [delay], [(), (0,)])
     # the cycle check still runs over an edge with a bad delay
     loop = Netlist(
         [Cell("i", CellKind.IN), Cell("x", CellKind.LUT1, 1), Cell("y", CellKind.LUT1, 1)],

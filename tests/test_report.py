@@ -11,7 +11,7 @@ from blockscope.annotation import BlockLabel, build_registry
 from blockscope.devices import resolve_device
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.formats import parse_netlist, serialize_netlist
-from blockscope.model import BlockscopeError
+from blockscope.model import BlockscopeError, Net, Netlist, ValidationError
 from blockscope.report import (
     CSV_HEADER,
     SCHEMA,
@@ -238,7 +238,8 @@ def test_area_and_power_resolve_each_block_once(seed, monkeypatch):
 
 def test_only_delay_builds_the_delay_graph(monkeypatch):
     """An area and power report leaves the delay graph unbuilt; the first
-    delay report builds it once, and every later read returns its objects."""
+    delay report builds it once, and every later read returns the same record.
+    A cyclic netlist builds none: its delay report raises the cycle."""
     builds = []
     real = model._delay_graph
     monkeypatch.setattr(model, "_delay_graph", lambda *args: builds.append(1) or real(*args))
@@ -249,8 +250,17 @@ def test_only_delay_builds_the_delay_graph(monkeypatch):
         assert builds == []
         build_report(nl, metrics=("area", "delay", "power"), profile=profile)
         assert len(builds) == 1
-        names = ("succ", "succ_first", "succ_delay", "pred", "rank")
-        graph = [getattr(nl, name) for name in names]
+        graph = nl.delay_graph()
         build_report(nl, metrics=("delay",))
-        assert all(getattr(nl, name) is obj for name, obj in zip(names, graph))
+        assert nl.delay_graph() is graph
         assert len(builds) == 1
+    builds.clear()
+    src, dst = built.net_src[-1], built.net_dst[-1]
+    cyclic = Netlist(built.cells, built.nets + (Net(dst, src, 1),), built.ff_pairs)
+    assert cyclic.cycle is not None and src in cyclic.cycle.cells and dst in cyclic.cycle.cells
+    build_report(cyclic, metrics=("area", "power"), profile=profile)
+    with pytest.raises(ValidationError) as err:
+        build_report(cyclic, metrics=("area", "delay"))
+    assert err.value.violations == (cyclic.cycle,)
+    assert str(err.value) == "combinational cycle through " + ", ".join(cyclic.cycle.cells)
+    assert builds == []
