@@ -31,6 +31,14 @@ weigh more than 0; every path from any other node weighs 0, so its smallest
 successor that reaches a sink is its best. Per block, the work left is the
 reach over the ancestors of the seeds that can weigh more than 0 and of the
 heaviest seeds.
+
+Seeds on a path the shared pass already has skip their search. Under system
+weights, seeds on the global critical path take it: it is the heaviest
+complete path and the first of the heaviest, so no seed-crossing path beats
+it. Under block weights, seeds none of which can weigh more than 0 weigh 0 on
+every path, so if they meet the first complete path (the smallest source that
+reaches a sink, then the smallest successor that does) it wins; that path is
+built once per report, on first use.
 """
 
 from __future__ import annotations
@@ -77,6 +85,8 @@ class _Shared:
         self.succ, self.succ_first, self.succ_delay, self.pred, self.rank = netlist.delay_graph()
         self.free: dict[int, State] = {}
         self.critical = self._search(set(), True, netlist.order, (), self.free)
+        self.on_critical = set(map(netlist.index.__getitem__, self.critical.path))
+        self.first: tuple[set[int], PathResult] | None = None  # built by _first_path
         free, sink, logic = self.free, netlist.sink, netlist.logic
         succ, succ_first, succ_delay = self.succ, self.succ_first, self.succ_delay
         prefix = [0 if s else -1 for s in netlist.source]  # heaviest source-to-i weight before i
@@ -93,6 +103,8 @@ class _Shared:
 
     def system(self, seeds: set[int]) -> PathResult:
         """The heaviest complete path through a seed, every node and net weighing."""
+        if not seeds.isdisjoint(self.on_critical):
+            return self.critical  # the heaviest of all paths, and the first of the heaviest
         through = self.through
         weight = max((through[c] for c in seeds), default=-1)
         if weight < 0:
@@ -105,9 +117,26 @@ class _Shared:
         """The complete path through a seed on which the seeds weigh the most."""
         logic, succ, nets = self.netlist.logic, self.succ, self.include_block_nets
         weighs = [c for c in seeds if logic[c] or nets and not seeds.isdisjoint(succ[c])]
+        if not weighs:  # every path weighs 0, so the first complete path wins if it crosses a seed
+            on_first, first = self._first_path()
+            if not seeds.isdisjoint(on_first):
+                return first
         cone = _reach(weighs, self.pred)
         down = _reach(cone.intersection(seeds), succ, cone.__contains__)
         return self._search(seeds, False, sorted(down, key=self.rank.__getitem__), (), {})
+
+    def _first_path(self) -> tuple[set[int], PathResult]:
+        """The first complete path and its cells: the smallest source that
+        reaches a sink, then at each step the smallest successor that does."""
+        if self.first is None:
+            free, succ, source = self.free, self.succ, self.netlist.source
+            i = next((i for i, s in enumerate(source) if s and i in free), -1)
+            path = []
+            while i >= 0:
+                path.append(i)
+                i = next((j for j in succ[i] if j in free), -1)
+            self.first = set(path), PathResult(0, 0, 0, tuple(map(self.netlist.ids.__getitem__, path)))
+        return self.first
 
     def _search(self, seeds, system, down, up, free) -> PathResult:
         """The DP: add the free states of down to free and find the bound

@@ -16,7 +16,7 @@ import copy
 import heapq
 from array import array
 from enum import Enum, unique
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Mapping, NamedTuple
 
 
@@ -363,9 +363,17 @@ def validate(netlist: Netlist) -> tuple[Violation, ...]:
     built. Acyclicity is only checked once ids are unique and every net is
     indexed, so cycle reports always refer to real, well-formed edges.
     """
+    logic = netlist.cell_logic
+    if (
+        len(netlist._pos) == len(netlist.cell_id)  # ids are unique
+        and set(map(type, logic)) <= {int}
+        and min(logic, default=0) >= 0
+        and not any(compress(logic, map(SOURCE_KINDS.__contains__, netlist.cell_kind)))
+    ):
+        return netlist.graph_violations  # the loop below would find nothing
     out: list[Violation] = []
     index, first = netlist.index, netlist._pos
-    columns = zip(netlist.cell_id, netlist.cell_kind, netlist.cell_logic)
+    columns = zip(netlist.cell_id, netlist.cell_kind, logic)
     for pos, (cid, kind, delay) in enumerate(columns):
         if first[index[cid]] != pos:
             out.append(Violation("duplicate-cell-id", cid, f"duplicate cell id {cid}"))

@@ -148,6 +148,44 @@ def test_missing_and_malformed_inputs_exit_1(gcd_files, tmp_path):
     assert b"combinational cycle through u, v" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "metrics", [("--metrics", "area"), ("--metrics", "area,power"), ("--metrics", "delay"), ()],
+    ids=["area", "area,power", "delay", "default"],
+)
+def test_cyclic_netlist_fails_alike_under_every_metric_set(gcd_files, tmp_path, capsys, metrics):
+    # area and power never read the delay graph, yet the cycle is an input
+    # error there too, located at its first edge
+    _, bpf = gcd_files
+    looped = tmp_path / "loop.bnl"
+    looped.write_text(
+        f"{NETLIST_HEADER}\n"
+        "cell i IN 0\ncell u LUT2 1\ncell v LUT1 1\ncell o OUT 0\n"
+        "net i -> u 1\nnet u -> v 1\nnet v -> u 1\nnet v -> o 1\n"
+    )
+    profile = ("--profile", str(bpf)) if "area,power" in metrics else ()
+    assert main(["analyze", "--netlist", str(looped), *metrics, *profile]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"blockscope: error: {looped}: combinational cycle through u, v (line 7)\n"
+
+
+def test_csv_analysis_loads_no_hashlib(gcd_files):
+    # CSV prints no digest, so a CSV run neither hashes its inputs nor loads hashlib
+    bnl, bpf = gcd_files
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from blockscope.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before)), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["analyze", "--netlist", str(bnl), "--profile", str(bpf), "--format", "csv"]
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True)
+    assert (result.returncode, result.stderr) == (0, b"[]\n")
+    assert result.stdout.startswith(b"section,block,")
+
+
 def test_usage_errors_exit_1():
     result = run_cli("analyze")
     assert result.returncode == 1 and b"--netlist" in result.stderr

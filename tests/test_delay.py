@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockscope import delay as delay_layer
 from blockscope.annotation import BlockLabel, BlockRegistry, build_registry, group_to_depth
 from blockscope.area import BlockArea, area_report
 from blockscope.delay import BlockDelay, PathResult, ZERO_PATH, delay_report
@@ -286,16 +287,18 @@ def _retimed(nl, delay):
     return Netlist(cells, [Net(n.src, n.dst, delay()) for n in nl.nets], nl.ff_pairs)
 
 
-@pytest.mark.parametrize("ties", ["equal", "binary"])
+@pytest.mark.parametrize("ties", ["equal", "binary", "zero"])
 @pytest.mark.parametrize(
     "seed, n",
     [(1, 40), (2, 120), (9, 250), (3, 400), (1, 500), (4, 500), (6, 1000), (5, 2000), (7, 2000)],
 )
 def test_tie_heavy_delays_match_reference_pipeline(seed, n, ties):
     # with every delay equal, or every delay 0 or 1, nearly every choice in the
-    # search is a tie, so only the tie-break separates the candidate paths
+    # search is a tie, so only the tie-break separates the candidate paths; with
+    # every delay 0 no block weighs anything, so each block either takes the
+    # first complete path or, missing it, runs its search
     rng = random.Random(seed)
-    delay = (lambda: 1) if ties == "equal" else (lambda: rng.randint(0, 1))
+    delay = {"equal": lambda: 1, "binary": lambda: rng.randint(0, 1), "zero": lambda: 0}[ties]
     nl = _retimed(gen_random(seed, n), delay)
     assert validate(nl) == ()
     registry = build_registry(nl)
@@ -512,6 +515,40 @@ def test_delay_report_matches_reference_pipeline_at_scale(netlist):
     nl = netlist()
     assert validate(nl) == () and len(nl.cells) in (6_240, 6_808)
     _reports_match_reference(nl)
+
+
+def test_seed_sets_on_the_first_paths_skip_their_search(monkeypatch):
+    # every seed set of the deep_paths shape meets the critical path, and the
+    # weightless port-only (unannotated) block meets the first complete path,
+    # so no system search runs and the ports reach nothing
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(delay_layer, "_reach", counted("_reach", delay_layer._reach))
+    for name in ("system", "block", "_search"):
+        monkeypatch.setattr(delay_layer._Shared, name, counted(name, getattr(delay_layer._Shared, name)))
+    nl = _chains(3)
+    registry = build_registry(nl)
+    report = delay_report(nl, registry)
+    assert calls[0] == "_search"  # the shared pass
+    solves = []  # each system() and block() call, with the calls made inside it
+    for name in calls[1:]:
+        if name in ("system", "block"):
+            solves.append((name, []))
+        else:
+            solves[-1][1].append(name)
+    assert [name for name, _ in solves] == ["system", "block"] * (len(registry.blocks) + 1)
+    assert [inner for name, inner in solves if name == "system"] == [[]] * (len(registry.blocks) + 1)
+    assert all("_search" in inner for _, inner in solves[1:-1:2])  # the chain blocks weigh
+    assert solves[-1] == ("block", [])  # the (unannotated) block, solved last
+    assert report.unannotated.system == report.global_critical
+    assert report.unannotated.block.total_delay == 0
+    assert report.unannotated.block.path[0] == "in0"
 
 
 def _peak_bytes(call) -> int:
