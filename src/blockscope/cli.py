@@ -1,11 +1,14 @@
 """Command line entry point: parse inputs, run the requested analyses, and
 print one report to stdout. Exit 0 on success, 1 on any input or validation
-error, 2 on an internal invariant failure."""
+error or a report that cannot be written, 2 on an internal invariant failure.
+``main()``, the console script, ends the process itself; ``main(argv)`` with
+a list returns the exit code, for tests and library callers."""
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -138,8 +141,14 @@ def _analyze(args: argparse.Namespace) -> int:
         netlist_digest=netlist_digest,
         profile_digest=profile_digest,
     )
-    sys.stdout.buffer.write(_RENDERERS[args.fmt](report))
-    sys.stdout.buffer.flush()
+    data = _RENDERERS[args.fmt](report)
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise BlockscopeError("cannot write stdout: it is closed")
+    try:
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    except OSError as exc:
+        raise BlockscopeError(f"cannot write stdout: {exc.strerror or exc}") from exc
     for label in report.power.unknown_blocks if report.power is not None else ():
         print(f"blockscope: warning: profile block {label} matches no netlist block; "
               "its activity is ignored", file=sys.stderr)
@@ -180,16 +189,34 @@ def _fixtures(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    With no argv, as the console script and ``python -m blockscope.cli`` call
+    it, the arguments come from sys.argv and the process ends here: stdout
+    and stderr are flushed, then ``os._exit`` skips the interpreter's
+    teardown, which frees every object of the run one by one, and atexit
+    handlers (profile or trace a run through ``main(argv)``). If a flush
+    fails, the code is returned and the normal exit reports the failure.
+    """
     # A batch run allocates ~10^5 cells, nets and tuples that form no cycles:
     # the cyclic collector reclaims nothing from them, and its scans cost ~7% of
     # a wide_flat run. It is off for the run; its state is restored for the caller.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _main(argv)
+        code = _main(argv)
     finally:
         if collecting:
             gc.enable()
+    if argv is None:
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except OSError:
+            return code
+        os._exit(code)
+    return code
 
 
 def _main(argv: list[str] | None) -> int:

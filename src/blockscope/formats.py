@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import count
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -78,11 +80,11 @@ def read_file(path: str | Path) -> bytes:
 
 
 def _scan(data: bytes | str) -> Iterator[Line]:
-    """Yield significant lines as (lineno, text, tokens); comments and blanks dropped.
+    """The significant lines as (lineno, text, tokens); comments and blanks dropped.
 
     Tokens are what ``str.split()`` gives. Columns are not kept: ``_error``
-    works one out from the line's text only when an error is raised. Lines
-    are yielded one at a time, so a parser holds only what it keeps.
+    works one out from the line's text only when an error is raised. A line
+    is split when it is reached; the decoded text is freed before the first.
     """
     if isinstance(data, bytes):
         try:
@@ -95,12 +97,10 @@ def _scan(data: bytes | str) -> Iterator[Line]:
             ) from None
     else:
         text = data.removeprefix("\ufeff")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
-        tokens = raw.split()
-        if tokens:
-            yield lineno, raw, tokens
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
+    return filter(itemgetter(2), zip(count(1), lines, map(str.split, lines)))
 
 
 def _error(line: Line, index: int, message: str) -> ParseError:

@@ -221,6 +221,75 @@ def test_help_and_version_return_0(capsys, argv, text):
     assert text in out and err == ""
 
 
+@pytest.mark.parametrize(
+    "call, marker", [("main()", b""), ("main(sys.argv[1:])", b"atexit ran\n")], ids=["console", "list"]
+)
+def test_only_the_console_call_ends_the_process(call, marker):
+    # main() flushes and leaves by os._exit, so no atexit handler runs;
+    # main(argv) returns its code to a caller that goes on
+    script = (
+        "import atexit, sys\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "from blockscope.cli import main\n"
+        f"sys.exit({call})\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, "--version"], capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"blockscope 0.1.0\n" + marker, b"")
+
+
+# argv, then the exit code, the first line of stdout and all of stderr
+CONSOLE_CASES = {
+    "version": (["--version"], 0, "blockscope 0.1.0", ""),
+    "help": (["--help"], 0, "usage: blockscope [-h] [--version] COMMAND ...", ""),
+    "usage-error": (["analyze", "--netlist", "{bnl}", "--bogus"], 1, "",
+                    "blockscope: error: unrecognized arguments: --bogus\n"),
+    "input-error": (["analyze", "--netlist", "{absent}"], 1, "",
+                    "blockscope: error: cannot read {absent}: No such file or directory\n"),
+    "analyze": (["analyze", "--netlist", "{bnl}", "--profile", "{bpf}"], 0, "blockscope-report v1", ""),
+}
+
+
+@pytest.mark.parametrize("case", CONSOLE_CASES)
+def test_console_run_prints_what_main_returns(gcd_files, tmp_path, capsysbinary, monkeypatch, case):
+    # stdout to a regular file is block buffered, so bytes left unflushed at
+    # the hard exit would be missing here; the help text wraps at COLUMNS
+    bnl, bpf = gcd_files
+    names = {"bnl": bnl, "bpf": bpf, "absent": tmp_path / "absent.bnl"}
+    argv, code, first_line, err = CONSOLE_CASES[case]
+    argv = [arg.format(**names) for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")
+    out = tmp_path / "stdout"
+    with open(out, "wb") as stdout:
+        result = subprocess.run([sys.executable, "-m", "blockscope.cli", *argv],
+                                stdout=stdout, stderr=subprocess.PIPE)
+    console = (result.returncode, out.read_bytes(), result.stderr)
+    assert console == (main(argv), *capsysbinary.readouterr())
+    assert (console[0], console[1].partition(b"\n")[0], console[2]) == (
+        code, first_line.encode(), err.format(**names).encode()
+    )
+
+
+def test_report_to_a_closed_stdout_exits_1(gcd_files):
+    bnl, _ = gcd_files
+    # fd 1 is closed before the interpreter starts, as `>&-` in a shell does
+    closed = ("import os, sys; os.close(1); "
+              "os.execv(sys.executable, [sys.executable, '-m', 'blockscope.cli', *sys.argv[1:]])")
+    result = subprocess.run([sys.executable, "-c", closed, "analyze", "--netlist", str(bnl)],
+                            stderr=subprocess.PIPE)
+    assert (result.returncode, result.stderr) == (1, b"blockscope: error: cannot write stdout: it is closed\n")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+def test_report_to_a_full_device_exits_1(gcd_files):
+    bnl, _ = gcd_files
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "blockscope.cli", "analyze", "--netlist", str(bnl)],
+                                stdout=full, stderr=subprocess.PIPE)
+    assert (result.returncode, result.stderr) == (
+        1, b"blockscope: error: cannot write stdout: No space left on device\n"
+    )
+
+
 def test_empty_device_name_is_an_unknown_device(gcd_files, capsys):
     bnl, _ = gcd_files
     for command in (["analyze", "--netlist", str(bnl)], ["fixtures", "gcd", str(bnl.parent / "unused")]):

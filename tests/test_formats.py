@@ -331,6 +331,24 @@ def test_parse_memory_is_linear_in_the_input():
     assert peak - before <= 15 * len(data)
 
 
+def test_parse_frees_the_decoded_text_before_parsing():
+    # Above what the parsed netlist keeps, a parse holds its list of lines and
+    # the tokens of one line. The decoded text, one more copy of the input, is
+    # freed before the first line is parsed: 0.52x the input on Python 3.11
+    # (0.63x on 3.10), against 0.86x (0.91x) for a scanner that kept the text
+    # alive to the last line.
+    data = serialize_netlist(gen_random(3, 20000))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        netlist = parse_netlist(data)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(netlist.cell_id) == 20000
+    assert peak - kept <= 0.75 * len(data)
+
+
 def test_netlist_serialization_is_canonical_and_stable():
     for nl in (gen_gcd()[0], gen_fig6(), gen_random(7, 15)):
         blob = serialize_netlist(nl)
