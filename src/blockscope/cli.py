@@ -196,7 +196,9 @@ def main(argv: list[str] | None = None) -> int:
     and stderr are flushed, then ``os._exit`` skips the interpreter's
     teardown, which frees every object of the run one by one, and atexit
     handlers (profile or trace a run through ``main(argv)``). If a flush
-    fails, the code is returned and the normal exit reports the failure.
+    fails after a successful run, the code is returned and the normal exit
+    reports the failure; after a failed run, which has printed its error,
+    the process still ends here with the run's code.
     """
     # A batch run allocates ~10^5 cells, nets and tuples that form no cycles:
     # the cyclic collector reclaims nothing from them, and its scans cost ~7% of
@@ -209,12 +211,14 @@ def main(argv: list[str] | None = None) -> int:
         if collecting:
             gc.enable()
     if argv is None:
-        try:
-            for stream in (sys.stdout, sys.stderr):
+        for stream in (sys.stdout, sys.stderr):
+            try:
                 if stream is not None:
                     stream.flush()
-        except OSError:
-            return code
+            except OSError:
+                if code == 0:
+                    return code
+                # the run failed and said so; bytes a failed stream still holds are dropped
         os._exit(code)
     return code
 

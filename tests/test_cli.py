@@ -4,6 +4,7 @@ and the fixtures subcommand."""
 import gc
 import hashlib
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -35,6 +36,12 @@ def gcd_files(tmp_path_factory):
     result = run_cli("fixtures", "gcd", str(outdir))
     assert result.returncode == 0, result.stderr
     return outdir / "gcd.bnl", outdir / "gcd.bpf"
+
+
+# a console run's stdout is block buffered unless PYTHONUNBUFFERED is set; the
+# hard-exit tests run without it, so the flush before os._exit is what they test
+BUFFERED = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+UNBUFFERED = {**BUFFERED, "PYTHONUNBUFFERED": "1"}
 
 
 def test_fixtures_subcommand_writes_canonical_files(gcd_files):
@@ -233,7 +240,7 @@ def test_only_the_console_call_ends_the_process(call, marker):
         "from blockscope.cli import main\n"
         f"sys.exit({call})\n"
     )
-    result = subprocess.run([sys.executable, "-c", script, "--version"], capture_output=True)
+    result = subprocess.run([sys.executable, "-c", script, "--version"], capture_output=True, env=BUFFERED)
     assert (result.returncode, result.stdout, result.stderr) == (0, b"blockscope 0.1.0\n" + marker, b"")
 
 
@@ -257,11 +264,11 @@ def test_console_run_prints_what_main_returns(gcd_files, tmp_path, capsysbinary,
     names = {"bnl": bnl, "bpf": bpf, "absent": tmp_path / "absent.bnl"}
     argv, code, first_line, err = CONSOLE_CASES[case]
     argv = [arg.format(**names) for arg in argv]
-    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("COLUMNS", "80")  # for main(argv) here; the subprocess gets its own
     out = tmp_path / "stdout"
     with open(out, "wb") as stdout:
         result = subprocess.run([sys.executable, "-m", "blockscope.cli", *argv],
-                                stdout=stdout, stderr=subprocess.PIPE)
+                                stdout=stdout, stderr=subprocess.PIPE, env={**BUFFERED, "COLUMNS": "80"})
     console = (result.returncode, out.read_bytes(), result.stderr)
     assert console == (main(argv), *capsysbinary.readouterr())
     assert (console[0], console[1].partition(b"\n")[0], console[2]) == (
@@ -279,12 +286,28 @@ def test_report_to_a_closed_stdout_exits_1(gcd_files):
     assert (result.returncode, result.stderr) == (1, b"blockscope: error: cannot write stdout: it is closed\n")
 
 
+@pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
+def test_report_to_a_closed_pipe_exits_1(gcd_files, env):
+    # a reader that has gone away: the write fails with EPIPE, and the bytes
+    # a buffered stdout still holds must not fail again at exit
+    bnl, _ = gcd_files
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "blockscope.cli", "analyze", "--netlist", str(bnl)],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"blockscope: error: cannot write stdout: Broken pipe\n")
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
-def test_report_to_a_full_device_exits_1(gcd_files):
+@pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
+def test_report_to_a_full_device_exits_1(gcd_files, env):
     bnl, _ = gcd_files
     with open("/dev/full", "wb") as full:
         result = subprocess.run([sys.executable, "-m", "blockscope.cli", "analyze", "--netlist", str(bnl)],
-                                stdout=full, stderr=subprocess.PIPE)
+                                stdout=full, stderr=subprocess.PIPE, env=env)
     assert (result.returncode, result.stderr) == (
         1, b"blockscope: error: cannot write stdout: No space left on device\n"
     )
