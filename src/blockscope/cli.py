@@ -1,8 +1,10 @@
 """Command line entry point: parse inputs, run the requested analyses, and
 print one report to stdout. Exit 0 on success, 1 on any input or validation
 error or a report that cannot be written, 2 on an internal invariant failure.
-``main()``, the console script, ends the process itself; ``main(argv)`` with
-a list returns the exit code, for tests and library callers."""
+stdout holds only the report; errors, warnings and ``wrote`` lines go only to
+stderr, and one that a closed or full stderr cannot take is dropped without
+changing the exit code. ``main()``, the console script, flushes stdout and
+ends the process itself; ``main(argv)`` returns the exit code."""
 
 from __future__ import annotations
 
@@ -78,13 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _digest(data: bytes, fmt: str) -> str | None:
-    """The input digest the report header prints; CSV prints no header, so none."""
-    if fmt == "csv":
-        return None
-    import hashlib  # here, not at the top: --version, usage errors and CSV never need it
-
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+def _note(line: str) -> None:
+    """Write and flush one line to stderr, where every diagnostic goes; a line a
+    closed (None) or refusing stderr cannot take is dropped, never put on stdout."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except OSError:
+        pass
 
 
 def _in_file(path: str, parse, *args):
@@ -93,6 +98,19 @@ def _in_file(path: str, parse, *args):
         return parse(*args)
     except ParseError as exc:
         raise BlockscopeError(f"{path}: {exc}") from exc
+
+
+def _load(path: str, parse, fmt: str):
+    """(parsed file, its header digest); the bytes (~19 MB of netlist at 10^5
+    cells) die on return. Digesting after the parse keeps OpenSSL out of its
+    peak; CSV prints no header, so it gets no digest."""
+    data = read_file(path)
+    value = _in_file(path, parse, data)
+    if fmt == "csv":
+        return value, None
+    import hashlib  # here, not at the top: --version, usage errors and CSV never need it
+
+    return value, "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _metric_list(args: argparse.Namespace) -> tuple[str, ...]:
@@ -109,23 +127,11 @@ def _analyze(args: argparse.Namespace) -> int:
     if args.group_depth is not None:
         check_group_depth(args.group_depth)  # before any input is read, as for metrics
 
-    # input bytes live only until their digest is taken (~19 MB of netlist at
-    # 10^5 cells); digesting after the parse keeps OpenSSL out of its peak
-    netlist_bytes = read_file(args.netlist)
-    netlist = _in_file(args.netlist, parse_netlist, netlist_bytes)
-    netlist_digest = _digest(netlist_bytes, args.fmt)
-    del netlist_bytes
+    netlist, netlist_digest = _load(args.netlist, parse_netlist, args.fmt)
     device = _in_file(args.device, resolve_device, args.device)
     if args.override_delays:
         netlist = device.apply_delays(netlist)
-
-    profile = None
-    profile_digest = None
-    if args.profile:
-        profile_bytes = read_file(args.profile)
-        profile = _in_file(args.profile, parse_profile, profile_bytes)
-        profile_digest = _digest(profile_bytes, args.fmt)
-        del profile_bytes
+    profile, profile_digest = _load(args.profile, parse_profile, args.fmt) if args.profile else (None, None)
 
     if args.power_model:
         power = _in_file(args.power_model, parse_coefficients, read_file(args.power_model), device.power)
@@ -150,8 +156,8 @@ def _analyze(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise BlockscopeError(f"cannot write stdout: {exc.strerror or exc}") from exc
     for label in report.power.unknown_blocks if report.power is not None else ():
-        print(f"blockscope: warning: profile block {label} matches no netlist block; "
-              "its activity is ignored", file=sys.stderr)
+        _note(f"blockscope: warning: profile block {label} matches no netlist block; "
+              "its activity is ignored")
     return 0
 
 
@@ -182,7 +188,7 @@ def _fixtures(args: argparse.Namespace) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for name, data in files:
             (outdir / name).write_bytes(data)
-            print(f"wrote {outdir / name}", file=sys.stderr)
+            _note(f"wrote {outdir / name}")
     except OSError as exc:
         raise BlockscopeError(f"cannot write {exc.filename or outdir}: {exc.strerror or exc}") from exc
     return 0
@@ -192,13 +198,13 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
     With no argv, as the console script and ``python -m blockscope.cli`` call
-    it, the arguments come from sys.argv and the process ends here: stdout
-    and stderr are flushed, then ``os._exit`` skips the interpreter's
-    teardown, which frees every object of the run one by one, and atexit
-    handlers (profile or trace a run through ``main(argv)``). If a flush
-    fails after a successful run, the code is returned and the normal exit
-    reports the failure; after a failed run, which has printed its error,
-    the process still ends here with the run's code.
+    it, the arguments come from sys.argv and the process ends here: stdout is
+    flushed (``_note`` flushes each stderr line as it writes it), then
+    ``os._exit`` skips the interpreter's teardown, which frees every object of
+    the run one by one, and atexit handlers (profile or trace a run through
+    ``main(argv)``). If the flush fails after a successful run, the code is
+    returned and the normal exit reports the failure; after a failed run,
+    which has reported its error, the process still ends here.
     """
     # A batch run allocates ~10^5 cells, nets and tuples that form no cycles:
     # the cyclic collector reclaims nothing from them, and its scans cost ~7% of
@@ -206,37 +212,29 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        code = _main(argv)
+        args = _build_parser().parse_args(argv)
+        code = _analyze(args) if args.command == "analyze" else _fixtures(args)
+    except SystemExit as exc:  # argparse exits 0 once --help or --version has printed
+        code = exc.code
+    except BlockscopeError as exc:
+        _note(f"blockscope: error: {exc}")
+        code = 1
+    except Exception as exc:  # noqa: BLE001 - last-resort guard for exit code 2
+        _note(f"blockscope: internal error: {exc}")
+        code = 2
     finally:
         if collecting:
             gc.enable()
     if argv is None:
-        for stream in (sys.stdout, sys.stderr):
-            try:
-                if stream is not None:
-                    stream.flush()
-            except OSError:
-                if code == 0:
-                    return code
-                # the run failed and said so; bytes a failed stream still holds are dropped
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError:
+            if code == 0:
+                return code
+            # the run failed and said so; bytes a failed stdout still holds are dropped
         os._exit(code)
     return code
-
-
-def _main(argv: list[str] | None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        if args.command == "analyze":
-            return _analyze(args)
-        return _fixtures(args)
-    except SystemExit as exc:  # argparse exits 0 once --help or --version has printed
-        return exc.code
-    except BlockscopeError as exc:
-        print(f"blockscope: error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - last-resort guard for exit code 2
-        print(f"blockscope: internal error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ and the fixtures subcommand."""
 
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -12,9 +13,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockscope import cli
 from blockscope.cli import main
+from blockscope.devices import BUILTIN_DEVICES, resolve_device
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.formats import DEVICE_HEADER, NETLIST_HEADER, parse_netlist, serialize_netlist, serialize_profile
 
@@ -311,6 +315,58 @@ def test_report_to_a_full_device_exits_1(gcd_files, env):
     assert (result.returncode, result.stderr) == (
         1, b"blockscope: error: cannot write stdout: No space left on device\n"
     )
+
+
+# fd 2 is closed before the interpreter starts, as `2>&-` in a shell does
+CLOSED_STDERR = ("import os, sys; os.close(2); "
+                 "os.execv(sys.executable, [sys.executable, '-m', 'blockscope.cli', *sys.argv[1:]])")
+NO_DEV_FULL = pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+
+
+def run_without_stderr(args, stderr, env):
+    """A console run whose stderr is closed, or /dev/full, which refuses every write."""
+    if stderr == "closed":
+        return subprocess.run([sys.executable, "-c", CLOSED_STDERR, *args], stdout=subprocess.PIPE, env=env)
+    with open("/dev/full", "wb") as full:
+        return subprocess.run([sys.executable, "-m", "blockscope.cli", *args],
+                              stdout=subprocess.PIPE, stderr=full, env=env)
+
+
+UNWRITABLE_STDERR = ["closed", pytest.param("full", marks=NO_DEV_FULL)]
+
+
+@pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr", UNWRITABLE_STDERR)
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_warning_stderr_cannot_take_is_dropped(gcd_files, tmp_path, env, stderr, fmt):
+    # the warning must neither land in the report nor change the exit code
+    bnl, bpf = gcd_files
+    ghost = tmp_path / "ghost.bpf"
+    ghost.write_bytes(bpf.read_bytes() + b"rule ghost_r block ghost\n")
+    args = ["analyze", "--netlist", str(bnl), "--profile", str(ghost), "--format", fmt]
+    with_stderr = run_cli(*args, env=env)
+    assert (with_stderr.returncode, with_stderr.stderr) == (
+        0, b"blockscope: warning: profile block ghost matches no netlist block; its activity is ignored\n"
+    )
+    result = run_without_stderr(args, stderr, env)
+    assert (result.returncode, result.stdout) == (0, with_stderr.stdout)
+    if fmt == "structured":
+        json.loads(result.stdout)
+
+
+@pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
+def test_an_error_with_stderr_closed_leaves_stdout_empty(tmp_path, env):
+    result = run_without_stderr(["analyze", "--netlist", str(tmp_path / "absent.bnl")], "closed", env)
+    assert (result.returncode, result.stdout) == (1, b"")
+
+
+@pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr", UNWRITABLE_STDERR)
+def test_fixtures_write_every_file_when_stderr_cannot_take_the_wrote_lines(gcd_files, tmp_path, env, stderr):
+    result = run_without_stderr(["fixtures", "gcd", str(tmp_path / "out")], stderr, env)
+    assert (result.returncode, result.stdout) == (0, b"")
+    for made in gcd_files:
+        assert (tmp_path / "out" / made.name).read_bytes() == made.read_bytes()
 
 
 def test_empty_device_name_is_an_unknown_device(gcd_files, capsys):
@@ -692,3 +748,108 @@ def test_frozen_digest_inputs_warn_only_for_absent_profile_blocks(tmp_path, caps
                 "its activity is ignored"
                 for label in expected
             ], (case, flags)
+
+
+def _device_file(name: str) -> bytes:
+    """A built-in device written out as a device file: every table in full."""
+    device = resolve_device(name)
+    lines = [DEVICE_HEADER]
+    lines += [f"delay {kind.name} {ps}" for kind, ps in device.logic_delays.items() if ps]
+    lines += [f"weight {kind} {w!r}" for kind, w in device.weights.items()]
+    lines += [f"static {kind} {uw!r}" for kind, uw in device.power.static_uw.items()]
+    lines += [f"dynamic {kind} {pj!r}" for kind, pj in device.power.dynamic_pj.items()]
+    lines.append(f"frequency {device.power.frequency_hz!r}")
+    return "\n".join(lines).encode() + b"\n"
+
+
+_GCD_NETLIST, _GCD_PROFILE = gen_gcd()
+FUZZ_INPUTS = {
+    "<netlist>": serialize_netlist(_GCD_NETLIST),
+    "<profile>": serialize_profile(_GCD_PROFILE),
+    "<device>": _device_file("virtex7"),
+    "<power-model>": b"static LUT4 10\ndynamic FF 2.5\nfrequency 1e6\n",
+}
+
+
+@st.composite
+def _damaged(draw, data: bytes) -> bytes:
+    """data whole (half the time), cut short, or with up to four bytes replaced."""
+    how = draw(st.sampled_from(["whole", "whole", "truncated", "mutated"]))
+    if how == "truncated":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if how == "mutated":
+        data = bytearray(data)
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+def _mostly(good, junk):
+    """A good value three times in four, junk otherwise."""
+    return st.integers(0, 3).flatmap(lambda pick: good if pick else junk)
+
+
+_NUMBER = _mostly(st.integers(1, 4).map(str),
+                  st.one_of(st.sampled_from(["0", "-1", "", "x", "1.5", "9" * 25]), st.text(max_size=4)))
+_DEVICE = _mostly(st.sampled_from([*BUILTIN_DEVICES, "<device>"]),
+                  st.one_of(st.sampled_from(["", "nope", "<absent>"]), st.text(max_size=6)))
+_ANALYZE_FLAGS = {
+    "--profile": st.just("<profile>"),
+    "--power-model": st.just("<power-model>"),
+    "--device": _DEVICE,
+    "--metrics": _mostly(st.sampled_from(["area", "delay", "area,power", " power , delay ", "power,area,delay"]),
+                         st.one_of(st.sampled_from(["", ",", "area,", "Area"]), st.text(max_size=12))),
+    "--group-depth": _NUMBER,
+    "--format": _mostly(st.sampled_from(["text", "csv", "structured"]), st.sampled_from(["yaml", ""])),
+    "--block-delay-nodes-only": None,
+    "--override-delays": None,
+}
+_FIXTURES_FLAGS = {"--device": _DEVICE, "--bit-width": _NUMBER}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """analyze or fixtures argv; <name> stands for a file the test writes."""
+    if draw(st.booleans()):
+        chunks, flags = [["analyze"]], _ANALYZE_FLAGS
+        if draw(st.integers(0, 9)):  # now and then --netlist is missing
+            chunks.append(["--netlist", "<netlist>"])
+    else:
+        name = draw(_mostly(st.sampled_from(["gcd", "fig6", "random:3:12"]),
+                            st.sampled_from(["random:x:2", "random:1", "random:1:-5", "nope"])))
+        chunks, flags = [["fixtures", name, "<outdir>"]], _FIXTURES_FLAGS
+    for flag, values in flags.items():
+        if not draw(st.integers(0, 2)):  # each flag in a third of the runs
+            chunks.append([flag] if values is None else [flag, draw(values)])
+    return chunks[0] + [arg for chunk in draw(st.permutations(chunks[1:])) for arg in chunk]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_argv(), inputs=st.fixed_dictionaries({name: _damaged(data) for name, data in FUZZ_INPUTS.items()}))
+# every input file whole and given, so one run always reads them all
+@example(argv=["analyze", "--netlist", "<netlist>", "--profile", "<profile>", "--device", "<device>",
+               "--power-model", "<power-model>", "--override-delays"], inputs=FUZZ_INPUTS)
+def test_cli_fuzz_exits_0_or_1_with_one_error_line(fuzz_dir, argv, inputs):
+    paths = {"<outdir>": str(fuzz_dir / "out"), "<absent>": str(fuzz_dir / "absent")}
+    for name, data in inputs.items():
+        paths[name] = str(fuzz_dir / name.strip("<>"))
+        Path(paths[name]).write_bytes(data)
+    argv = [paths.get(arg, arg) for arg in argv]
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.stdout, sys.stderr = saved
+    out.flush()
+    if code == 0:
+        return
+    lines = err.getvalue().splitlines()
+    assert (code, out.buffer.getvalue(), len(lines)) == (1, b"", 1), (argv, lines)
+    assert lines[0].startswith("blockscope: error: "), (argv, lines)
