@@ -81,10 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _note(line: str) -> None:
-    """Write and flush one line to stderr, where every diagnostic goes; a line a
+    """Write and flush one line to stderr, where every diagnostic goes, with each
+    character str.isprintable() rejects (a newline in a path) escaped; a line a
     closed (None) or refusing stderr cannot take is dropped, never put on stdout."""
     if sys.stderr is None:
         return
+    line = "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in line)
     try:
         sys.stderr.write(line + "\n")
         sys.stderr.flush()
@@ -165,8 +167,9 @@ def _fixture_files(args: argparse.Namespace) -> list[tuple[str, bytes]]:
     """The (file name, bytes) a fixture name stands for; rejects an unknown name."""
     from .fixtures import gen_fig6, gen_gcd, gen_random  # here: only this command needs random
     if args.name == "gcd":
-        netlist, profile = gen_gcd(args.bit_width, _in_file(args.device, resolve_device, args.device))
-        return [("gcd.bnl", serialize_netlist(netlist)), ("gcd.bpf", serialize_profile(profile))]
+        device = _in_file(args.device, resolve_device, args.device)  # a bad device outranks a bad width
+        netlist, profile = gen_gcd(args.bit_width)
+        return [("gcd.bnl", serialize_netlist(device.apply_delays(netlist))), ("gcd.bpf", serialize_profile(profile))]
     if args.name == "fig6":
         return [("fig6.bnl", serialize_netlist(gen_fig6()))]
     if args.name.startswith("random:"):
@@ -189,8 +192,9 @@ def _fixtures(args: argparse.Namespace) -> int:
         for name, data in files:
             (outdir / name).write_bytes(data)
             _note(f"wrote {outdir / name}")
-    except OSError as exc:
-        raise BlockscopeError(f"cannot write {exc.filename or outdir}: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise BlockscopeError(f"cannot write {getattr(exc, 'filename', None) or outdir}: "
+                              f"{getattr(exc, 'strerror', None) or exc}") from exc
     return 0
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 
 from .annotation import BlockLabel, extract_block_label
-from .devices import DeviceProfile, resolve_device
+from .devices import resolve_device
 from .model import SINK_KINDS, SOURCE_KINDS, BlockscopeError, Cell, CellKind, Net, Netlist
 from .power import ActivityProfile
 
@@ -18,26 +18,24 @@ def _lut(kind_width: int) -> CellKind:
     return CellKind[f"LUT{kind_width}"]
 
 
-def gen_gcd(bit_width: int = 2, device: DeviceProfile | str = "virtex7") -> tuple[Netlist, ActivityProfile]:
+def gen_gcd(bit_width: int = 2) -> tuple[Netlist, ActivityProfile]:
     """Two-register GCD core: rules swap/subtract, registers x/y.
 
     Both rule guards compare all register bits; the subtractor is a borrow
     chain gated by its guard; write-port muxes belong to the writing rules, so
-    x and y stay pure register blocks. LUT logic delays come from the device
-    profile, every net costs GCD_NET_PS. The activity profile spans ten cycles
-    with at most one rule firing in each (the two guards are mutually exclusive).
+    x and y stay pure register blocks. Logic delays are virtex7's (another
+    device's apply_delays maps them), every net costs GCD_NET_PS. The activity
+    profile spans ten cycles with at most one rule firing in each (the two
+    guards are mutually exclusive).
     """
     if not 1 <= bit_width <= 8:
         raise BlockscopeError("gcd bit width must be between 1 and 8")
-    if isinstance(device, str):
-        device = resolve_device(device)
-    delays = device.logic_delays
     cells: list[Cell] = []
     nets: list[Net] = []
     pairs: list[tuple[str, str]] = []
 
     def add_cell(cid: str, kind: CellKind) -> str:
-        cells.append(Cell(cid, kind, delays[kind]))
+        cells.append(Cell(cid, kind, 0))
         return cid
 
     def wire(src: str, dst: str) -> None:
@@ -104,7 +102,7 @@ def gen_gcd(bit_width: int = 2, device: DeviceProfile | str = "virtex7") -> tupl
         writes=frozenset({("swap", "x"), ("swap", "y"), ("subtract", "y")}),
         reads=frozenset({(swap, "x"), (swap, "y"), (subtract, "x"), (subtract, "y")}),
     )
-    return Netlist(cells, nets, pairs), profile
+    return resolve_device("virtex7").apply_delays(Netlist(cells, nets, pairs)), profile
 
 
 def gen_fig6() -> Netlist:

@@ -75,8 +75,8 @@ def read_file(path: str | Path) -> bytes:
     """The bytes of one input file; a path that cannot be read is an input error."""
     try:
         return Path(path).read_bytes()
-    except OSError as exc:
-        raise BlockscopeError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise BlockscopeError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _scan(data: bytes | str) -> Iterator[Line]:

@@ -9,7 +9,6 @@ sorts keys, keeps delays as integer picoseconds, and fixes decimal places
 
 from __future__ import annotations
 
-import io
 from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
@@ -375,11 +374,9 @@ _CSV_SECTIONS = {
 
 
 def render_csv(report: CombinedReport) -> bytes:
-    import csv  # here, not at the top: only this format needs it
+    # rows are joined like text lines: no field (section, block label, *, "" or number) needs quoting
     doc = report_document(report)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    lines = [",".join(CSV_HEADER)]
     critical = set(doc["delay"]["critical_blocks"]) if doc["delay"] is not None else set()
     for section, (first, cells) in _CSV_SECTIONS.items():
         if doc[section] is None:
@@ -391,5 +388,5 @@ def render_csv(report: CombinedReport) -> bytes:
                 row[2] = "*"
             values = cells(e)
             row[first:first + len(values)] = values
-            writer.writerow(row)
-    return buf.getvalue().encode("utf-8")
+            lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode("utf-8")

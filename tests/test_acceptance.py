@@ -84,7 +84,7 @@ def test_longest_path_agrees_with_enumeration_on_1000_netlists():
 
 def test_area_counts_conserve_the_cell_census():
     fixtures = [gen_fig6()] + [gen_gcd(w)[0] for w in range(1, 9)] + [
-        gen_gcd(2, dev)[0] for dev in ("spartan6", "virtex5")
+        resolve_device(dev).apply_delays(gen_gcd(2)[0]) for dev in ("spartan6", "virtex5")
     ]
     cases = fixtures + [nl for _, nl in random_cases()]
     for nl in cases:
@@ -152,7 +152,7 @@ def test_device_scaling_matches_frozen_goldens():
     sub = BlockLabel.parse("subtract")
     seen = []
     for device, (system_ps, block_ps, nodes_only_ps) in GOLDEN_SUBTRACT.items():
-        nl, _ = gen_gcd(2, device)
+        nl = resolve_device(device).apply_delays(gen_gcd(2)[0])
         registry = build_registry(nl)
         report = delay_report(nl, registry)
         got = report.per_block[sub]

@@ -45,7 +45,7 @@ def test_gcd_block_counts_and_weighted_area():
 def test_counts_identical_across_device_profiles():
     reports = []
     for dev in ("spartan6", "virtex5", "virtex7"):
-        nl, _ = gen_gcd(3, dev)
+        nl = resolve_device(dev).apply_delays(gen_gcd(3)[0])
         reports.append(area_report(nl, build_registry(nl), resolve_device("virtex7").weights))
     first = reports[0]
     for other in reports[1:]:

@@ -89,6 +89,37 @@ def test_fixtures_input_errors_exit_1_and_write_nothing(tmp_path, capsys, name, 
     assert (tmp_path / "blocker").read_text() == ""
 
 
+# sha256 of gcd.bnl for each (--device, --bit-width); these bytes may not change
+GCD_NETLIST_SHA256 = {
+    ("spartan6", 1): "2e9f36f8efb7784f5756c20d755488d54d33a3ad819ef8a8887cd365467a12e3",
+    ("spartan6", 2): "4c8bfc69649407dabc0e76056b900fb5460c0e0e9d71cf94b4e4a0ab775b69c5",
+    ("spartan6", 8): "7bd159079384bcb555c87dda65ec3e28ad861b38ba38ee9a745987ff663ebba3",
+    ("virtex5", 1): "8f2c2f702e85d9af95a8947f6713f3ce3fee9ee11b14acca61ac1783d0455803",
+    ("virtex5", 2): "b047c72c1e5c75c838b4fc7a37aac1311b8e193211226cfa5890fe43ce5a2c40",
+    ("virtex5", 8): "72705fb4661458eb5a2f87a1aed704ef0449c4e2bd43199004d061f72dd559b5",
+    ("virtex7", 1): "7d48bd20b12f36b782e52cf2899d99ea183a4fbbfb07b93a5801c27fdb934dea",
+    ("virtex7", 2): "0459b17d07ecc32b3cc8d990f429c480133a832138f63e9216a4e27b6a84e1d3",
+    ("virtex7", 8): "b80cdcf8758d9c90aaa7970d9c079b162307a368180e19388aed30380d371122",
+    ("<file>", 1): "eaefb9907ec4ed53f3961064fe77956465855c21f6c6f0075ada20d0e99b6943",
+    ("<file>", 2): "7a454bfaf74ff6b10f7a27d07129f946c90b2554db1ad429c00c106078abfedb",
+    ("<file>", 8): "1086eee22a241d4be0c9b17426f65dc2500333203f298081e7a8315c4c977a74",
+}
+# gcd.bpf: one for every width and device
+GCD_PROFILE_SHA256 = "ae931311db2a973c8797a40bb1ce3ea28e3ebf9198c1704b0fdd8753e8889bce"
+GCD_DEVICE_FILE = f"{DEVICE_HEADER}\ndelay LUT1 7\ndelay LUT3 55\ndelay LUT4 1234\ndelay LUT6 999\n"
+
+
+@pytest.mark.parametrize("device, width", list(GCD_NETLIST_SHA256))
+def test_gcd_fixture_files_match_frozen_digests(tmp_path, device, width):
+    name = device
+    if device == "<file>":
+        (tmp_path / "mine.bdv").write_text(GCD_DEVICE_FILE)
+        name = str(tmp_path / "mine.bdv")
+    assert main(["fixtures", "gcd", str(tmp_path / "out"), "--bit-width", str(width), "--device", name]) == 0
+    digests = [hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in ("gcd.bnl", "gcd.bpf")]
+    assert digests == [GCD_NETLIST_SHA256[device, width], GCD_PROFILE_SHA256]
+
+
 def test_analyze_success_and_silence_on_stderr(gcd_files):
     bnl, bpf = gcd_files
     result = run_cli("analyze", "--netlist", str(bnl), "--profile", str(bpf))
@@ -181,14 +212,15 @@ def test_cyclic_netlist_fails_alike_under_every_metric_set(gcd_files, tmp_path, 
 
 
 def test_csv_analysis_loads_no_hashlib(gcd_files):
-    # CSV prints no digest, so a CSV run neither hashes its inputs nor loads hashlib
+    # CSV prints no digest, so a CSV run neither hashes its inputs nor loads
+    # hashlib; its fields need no quoting, so it loads no csv either
     bnl, bpf = gcd_files
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "from blockscope.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before)), file=sys.stderr)\n"
+        "print(sorted({'hashlib', '_hashlib', 'csv'} & (set(sys.modules) - before)), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     argv = ["analyze", "--netlist", str(bnl), "--profile", str(bpf), "--format", "csv"]
@@ -221,6 +253,33 @@ def test_usage_errors_print_one_line(capsys, argv, names):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("blockscope: error: ") and names in err
+
+
+@pytest.mark.parametrize("flag", ["--netlist", "--profile", "--power-model", "OUTDIR"])
+def test_a_nul_byte_in_a_path_is_an_input_error(gcd_files, capsys, flag):
+    # a shell cannot pass a NUL, but a caller of main(argv) can
+    bnl, bpf = gcd_files
+    if flag == "OUTDIR":
+        argv, message = ["fixtures", "gcd", "a\0b"], "cannot write"
+    else:  # the files are read in this order, so the NUL path is the first that fails
+        paths = {"--netlist": str(bnl), "--profile": str(bpf), "--power-model": "unread", flag: "a\0b"}
+        argv, message = ["analyze", *(arg for item in paths.items() for arg in item)], "cannot read"
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"blockscope: error: {message} a\\x00b: embedded null byte\n")
+
+
+def test_a_newline_in_a_missing_path_is_one_error_line(tmp_path):
+    result = run_cli("analyze", "--netlist", f"{tmp_path}/no\nsuch.bnl")
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr.decode() == (
+        f"blockscope: error: cannot read {tmp_path}/no\\nsuch.bnl: No such file or directory\n")
+
+
+def test_a_newline_in_outdir_is_one_wrote_line_per_file(tmp_path):
+    result = run_cli("fixtures", "gcd", f"{tmp_path}/d\nir")
+    assert (result.returncode, result.stdout) == (0, b"")
+    assert result.stderr.decode() == f"wrote {tmp_path}/d\\nir/gcd.bnl\nwrote {tmp_path}/d\\nir/gcd.bpf\n"
+    assert sorted(p.name for p in (tmp_path / "d\nir").iterdir()) == ["gcd.bnl", "gcd.bpf"]
 
 
 @pytest.mark.parametrize(
@@ -789,13 +848,15 @@ def _mostly(good, junk):
     return st.integers(0, 3).flatmap(lambda pick: good if pick else junk)
 
 
+# absent paths that hold a NUL or a character str.splitlines() breaks a line at
+_HOSTILE = st.sampled_from(["\0", "\n", "\r", "\x85", "\u2028"]).map(lambda c: f"<absent{c}path>")
 _NUMBER = _mostly(st.integers(1, 4).map(str),
                   st.one_of(st.sampled_from(["0", "-1", "", "x", "1.5", "9" * 25]), st.text(max_size=4)))
 _DEVICE = _mostly(st.sampled_from([*BUILTIN_DEVICES, "<device>"]),
-                  st.one_of(st.sampled_from(["", "nope", "<absent>"]), st.text(max_size=6)))
+                  st.one_of(st.sampled_from(["", "nope", "<absent>"]), _HOSTILE, st.text(max_size=6)))
 _ANALYZE_FLAGS = {
-    "--profile": st.just("<profile>"),
-    "--power-model": st.just("<power-model>"),
+    "--profile": _mostly(st.just("<profile>"), _HOSTILE),
+    "--power-model": _mostly(st.just("<power-model>"), _HOSTILE),
     "--device": _DEVICE,
     "--metrics": _mostly(st.sampled_from(["area", "delay", "area,power", " power , delay ", "power,area,delay"]),
                          st.one_of(st.sampled_from(["", ",", "area,", "Area"]), st.text(max_size=12))),
@@ -809,15 +870,17 @@ _FIXTURES_FLAGS = {"--device": _DEVICE, "--bit-width": _NUMBER}
 
 @st.composite
 def _argv(draw) -> list[str]:
-    """analyze or fixtures argv; <name> stands for a file the test writes."""
+    """analyze or fixtures argv; <name> stands for a file the test writes,
+    <absent...> for a path under the test's directory that names no file."""
     if draw(st.booleans()):
         chunks, flags = [["analyze"]], _ANALYZE_FLAGS
-        if draw(st.integers(0, 9)):  # now and then --netlist is missing
-            chunks.append(["--netlist", "<netlist>"])
+        pick = draw(st.integers(0, 9))  # now and then --netlist is missing or absent
+        if pick:
+            chunks.append(["--netlist", draw(_HOSTILE) if pick == 1 else "<netlist>"])
     else:
         name = draw(_mostly(st.sampled_from(["gcd", "fig6", "random:3:12"]),
                             st.sampled_from(["random:x:2", "random:1", "random:1:-5", "nope"])))
-        chunks, flags = [["fixtures", name, "<outdir>"]], _FIXTURES_FLAGS
+        chunks, flags = [["fixtures", name, draw(_mostly(st.just("<outdir>"), _HOSTILE))]], _FIXTURES_FLAGS
     for flag, values in flags.items():
         if not draw(st.integers(0, 2)):  # each flag in a third of the runs
             chunks.append([flag] if values is None else [flag, draw(values)])
@@ -834,12 +897,17 @@ def fuzz_dir(tmp_path_factory):
 # every input file whole and given, so one run always reads them all
 @example(argv=["analyze", "--netlist", "<netlist>", "--profile", "<profile>", "--device", "<device>",
                "--power-model", "<power-model>", "--override-delays"], inputs=FUZZ_INPUTS)
+# a NUL in a path once ended in exit 2, a newline split one diagnostic into two lines
+@example(argv=["analyze", "--netlist", "<absent\0path>"], inputs=FUZZ_INPUTS)
+@example(argv=["fixtures", "gcd", "<absent\0path>"], inputs=FUZZ_INPUTS)
+@example(argv=["analyze", "--netlist", "<absent\npath>"], inputs=FUZZ_INPUTS)
+@example(argv=["fixtures", "gcd", "<absent\npath>"], inputs=FUZZ_INPUTS)
 def test_cli_fuzz_exits_0_or_1_with_one_error_line(fuzz_dir, argv, inputs):
-    paths = {"<outdir>": str(fuzz_dir / "out"), "<absent>": str(fuzz_dir / "absent")}
+    paths = {"<outdir>": str(fuzz_dir / "out")}
     for name, data in inputs.items():
         paths[name] = str(fuzz_dir / name.strip("<>"))
         Path(paths[name]).write_bytes(data)
-    argv = [paths.get(arg, arg) for arg in argv]
+    argv = [str(fuzz_dir / arg.strip("<>")) if arg.startswith("<absent") else paths.get(arg, arg) for arg in argv]
     out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     saved = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err
@@ -848,8 +916,9 @@ def test_cli_fuzz_exits_0_or_1_with_one_error_line(fuzz_dir, argv, inputs):
     finally:
         sys.stdout, sys.stderr = saved
     out.flush()
-    if code == 0:
-        return
     lines = err.getvalue().splitlines()
+    if code == 0:  # stderr holds only whole wrote lines and warnings
+        assert all(line.startswith(("wrote ", "blockscope: warning: ")) for line in lines), (argv, lines)
+        return
     assert (code, out.buffer.getvalue(), len(lines)) == (1, b"", 1), (argv, lines)
     assert lines[0].startswith("blockscope: error: "), (argv, lines)

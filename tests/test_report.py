@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from itertools import combinations
 
 import pytest
 
@@ -156,6 +157,25 @@ def test_formats_agree_on_every_number():
             row = by_key[("power", entry["block"])]
             assert row[CSV_HEADER.index("p_avg_uw")] == f"{entry['average_uw']:.3f}"
             assert f"{entry['average_uw']:.3f}" in text
+
+
+def test_csv_rows_need_no_quoting():
+    # render_csv joins fields with commas: csv.reader splits every report back
+    # into its rows, and csv.writer writes them out to the very same bytes
+    gcd_profile = gen_gcd()[1]
+    cases = [(gen_gcd(w)[0], gcd_profile) for w in (1, 2, 4)] + [(gen_fig6(), gen_random_profile(0))]
+    cases += [(gen_random(seed, 30), gen_random_profile(seed)) for seed in range(40)]
+    metric_sets = [m for n in (1, 2, 3) for m in combinations(("area", "delay", "power"), n)]
+    for netlist, profile in cases:
+        for metrics in metric_sets:
+            for depth in (None, 1):
+                data = render_csv(build_report(netlist, metrics=metrics, profile=profile,
+                                               group_depth=depth)).decode()
+                rows = list(csv.reader(io.StringIO(data)))
+                assert all(len(row) == len(CSV_HEADER) for row in rows)
+                again = io.StringIO()
+                csv.writer(again, lineterminator="\n").writerows(rows)
+                assert again.getvalue() == data, (netlist, metrics, depth)
 
 
 def test_group_depth_applies_to_all_sections():
