@@ -10,6 +10,7 @@ the delimiter). Cells without ``__`` belong to the unannotated pseudo-block.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .model import BlockscopeError, Netlist
@@ -55,7 +56,8 @@ class BlockLabel(_BlockLabel):
         return cls(tuple(text.split(".")))
 
     def truncated(self, depth: int) -> "BlockLabel":
-        return BlockLabel(self.segments[:check_group_depth(depth)])
+        # a prefix of a valid label is valid, so the cut skips the checks in __new__
+        return tuple.__new__(BlockLabel, (self.segments[:check_group_depth(depth)],))
 
     def __str__(self) -> str:
         return ".".join(self.segments)
@@ -96,23 +98,31 @@ class BlockRegistry(NamedTuple):
 
 
 def build_registry(netlist: Netlist) -> BlockRegistry:
-    """Group cells by extracted label, scanning ids in ascending order.
+    """Group cells by label in runs of the sorted id table, in first-seen order.
 
-    Each distinct ``__`` prefix is parsed once, from its smallest cell id, so
-    a malformed prefix is reported for the same cell as a per-cell parse.
+    An annotated id c with its first ``__`` at pos opens the run of label
+    P = c[:pos], the ids in [P + "__", P + "_`"), found by one bisect. The
+    bound is exact: P holds no ``__`` and cannot end in ``_`` (c's first
+    ``__`` would be earlier), so the ids in it are those starting with
+    P + "__", and all have label P. The label is parsed from c, the run's
+    smallest id, so a malformed prefix is reported for the same cell as a
+    per-cell parse. Unannotated ids are visited one by one.
     """
-    by_prefix: dict[str, list[str]] = {}
-    unannotated: set[str] = set()
-    for cid in netlist.ids:
+    ids = netlist.ids
+    blocks: dict[BlockLabel, frozenset[str]] = {}
+    unannotated: list[str] = []
+    i, n = 0, len(ids)
+    while i < n:
+        cid = ids[i]
         pos = cid.find("__")
         if pos < 0:
-            unannotated.add(cid)
+            unannotated.append(cid)
+            i += 1
         else:
-            by_prefix.setdefault(cid[:pos], []).append(cid)
-    return BlockRegistry(
-        {extract_block_label(cells[0]): frozenset(cells) for cells in by_prefix.values()},
-        frozenset(unannotated),
-    )
+            j = bisect_left(ids, cid[:pos] + "_`", i)
+            blocks[extract_block_label(cid)] = frozenset(ids[i:j])
+            i = j
+    return BlockRegistry(blocks, frozenset(unannotated))
 
 
 def group_to_depth(registry: BlockRegistry, depth: int) -> BlockRegistry:

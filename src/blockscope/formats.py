@@ -54,6 +54,7 @@ _NUM_RE = re.compile(r"[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?\Z")
 # a fires list of JSON integers of at most 16 digits, read exactly by one json.loads;
 # anything else, leading zeros included, is walked part by part
 _FIRES_RE = re.compile(r"(?:[1-9][0-9]{0,15}|0)(?:,(?:[1-9][0-9]{0,15}|0))*\Z")
+_kind_of = {k.name: k for k in CellKind}.get  # a plain dict: CellKind.__members__ is a slower mappingproxy
 
 
 class ParseError(BlockscopeError):
@@ -203,31 +204,33 @@ def parse_netlist(data: bytes | str) -> Netlist:
     net_delay: list[int] = []
     pairs: list[tuple[str, str]] = []
     ids: dict[str, str] = {}  # endpoints reuse the id string their cell line checked
-    known, kind_of = ids.get, CellKind.__members__.get
+    known = ids.get
     for line in _take_header(_scan(data), NETLIST_HEADER):
         tokens = line[2]
         keyword = tokens[0]
         if keyword == "net":
-            if len(tokens) != 5:  # _want only on a mismatch: one call fewer per line
+            try:  # one unpack per line; _want raises only on a count mismatch
+                _, src, arrow, dst, text = tokens
+            except ValueError:
                 _want(line, 5, "net <src> -> <dst> <delay_ps>")
-            src = known(tokens[1]) or _id_field(line, 1, "net source id")
-            if tokens[2] != "->":
-                raise _error(line, 2, f"expected '->', found {tokens[2]!r}")
-            dst = known(tokens[3]) or _id_field(line, 3, "net destination id")
-            text = tokens[4]  # calling _nat_field on every delay parsed deep_paths slower in 18/20 A/B pairs
+            src = known(src) or _id_field(line, 1, "net source id")
+            if arrow != "->":
+                raise _error(line, 2, f"expected '->', found {arrow!r}")
+            dst = known(dst) or _id_field(line, 3, "net destination id")
             delay = (int(text) if len(text) < 16 and text.isascii() and text.isdigit()
-                     else _nat_field(line, 4, "net delay"))
+                     else _nat_field(line, 4, "net delay"))  # _nat_field always: deep_paths slower, 18/20 pairs
             net_src.append(src)
             net_dst.append(dst)
             net_delay.append(delay)
         elif keyword == "cell":
-            if len(tokens) != 4:
+            try:
+                _, cid, kind_text, text = tokens
+            except ValueError:
                 _want(line, 4, "cell <id> <kind> <delay_ps>")
             cid = _id_field(line, 1, "cell id")
-            kind = kind_of(tokens[2])
+            kind = _kind_of(kind_text)
             if kind is None:
-                raise _error(line, 2, f"unknown cell kind {tokens[2]}")
-            text = tokens[3]
+                raise _error(line, 2, f"unknown cell kind {kind_text}")
             delay = (int(text) if len(text) < 16 and text.isascii() and text.isdigit()
                      else _nat_field(line, 3, "logic delay"))
             if cid in ids:
@@ -280,12 +283,13 @@ def serialize_netlist(netlist: Netlist) -> bytes:
 # --- activity profile ------------------------------------------------------
 
 
-def _label_field(line: Line, index: int) -> BlockLabel:
+def _label_field(line: Line, index: int, seen: dict[str, BlockLabel]) -> BlockLabel:
     text = line[2][index]
     try:
-        return BlockLabel.parse(text)
+        seen[text] = label = BlockLabel.parse(text)
     except AnnotationError as exc:
         raise _error(line, index, f"malformed block label {text!r}: {exc}") from None
+    return label
 
 
 def _fires_field(line: Line, index: int, loads: Callable[[str], list[int]]) -> tuple[int, ...]:
@@ -318,6 +322,7 @@ def parse_profile(data: bytes | str) -> ActivityProfile:
     fires: list[tuple[str, tuple[int, ...], Line]] = []
     writes: list[tuple[str, str, Line]] = []
     reads: list[tuple[BlockLabel, str, Line]] = []
+    labels: dict[str, BlockLabel] = {}
     for line in lines:
         tokens = line[2]
         keyword = tokens[0]
@@ -333,7 +338,7 @@ def parse_profile(data: bytes | str) -> ActivityProfile:
             rid = _id_field(line, 1, "rule id")
             if tokens[2] != "block":
                 raise _error(line, 2, f"expected 'block', found {tokens[2]!r}")
-            label = _label_field(line, 3)
+            label = labels.get(tokens[3]) or _label_field(line, 3, labels)
             if rid in rules:
                 raise _error(line, 1, f"duplicate rule declaration {rid}")
             rules[rid] = label
@@ -348,7 +353,7 @@ def parse_profile(data: bytes | str) -> ActivityProfile:
             writes.append((rid, sid, line))
         elif keyword == "reads":
             _want(line, 3, "reads <block_label> <state_id>")
-            label = _label_field(line, 1)
+            label = labels.get(tokens[1]) or _label_field(line, 1, labels)
             sid = _id_field(line, 2, "state id")
             reads.append((label, sid, line))
         else:

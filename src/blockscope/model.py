@@ -184,9 +184,11 @@ class Netlist:
     is the i-th distinct id in sorted order, so comparing indices compares
     ids; for a duplicate id the first cell wins. Per index the netlist keeps
     its kind, logic delay, source and sink flags and FF partner (-1 for none).
-    Nets with an unknown endpoint are left out of the index. order is the
-    topological order; it is None and cycle holds the combinational-cycle
-    violation when the indexed graph has a cycle.
+    Nets with an unknown endpoint are left out of the index. Construction
+    checks acyclicity with a FIFO Kahn; cycle holds the combinational-cycle
+    violation when the graph has one. order, the topological order with ties
+    in ascending id order, is built on first use and shared with every
+    with_logic_delays copy; it is None when the graph has a cycle.
 
     The delay graph, which only the delay search reads, is the DelayGraph
     that delay_graph() builds on its first call and returns from then on:
@@ -199,7 +201,7 @@ class Netlist:
     __slots__ = (
         "cell_id", "cell_kind", "cell_logic", "net_src", "net_dst", "net_delay", "ff_pairs",
         "ids", "index", "_pos", "kind", "logic", "source", "sink",
-        "partner", "order", "_rows", "_graph", "cycle", "graph_violations",
+        "partner", "_order", "_rows", "_graph", "cycle", "graph_violations",
     )
 
     def __init__(
@@ -269,15 +271,28 @@ class Netlist:
                     out.append(Violation("ffpair-duplicate", cid, message))
                 paired.add(x)
         del paired  # free the transient before the sort
-        order = _kahn(rows, indeg)
-        self.order = array("i", order) if len(order) == n else None
+        left = indeg.copy()  # a FIFO Kahn: only acyclicity is checked here, not the id order
+        ready = [i for i, d in enumerate(left) if d == 0]
+        for i in ready:
+            for j in rows[i]:
+                left[j] -= 1
+                if left[j] == 0:
+                    ready.append(j)
+        # one box shared by every with_logic_delays copy: the in-degrees until order is read
+        self._order = [indeg if len(ready) == n else None]
         self._rows, self._graph = (rows, delays), None
-        self.cycle = None
-        if self.order is None:
-            self.cycle = _find_cycle(rows, ids, indeg)
-            if complete and n == len(cell_id):  # only a cycle of real, well-formed edges is reported
-                out.append(self.cycle)
+        self.cycle = _find_cycle(rows, ids, left) if len(ready) < n else None  # any Kahn leaves these counts
+        if self.cycle and complete and n == len(cell_id):  # only a cycle of real, well-formed edges is reported
+            out.append(self.cycle)
         self.graph_violations: tuple[Violation, ...] = tuple(out)
+
+    @property
+    def order(self) -> array | None:
+        """The topological order, ties in ascending id order; built on the first
+        read and then shared by every copy, or None when the graph has a cycle."""
+        if self._order[0].__class__ is list:
+            self._order[0] = array("i", _kahn(self._rows[0], self._order[0]))
+        return self._order[0]
 
     def delay_graph(self) -> DelayGraph:
         """The delay graph, built from the construction rows on the first call;
@@ -393,8 +408,7 @@ def validate(netlist: Netlist) -> tuple[Violation, ...]:
 def _kahn(succ: list[list[int]], indeg: list[int]) -> list[int]:
     """Kahn's algorithm with a heap, so ties pop in ascending index (= id)
     order; a successor listed once per parallel net is counted in indeg as
-    often. It consumes indeg: a cell left out of the order keeps its
-    in-degree from the other cells left out."""
+    often. It consumes indeg."""
     ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
     order: list[int] = []
     while ready:

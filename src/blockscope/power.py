@@ -57,13 +57,14 @@ class ActivityProfile(NamedTuple):
 
     def truncated(self, depth: int) -> "ActivityProfile":
         """Profile with every block label cut to the given depth, for use with
-        a registry grouped the same way."""
+        a registry grouped the same way. Each distinct label is cut once."""
+        cut = {b: b.truncated(depth) for b in self.blocks()}
         return ActivityProfile(
             self.cycles,
-            {r: b.truncated(depth) for r, b in self.rule_block.items()},
+            {r: cut[b] for r, b in self.rule_block.items()},
             dict(self.firings),
             self.writes,
-            frozenset((b.truncated(depth), s) for b, s in self.reads),
+            frozenset((cut[b], s) for b, s in self.reads),
         )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from blockscope.annotation import BlockLabel, BlockRegistry
+from blockscope.annotation import BlockLabel, BlockRegistry, extract_block_label
 from blockscope.delay import BlockDelay, DelayReport, PathResult, ZERO_PATH
 from blockscope.model import (
     SINK_KINDS, SOURCE_KINDS, BlockscopeError, CellKind, Net, Netlist, ValidationError,
@@ -360,6 +360,22 @@ def oracle_resource_counts(netlist: Netlist) -> dict[str, int]:
         name = "FF" if cell.kind in (CellKind.FF_D, CellKind.FF_Q) else cell.kind.name
         counts[name] = counts.get(name, 0) + 1
     return counts
+
+
+def reference_registry(netlist: Netlist, depth: int | None = None) -> BlockRegistry:
+    """The registry by one label parse per sorted id, each label cut to depth
+    segments through the checking BlockLabel constructor; blocks in
+    first-seen order, a malformed prefix raised at its smallest id."""
+    blocks: dict[BlockLabel, set[str]] = {}
+    unannotated: set[str] = set()
+    for cid in netlist.ids:
+        label = extract_block_label(cid)
+        if label is None:
+            unannotated.add(cid)
+        else:
+            label = BlockLabel(label.segments[:depth])
+            blocks.setdefault(label, set()).add(cid)
+    return BlockRegistry({label: frozenset(cells) for label, cells in blocks.items()}, frozenset(unannotated))
 
 
 def topological_order(netlist: Netlist) -> list[str]:

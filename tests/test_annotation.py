@@ -14,6 +14,8 @@ from blockscope.annotation import (
 from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import Cell, CellKind, Netlist
 
+from oracles import reference_registry
+
 
 def test_prefix_before_first_double_underscore_is_the_label():
     assert str(extract_block_label("subtract__g1")) == "subtract"
@@ -148,3 +150,41 @@ def test_random_netlist_registry_is_a_partition(seed, n):
         seen |= cells
         total += len(cells)
     assert total == len(nl.cells)
+
+
+def _assert_matches_reference(nl):
+    """build_registry, at full depth and grouped to depth 1, against the per-cell
+    reference: the same blocks, in the same order, and the same unannotated cells."""
+    reg = build_registry(nl)
+    for depth, got in ((None, reg), (1, group_to_depth(reg, 1))):
+        want = reference_registry(nl, depth)
+        assert list(got.blocks) == list(want.blocks)
+        assert got == want
+
+
+def test_run_registry_matches_the_per_cell_reference_on_random_netlists():
+    for seed in range(300):
+        _assert_matches_reference(gen_random(seed, 2 + seed % 150))
+
+
+def test_run_registry_matches_the_per_cell_reference_on_hand_made_ids():
+    ids = (
+        "a___b", "a_b__c", "a__b__c", "a__",  # the first "__" wins: labels a, a_b, a, a
+        "a.b__x", "a.b.c__y", "a.bb__z",  # neighbouring labels
+        "a_", "a_^x", "a_`", "a_a", "a.b", "a.b.", "a.b_", "a.b_`", "a.ba",  # unannotated, between the runs
+        "a__é", "a_é", "aé", "ü", "n",  # non-ASCII ids sort after every ASCII one
+    )
+    nl = Netlist([Cell(cid, CellKind.IN) for cid in ids])
+    _assert_matches_reference(nl)
+    reg = build_registry(nl)
+    assert [str(label) for label in reg.blocks] == ["a.b.c", "a.b", "a.bb", "a", "a_b"]  # "." < "_" < "`"
+    assert reg.blocks[BlockLabel.parse("a")] == {"a___b", "a__b__c", "a__", "a__é"}
+    # a malformed prefix is reported for its smallest id, as the per-cell parse reports it
+    for ids, smallest in ((("ok__v", "ok__a", "p.__y", "p.__b", "p._"), "p.__b"), (("é__y", "é__x"), "é__x")):
+        nl = Netlist([Cell(cid, CellKind.IN) for cid in ids])
+        with pytest.raises(AnnotationError) as want:
+            reference_registry(nl)
+        with pytest.raises(AnnotationError) as got:
+            build_registry(nl)
+        assert got.value.cell_id == want.value.cell_id == smallest
+        assert str(got.value) == str(want.value)

@@ -328,3 +328,36 @@ def test_bad_net_delay_is_a_violation_with_its_edge_kept(bad):
     with pytest.raises(ValidationError) as err:
         topological_order(loop)
     assert err.value.violations == (cycle,)
+
+
+def test_order_is_built_on_first_use_and_shared_by_copies(monkeypatch):
+    """Construction only checks acyclicity; the id-ordered order is built once, by
+    whichever copy reads order or the delay graph first, and then shared."""
+    kahns = []
+    real = model._kahn
+    monkeypatch.setattr(model, "_kahn", lambda *args: kahns.append(1) or real(*args))
+    want = Netlist(gen_random(6, 300).cells, gen_random(6, 300).nets)
+    want_order, want_graph = want.order, want.delay_graph()
+    delays = {kind: 0 if kind in SOURCE_KINDS else 3 for kind in CellKind}
+    for side in ("copy", "source"):
+        for read in (lambda nl: nl.order, Netlist.delay_graph):
+            kahns.clear()
+            source = gen_random(6, 300)
+            copy = source.with_logic_delays(delays)
+            assert kahns == []  # neither construction nor the copy sorts
+            first, second = (copy, source) if side == "copy" else (source, copy)
+            read(first)
+            assert len(kahns) == 1
+            order = first.order
+            assert first.order is order and second.order is order
+            assert order == want_order
+            assert first.delay_graph() == second.delay_graph() == want_graph
+            assert len(kahns) == 1
+    # a cyclic netlist has no order, and its delay graph raises the cycle; no heap Kahn runs
+    kahns.clear()
+    loop = Netlist([Cell("x", CellKind.LUT1, 1), Cell("y", CellKind.LUT1, 1)], [Net("x", "y"), Net("y", "x")])
+    cycle = Violation("combinational-cycle", "x,y", "combinational cycle through x, y", ("x", "y"))
+    assert loop.order is None and loop.with_logic_delays(delays).order is None
+    with pytest.raises(ValidationError) as err:
+        loop.delay_graph()
+    assert err.value.violations == (cycle,) and kahns == []
