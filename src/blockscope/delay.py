@@ -82,15 +82,15 @@ class _Shared:
 
     def __init__(self, netlist: Netlist, include_block_nets: bool) -> None:
         self.netlist, self.include_block_nets = netlist, include_block_nets
-        self.succ, self.succ_first, self.succ_delay, self.pred, self.rank = netlist.delay_graph()
+        self.succ, self.succ_first, self.succ_delay, self.pred, order, self.rank = netlist.delay_graph()
         self.free: dict[int, State] = {}
-        self.critical = self._search(set(), True, netlist.order, (), self.free)
+        self.critical = self._search(set(), True, order, (), self.free)
         self.on_critical = set(map(netlist.index.__getitem__, self.critical.path))
         self.first: tuple[set[int], PathResult] | None = None  # built by _first_path
         free, sink, logic = self.free, netlist.sink, netlist.logic
         succ, succ_first, succ_delay = self.succ, self.succ_first, self.succ_delay
         prefix = [0 if s else -1 for s in netlist.source]  # heaviest source-to-i weight before i
-        for i in netlist.order:
+        for i in order:
             a = prefix[i]
             if a >= 0 and i in free and not sink[i]:
                 a += logic[i]

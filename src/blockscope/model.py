@@ -122,13 +122,16 @@ class DelayGraph(NamedTuple):
     succ_first: array
     succ_delay: list[int]
     pred: list[tuple[int, ...]]
+    order: array
     rank: array
 
 
-def _delay_graph(rows: list[list[int]], delays: list[list[int]], order: array) -> DelayGraph:
+def _delay_graph(rows: list[list[int]], delays: list[list[int]], indeg: list[int]) -> DelayGraph:
     """Ascending successors with parallel nets collapsed to their maximum
     delay, flat, with each cell's first position in it; ascending
-    predecessors; and each cell's position in order."""
+    predecessors; the topological order, ties in ascending id order; and
+    each cell's position in it. It consumes indeg."""
+    order = array("i", _kahn(rows, indeg))
     succ: list[tuple[int, ...]] = []
     flat: list[int] = []
     for row, ds in zip(rows, delays):
@@ -147,7 +150,7 @@ def _delay_graph(rows: list[list[int]], delays: list[list[int]], order: array) -
     for r, i in enumerate(order):
         rank[i] = r
     first = array("i", accumulate(map(len, succ), initial=0))
-    return DelayGraph(succ, first, flat, [tuple(row) for row in pred], rank)
+    return DelayGraph(succ, first, flat, [tuple(row) for row in pred], order, rank)
 
 
 def _net_violations(src: str, dst: str, delay, src_kind: CellKind, dst_kind: CellKind) -> list[Violation]:
@@ -186,22 +189,21 @@ class Netlist:
     its kind, logic delay, source and sink flags and FF partner (-1 for none).
     Nets with an unknown endpoint are left out of the index. Construction
     checks acyclicity with a FIFO Kahn; cycle holds the combinational-cycle
-    violation when the graph has one. order, the topological order with ties
-    in ascending id order, is built on first use and shared with every
-    with_logic_delays copy; it is None when the graph has a cycle.
+    violation when the graph has one.
 
     The delay graph, which only the delay search reads, is the DelayGraph
-    that delay_graph() builds on its first call and returns from then on:
-    succ[i] is the tuple of i's successors in ascending order, and
-    succ_delay[succ_first[i] + p] the maximum delay of the parallel nets into
-    succ[i][p]; pred[i] holds i's predecessors the same way; rank[i] is i's
-    position in order.
+    that the first delay_graph() call by the netlist or any with_logic_delays
+    copy builds, once for all of them: succ[i] is the tuple of i's successors
+    in ascending order, and succ_delay[succ_first[i] + p] the maximum delay
+    of the parallel nets into succ[i][p]; pred[i] holds i's predecessors the
+    same way; order is the topological order with ties in ascending id
+    order, and rank[i] is i's position in it.
     """
 
     __slots__ = (
         "cell_id", "cell_kind", "cell_logic", "net_src", "net_dst", "net_delay", "ff_pairs",
         "ids", "index", "_pos", "kind", "logic", "source", "sink",
-        "partner", "_order", "_rows", "_graph", "cycle", "graph_violations",
+        "partner", "_graph", "cycle", "graph_violations",
     )
 
     def __init__(
@@ -270,7 +272,7 @@ class Netlist:
                     message = f"cell {cid} appears in more than one ffpair"
                     out.append(Violation("ffpair-duplicate", cid, message))
                 paired.add(x)
-        del paired  # free the transient before the sort
+        del paired  # free the transient before the acyclicity check
         left = indeg.copy()  # a FIFO Kahn: only acyclicity is checked here, not the id order
         ready = [i for i, d in enumerate(left) if d == 0]
         for i in ready:
@@ -278,31 +280,22 @@ class Netlist:
                 left[j] -= 1
                 if left[j] == 0:
                     ready.append(j)
-        # one box shared by every with_logic_delays copy: the in-degrees until order is read
-        self._order = [indeg if len(ready) == n else None]
-        self._rows, self._graph = (rows, delays), None
+        # one box shared by every with_logic_delays copy: the rows until the graph is read
+        self._graph = [(rows, delays, indeg) if len(ready) == n else None]
         self.cycle = _find_cycle(rows, ids, left) if len(ready) < n else None  # any Kahn leaves these counts
         if self.cycle and complete and n == len(cell_id):  # only a cycle of real, well-formed edges is reported
             out.append(self.cycle)
         self.graph_violations: tuple[Violation, ...] = tuple(out)
 
-    @property
-    def order(self) -> array | None:
-        """The topological order, ties in ascending id order; built on the first
-        read and then shared by every copy, or None when the graph has a cycle."""
-        if self._order[0].__class__ is list:
-            self._order[0] = array("i", _kahn(self._rows[0], self._order[0]))
-        return self._order[0]
-
     def delay_graph(self) -> DelayGraph:
-        """The delay graph, built from the construction rows on the first call;
-        a cyclic netlist raises its cycle as a ValidationError."""
-        if self._graph is None:
-            if self.order is None:
-                raise ValidationError((self.cycle,))
-            self._graph = _delay_graph(*self._rows, self.order)
-            self._rows = None
-        return self._graph
+        """The delay graph, built from the construction rows on the first call by
+        this netlist or any copy; a cyclic netlist raises its cycle as a ValidationError."""
+        box = self._graph
+        if box[0].__class__ is tuple:
+            box[0] = _delay_graph(*box[0])
+        elif box[0] is None:
+            raise ValidationError((self.cycle,))
+        return box[0]
 
     @property
     def cells(self) -> tuple[Cell, ...]:
@@ -318,10 +311,9 @@ class Netlist:
         """This netlist with each cell's logic delay replaced by its kind's.
 
         Only the logic delay columns are new: the other columns, ff_pairs, the
-        index, the topological order and the graph violations are shared,
-        since ids and edges are unchanged and no graph rule reads a logic
-        delay. So is the delay graph if it is already built; if not, each
-        copy builds its own when it is read.
+        index, the graph violations and the delay graph are shared, since ids
+        and edges are unchanged and no graph rule reads a logic delay. The
+        delay graph is built once, by whichever of them reads it first.
         """
         new = copy.copy(self)
         new.cell_logic = list(map(delays.__getitem__, self.cell_kind))

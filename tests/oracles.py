@@ -4,7 +4,7 @@ Each oracle recomputes a result by direct enumeration, literal replay or an
 independent algorithm, so the production code paths can be checked against
 something with no shared logic. All enumeration is exponential and guarded by
 a cell-count limit; the reference delay pipeline is polynomial and has none.
-``topological_order`` is no oracle: it spells the netlist's own order as ids.
+``topological_order`` is no oracle: it spells the delay graph's own order as ids.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from typing import Iterable
 
 from blockscope.annotation import BlockLabel, BlockRegistry, extract_block_label
 from blockscope.delay import BlockDelay, DelayReport, PathResult, ZERO_PATH
-from blockscope.model import (
-    SINK_KINDS, SOURCE_KINDS, BlockscopeError, CellKind, Net, Netlist, ValidationError,
-)
+from blockscope.model import SINK_KINDS, SOURCE_KINDS, BlockscopeError, CellKind, Net, Netlist
 from blockscope.power import ActivityProfile
 
 MAX_ORACLE_CELLS = 14
@@ -380,6 +378,4 @@ def reference_registry(netlist: Netlist, depth: int | None = None) -> BlockRegis
 
 def topological_order(netlist: Netlist) -> list[str]:
     """The netlist's topological order as cell ids; ValidationError on a cycle."""
-    if netlist.order is None:
-        raise ValidationError((netlist.cycle,))
-    return [netlist.ids[i] for i in netlist.order]
+    return [netlist.ids[i] for i in netlist.delay_graph().order]

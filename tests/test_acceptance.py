@@ -267,7 +267,7 @@ def test_public_api_resolves_without_the_deleted_helpers():
                   (blockscope.BlockLabel, "depth"), (blockscope.BlockRegistry, "all_cells"),
                   (blockscope.CellKind, "is_source"), (blockscope.CellKind, "is_sink"),
                   *((blockscope.Netlist, name)
-                    for name in ("succ", "succ_first", "succ_delay", "pred", "rank")))
+                    for name in ("succ", "succ_first", "succ_delay", "pred", "rank", "order")))
     for cls, name in attributes:
         assert not hasattr(cls, name), (cls.__name__, name)
     params = inspect.signature(blockscope.build_report).parameters

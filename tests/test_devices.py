@@ -3,7 +3,9 @@
 import pytest
 
 from blockscope import model
+from blockscope.annotation import build_registry
 from blockscope.cli import main
+from blockscope.delay import delay_report
 from blockscope.devices import BUILTIN_DEVICES, resolve_device
 from blockscope.fixtures import gen_fig6, gen_random
 from blockscope.formats import DEVICE_HEADER, ParseError, VersionError, parse_netlist, serialize_netlist
@@ -73,11 +75,12 @@ def test_apply_delays_shares_the_graph_and_its_order(monkeypatch):
         fresh = Netlist(scaled.cells, scaled.nets, scaled.ff_pairs)
         assert scaled == fresh
         assert topological_order(scaled) == topological_order(fresh)
-        for name in ("ids", "index", "source", "sink", "partner", "order", "graph_violations"):
+        for name in ("ids", "index", "source", "sink", "partner", "graph_violations"):
             assert getattr(scaled, name) is getattr(nl, name), name
             assert getattr(scaled, name) == getattr(fresh, name), name
-        # a copy made before the build builds an equal graph; one made after shares it
-        assert scaled.delay_graph() == nl.delay_graph() == fresh.delay_graph()
+        # a copy made before the build shares the graph, and so does one made after
+        assert scaled.delay_graph() is nl.delay_graph()
+        assert scaled.delay_graph() == fresh.delay_graph()
         assert device.apply_delays(nl).delay_graph() is nl.delay_graph()
         assert scaled.logic == fresh.logic != nl.logic
         for cid in nl.ids:
@@ -90,7 +93,7 @@ def test_apply_delays_shares_the_graph_and_its_order(monkeypatch):
     assert scaled.graph_violations is broken.graph_violations
     assert [v.rule for v in scaled.graph_violations] == ["dangling-net-dst"]
     assert scaled.cycle is broken.cycle and scaled.cycle.cells == (cid,)
-    # a copy made before the graph is built builds its own when read, copy first;
+    # a copy made before the graph is built shares the one it builds, copy first;
     # one made after the build returns the same record and builds nothing
     builds = []
     real = model._delay_graph
@@ -100,11 +103,36 @@ def test_apply_delays_shares_the_graph_and_its_order(monkeypatch):
     assert builds == []
     graph = scaled.delay_graph()
     assert len(builds) == 1 and scaled.delay_graph() is graph
-    assert graph == nl.delay_graph() == parsed.delay_graph()
-    assert len(builds) == 2
-    assert device.apply_delays(nl).delay_graph() is nl.delay_graph()
+    assert nl.delay_graph() is graph and graph == parsed.delay_graph()
+    assert len(builds) == 1
+    assert device.apply_delays(nl).delay_graph() is graph
     assert device.apply_delays(scaled).delay_graph() is graph
-    assert len(builds) == 2
+    assert len(builds) == 1
+
+
+def test_every_device_copy_shares_one_delay_graph(monkeypatch):
+    """One netlist re-timed for every built-in device before any read builds its
+    order and delay graph once, whichever copy reads first."""
+    calls = []
+    for name in ("_delay_graph", "_kahn"):
+        real = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    text = serialize_netlist(gen_random(7, 240))
+    for first in range(len(BUILTIN_DEVICES)):
+        calls.clear()
+        nl = parse_netlist(text)
+        copies = [resolve_device(d).apply_delays(nl) for d in BUILTIN_DEVICES]
+        assert calls == []  # neither the parse nor the copies build it
+        graph = copies[first].delay_graph()
+        assert all(c.delay_graph() is graph for c in copies) and nl.delay_graph() is graph
+        assert sorted(calls) == ["_delay_graph", "_kahn"]
+    totals = set()
+    for c in copies:
+        fresh = parse_netlist(serialize_netlist(c))
+        report = delay_report(c, build_registry(c))
+        assert report == delay_report(fresh, build_registry(fresh))
+        totals.add(report.global_critical.total_delay)
+    assert len(totals) == 3  # each copy has its own device's delays
 
 
 def test_override_delays_run_builds_the_delay_graph_once(monkeypatch, tmp_path, capsys):

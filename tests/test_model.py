@@ -1,7 +1,5 @@
 """Netlist construction, validation rules, and deterministic topological order."""
 
-from array import array
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,12 +191,14 @@ def test_construction_indexes_broken_netlists_without_raising():
     with pytest.raises(ValidationError) as err:  # a cyclic netlist has no delay graph
         nl.delay_graph()
     assert err.value.violations == (cycle,)
-    # the graph of the rows construction indexed, with a stand-in for the missing order
-    graph = model._delay_graph(*nl._rows, array("i", range(4)))
-    assert graph.succ == [(1,), (0, 3), (0,), ()]
-    assert list(graph.succ_first) == [0, 1, 3, 4, 4]
-    assert graph.succ_delay == [5, 1, 1, 1]  # parallel nets a -> b collapse to their maximum
-    assert graph.pred == [(1, 2), (0,), (), (1,)]
+    # without b -> a the graph is acyclic: the rows construction indexed, with the
+    # dangling nets left out, become the delay graph
+    graph = Netlist(cells, nets[:2] + nets[3:]).delay_graph()
+    assert graph.succ == [(1,), (3,), (0,), ()]
+    assert list(graph.succ_first) == [0, 1, 2, 3, 3]
+    assert graph.succ_delay == [5, 1, 1]  # parallel nets a -> b collapse to their maximum
+    assert graph.pred == [(2,), (0,), (), (1,)]
+    assert list(graph.order) == [2, 0, 1, 3] and list(graph.rank) == [1, 2, 0, 3]
     with pytest.raises(ValidationError) as err:
         topological_order(Netlist(unique, nets[:5]))
     assert err.value.violations == (cycle,)
@@ -223,7 +223,7 @@ def test_one_shot_iterables_build_the_same_netlist():
     got = Netlist(iter(cells), (n for n in nets), iter(pairs))
     assert got == want
     for name in ("cell_id", "cell_kind", "cell_logic", "net_src", "net_dst", "net_delay", "ff_pairs",
-                 "cells", "nets", "partner", "order"):
+                 "cells", "nets", "partner"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.delay_graph() == want.delay_graph()
     assert got.cells == tuple(cells) and got.nets == tuple(nets)
@@ -331,33 +331,30 @@ def test_bad_net_delay_is_a_violation_with_its_edge_kept(bad):
 
 
 def test_order_is_built_on_first_use_and_shared_by_copies(monkeypatch):
-    """Construction only checks acyclicity; the id-ordered order is built once, by
-    whichever copy reads order or the delay graph first, and then shared."""
+    """Construction only checks acyclicity; the id-ordered order is built once, with
+    the delay graph, by whichever copy reads the graph first, and then shared."""
     kahns = []
     real = model._kahn
     monkeypatch.setattr(model, "_kahn", lambda *args: kahns.append(1) or real(*args))
-    want = Netlist(gen_random(6, 300).cells, gen_random(6, 300).nets)
-    want_order, want_graph = want.order, want.delay_graph()
+    want = Netlist(gen_random(6, 300).cells, gen_random(6, 300).nets).delay_graph()
     delays = {kind: 0 if kind in SOURCE_KINDS else 3 for kind in CellKind}
     for side in ("copy", "source"):
-        for read in (lambda nl: nl.order, Netlist.delay_graph):
-            kahns.clear()
-            source = gen_random(6, 300)
-            copy = source.with_logic_delays(delays)
-            assert kahns == []  # neither construction nor the copy sorts
-            first, second = (copy, source) if side == "copy" else (source, copy)
-            read(first)
-            assert len(kahns) == 1
-            order = first.order
-            assert first.order is order and second.order is order
-            assert order == want_order
-            assert first.delay_graph() == second.delay_graph() == want_graph
-            assert len(kahns) == 1
-    # a cyclic netlist has no order, and its delay graph raises the cycle; no heap Kahn runs
+        kahns.clear()
+        source = gen_random(6, 300)
+        copy = source.with_logic_delays(delays)
+        assert kahns == []  # neither construction nor the copy sorts
+        first, second = (copy, source) if side == "copy" else (source, copy)
+        graph = first.delay_graph()
+        assert len(kahns) == 1
+        assert first.delay_graph() is graph and second.delay_graph() is graph
+        assert graph.order == want.order and graph == want
+        assert len(kahns) == 1
+    # a cyclic netlist and its copies raise the cycle from the delay graph; no heap Kahn runs
     kahns.clear()
     loop = Netlist([Cell("x", CellKind.LUT1, 1), Cell("y", CellKind.LUT1, 1)], [Net("x", "y"), Net("y", "x")])
     cycle = Violation("combinational-cycle", "x,y", "combinational cycle through x, y", ("x", "y"))
-    assert loop.order is None and loop.with_logic_delays(delays).order is None
-    with pytest.raises(ValidationError) as err:
-        loop.delay_graph()
-    assert err.value.violations == (cycle,) and kahns == []
+    for nl in (loop, loop.with_logic_delays(delays), loop):
+        with pytest.raises(ValidationError) as err:
+            nl.delay_graph()
+        assert err.value.violations == (cycle,)
+    assert kahns == []
