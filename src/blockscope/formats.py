@@ -51,9 +51,9 @@ _MAX_INT = 2**53  # integer fields stay below it, so every consumer of a double 
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
 _NUM_RE = re.compile(r"[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?\Z")
-# a fires list of JSON integers of at most 16 digits, read exactly by one json.loads;
-# anything else, leading zeros included, is walked part by part
-_FIRES_RE = re.compile(r"(?:[1-9][0-9]{0,15}|0)(?:,(?:[1-9][0-9]{0,15}|0))*\Z")
+# a fires list of JSON integers of at most 15 digits, so below 2^53 as the netlist's
+# inline delay test, read by one json.loads; anything else, leading zeros included, is walked
+_FIRES_RE = re.compile(r"(?:[1-9][0-9]{0,14}|0)(?:,(?:[1-9][0-9]{0,14}|0))*\Z")
 _kind_of = {k.name: k for k in CellKind}.get  # a plain dict: CellKind.__members__ is a slower mappingproxy
 
 
@@ -296,8 +296,8 @@ def _fires_field(line: Line, index: int, loads: Callable[[str], list[int]]) -> t
     """Strictly increasing firing cycles, read by loads (json.loads); the
     parts are walked one by one only when the one-regex check fails, so the
     error names the bad part. Walking every list parsed wide_flat's profile
-    in 50 ms, against 36 ms. A walked part of 2^53 or more is out of range,
-    unless a part before it breaks the order first."""
+    in 50 ms, against 36 ms. Only the walk sees a part of 2^53 or more, and
+    such a part is out of range unless a part before it breaks the order first."""
     text = line[2][index]
     cut = None
     if _FIRES_RE.match(text):
@@ -456,10 +456,9 @@ def parse_coefficients(
         elif keyword == "delay" and delays is not None:
             _want(line, 3, "delay <CELL_KIND> <ps>")
             kind_text = tokens[1]
-            try:
-                kind = CellKind[kind_text]
-            except KeyError:
-                raise _error(line, 1, f"unknown cell kind {kind_text}") from None
+            kind = _kind_of(kind_text)
+            if kind is None:
+                raise _error(line, 1, f"unknown cell kind {kind_text}")
             value = _nat_field(line, 2, "logic delay")
             if kind in SOURCE_KINDS and value != 0:
                 raise _error(line, 1, f"{kind.value} is a path source and must keep delay 0")

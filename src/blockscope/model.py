@@ -13,7 +13,6 @@ All delays are exact integers; no floating point enters the graph layer.
 from __future__ import annotations
 
 import copy
-import heapq
 from array import array
 from enum import Enum, unique
 from itertools import accumulate, compress
@@ -116,7 +115,8 @@ def _successors(
 
 
 class DelayGraph(NamedTuple):
-    """What only the delay search reads; see Netlist.delay_graph."""
+    """What only the delay search reads; order is a topological order, the one
+    construction's pass found, and rank its inverse; see Netlist.delay_graph."""
 
     succ: list[tuple[int, ...]]
     succ_first: array
@@ -126,12 +126,11 @@ class DelayGraph(NamedTuple):
     rank: array
 
 
-def _delay_graph(rows: list[list[int]], delays: list[list[int]], indeg: list[int]) -> DelayGraph:
+def _delay_graph(rows: list[list[int]], delays: list[list[int]], order: array) -> DelayGraph:
     """Ascending successors with parallel nets collapsed to their maximum
     delay, flat, with each cell's first position in it; ascending
-    predecessors; the topological order, ties in ascending id order; and
-    each cell's position in it. It consumes indeg."""
-    order = array("i", _kahn(rows, indeg))
+    predecessors; order, a topological order of the rows, which construction's
+    pass found; and each cell's position in it."""
     succ: list[tuple[int, ...]] = []
     flat: list[int] = []
     for row, ds in zip(rows, delays):
@@ -188,7 +187,8 @@ class Netlist:
     ids; for a duplicate id the first cell wins. Per index the netlist keeps
     its kind, logic delay, source and sink flags and FF partner (-1 for none).
     Nets with an unknown endpoint are left out of the index. Construction
-    checks acyclicity with a FIFO Kahn; cycle holds the combinational-cycle
+    runs the one Kahn pass, in queue order: it checks acyclicity and its
+    order is the delay graph's; cycle holds the combinational-cycle
     violation when the graph has one.
 
     The delay graph, which only the delay search reads, is the DelayGraph
@@ -196,8 +196,9 @@ class Netlist:
     copy builds, once for all of them: succ[i] is the tuple of i's successors
     in ascending order, and succ_delay[succ_first[i] + p] the maximum delay
     of the parallel nets into succ[i][p]; pred[i] holds i's predecessors the
-    same way; order is the topological order with ties in ascending id
-    order, and rank[i] is i's position in it.
+    same way; order is a topological order, the one construction's FIFO
+    Kahn found, so it depends on the net input order, and rank[i] is i's
+    position in it.
     """
 
     __slots__ = (
@@ -273,16 +274,15 @@ class Netlist:
                     out.append(Violation("ffpair-duplicate", cid, message))
                 paired.add(x)
         del paired  # free the transient before the acyclicity check
-        left = indeg.copy()  # a FIFO Kahn: only acyclicity is checked here, not the id order
-        ready = [i for i, d in enumerate(left) if d == 0]
+        ready = [i for i, d in enumerate(indeg) if d == 0]  # a FIFO Kahn: any topological order serves
         for i in ready:
             for j in rows[i]:
-                left[j] -= 1
-                if left[j] == 0:
+                indeg[j] -= 1
+                if indeg[j] == 0:
                     ready.append(j)
         # one box shared by every with_logic_delays copy: the rows until the graph is read
-        self._graph = [(rows, delays, indeg) if len(ready) == n else None]
-        self.cycle = _find_cycle(rows, ids, left) if len(ready) < n else None  # any Kahn leaves these counts
+        self._graph = [(rows, delays, array("i", ready)) if len(ready) == n else None]
+        self.cycle = _find_cycle(rows, ids, indeg) if len(ready) < n else None  # any Kahn leaves these counts
         if self.cycle and complete and n == len(cell_id):  # only a cycle of real, well-formed edges is reported
             out.append(self.cycle)
         self.graph_violations: tuple[Violation, ...] = tuple(out)
@@ -395,22 +395,6 @@ def validate(netlist: Netlist) -> tuple[Violation, ...]:
                 )
             )
     return (*out, *netlist.graph_violations)
-
-
-def _kahn(succ: list[list[int]], indeg: list[int]) -> list[int]:
-    """Kahn's algorithm with a heap, so ties pop in ascending index (= id)
-    order; a successor listed once per parallel net is counted in indeg as
-    often. It consumes indeg."""
-    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
-    order: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
-    return order
 
 
 def _find_cycle(rows: list[list[int]], ids: list[str], indeg: list[int]) -> Violation:

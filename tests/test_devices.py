@@ -112,11 +112,10 @@ def test_apply_delays_shares_the_graph_and_its_order(monkeypatch):
 
 def test_every_device_copy_shares_one_delay_graph(monkeypatch):
     """One netlist re-timed for every built-in device before any read builds its
-    order and delay graph once, whichever copy reads first."""
+    delay graph once, whichever copy reads first."""
     calls = []
-    for name in ("_delay_graph", "_kahn"):
-        real = getattr(model, name)
-        monkeypatch.setattr(model, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    real = model._delay_graph
+    monkeypatch.setattr(model, "_delay_graph", lambda *args: calls.append(1) or real(*args))
     text = serialize_netlist(gen_random(7, 240))
     for first in range(len(BUILTIN_DEVICES)):
         calls.clear()
@@ -125,7 +124,7 @@ def test_every_device_copy_shares_one_delay_graph(monkeypatch):
         assert calls == []  # neither the parse nor the copies build it
         graph = copies[first].delay_graph()
         assert all(c.delay_graph() is graph for c in copies) and nl.delay_graph() is graph
-        assert sorted(calls) == ["_delay_graph", "_kahn"]
+        assert len(calls) == 1
     totals = set()
     for c in copies:
         fresh = parse_netlist(serialize_netlist(c))
@@ -175,7 +174,8 @@ def test_custom_device_file_overrides_base(tmp_path):
 
 def test_custom_device_file_errors(tmp_path):
     cases = [
-        ("delay LUT9 5", "unknown cell kind"),
+        ("delay LUT9 5", "unknown cell kind LUT9 (line 2, col 7)"),
+        ("delay __class__ 5", "unknown cell kind __class__ (line 2, col 7)"),
         ("delay FF_Q 3", "must keep delay 0"),
         ("delay LUT6 5\ndelay LUT6 6", "duplicate delay"),
         ("weight GLUE 1", "unknown resource kind"),

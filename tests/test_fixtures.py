@@ -17,7 +17,6 @@ from blockscope.fixtures import (
 from blockscope.formats import parse_profile, serialize_netlist, serialize_profile
 from blockscope.model import BlockscopeError, CellKind, validate
 
-from oracles import topological_order
 from profiles import gen_random_profile
 
 
@@ -42,14 +41,6 @@ def test_gcd_width_bounds():
     for bad in (0, 9, -1):
         with pytest.raises(BlockscopeError):
             gen_gcd(bad)
-
-
-@pytest.mark.parametrize("width", (1, 2, 3))
-def test_gcd_narrow_topo_order_has_three_phases(width):
-    nl, _ = gen_gcd(width)
-    phases = [0 if k is CellKind.FF_Q else 2 if k is CellKind.FF_D else 1
-              for k in (nl.cell(c).kind for c in topological_order(nl))]
-    assert phases == sorted(phases)
 
 
 def test_gcd_delays_come_from_the_device():

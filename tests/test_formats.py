@@ -399,6 +399,16 @@ def test_profile_reference_and_shape_errors():
          "firing cycle out of range, must be below 2^53 (line 4, col 10)"),
         ("cycles 2000\nrule r0 block b\nfires r0 5,3," + "1" * 18,
          "firing cycles must be strictly increasing, found 5 then 3 (line 4, col 10)"),
+        # a part of 2^53 or more gets one error whatever its spelling, and a later
+        # part below it is no order error
+        ("cycles 2000\nrule r0 block b\nfires r0 9007199254740993",
+         "firing cycle out of range, must be below 2^53 (line 4, col 10)"),
+        ("cycles 2000\nrule r0 block b\nfires r0 09007199254740993",
+         "firing cycle out of range, must be below 2^53 (line 4, col 10)"),
+        ("cycles 2000\nrule r0 block b\nfires r0 9999999999999999,1",
+         "firing cycle out of range, must be below 2^53 (line 4, col 10)"),
+        ("cycles 2000\nrule r0 block b\nfires r0 9007199254740991",
+         "cycle 9007199254740991 out of range, profile has 2000 cycles (line 4, col 7)"),
         ("cycles " + "9" * 30, "cycle count out of range"),
         ("cycles 2\nwrites r9 s", "undeclared rule r9"),
         ("cycles 2\nrule r0 block b\nwrites r0 s\nwrites r0 s", "duplicate writes"),
@@ -418,7 +428,7 @@ def test_profile_reference_and_shape_errors():
     ("9007199254740990", (2**53 - 2,)), ("1,09007199254740990", (1, 2**53 - 2)),
 ])
 def test_fires_lists_read_alike_with_and_without_leading_zeros(text, values):
-    # a list of JSON integers is read in one call, any other is walked part by part
+    # a list of JSON integers of at most 15 digits is read in one call, any other is walked
     p = parse_profile(f"{PROFILE_HEADER}\ncycles {2**53 - 1}\nrule r0 block b\nfires r0 {text}\n")
     assert p.firings == {"r0": values}
 
@@ -543,7 +553,7 @@ INDEX_FIELDS = ("ids", "index", "kind", "logic", "source", "sink", "partner", "c
 def _assert_same_netlist(got, want, fields=INDEX_FIELDS + ("cells", "nets", "ff_pairs")):
     for name in fields:
         assert getattr(got, name) == getattr(want, name), name
-    if want.cycle is None:  # equal graphs have equal orders
+    if want.cycle is None:  # built from the same input order, so with the same order too
         assert got.delay_graph() == want.delay_graph()
         return
     for nl in (got, want):  # a cyclic netlist has no delay graph
@@ -600,7 +610,17 @@ def test_random_netlists_index_alike_from_objects_and_from_text():
         cells = sorted(nl.cells, key=lambda c: c.id)
         nets = sorted(nl.nets, key=lambda n: (n.src, n.dst, n.net_delay))
         _assert_same_netlist(parsed, Netlist(cells, nets, sorted(nl.ff_pairs)))
-        _assert_same_netlist(parsed, nl, INDEX_FIELDS)  # the index does not depend on the input order
+        # the index does not depend on the input order; the delay graph's order may,
+        # but each is topological and rank is its inverse
+        for name in INDEX_FIELDS:
+            assert getattr(parsed, name) == getattr(nl, name), name
+        graphs = parsed.delay_graph(), nl.delay_graph()
+        for name in ("succ", "succ_first", "succ_delay", "pred"):
+            assert getattr(graphs[0], name) == getattr(graphs[1], name), name
+        for graph in graphs:
+            assert sorted(graph.order) == list(range(len(graph.succ)))
+            assert [graph.rank[i] for i in graph.order] == list(range(len(graph.order)))
+            assert all(graph.rank[i] < graph.rank[j] for i, row in enumerate(graph.succ) for j in row)
 
 
 def _adjacent_swaps(blob: bytes):

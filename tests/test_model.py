@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockscope import model
-from blockscope.fixtures import gen_fig6, gen_random
+from blockscope.fixtures import gen_fig6, gen_gcd, gen_random
 from blockscope.model import (
     Cell,
     CellKind,
@@ -238,11 +238,13 @@ def test_cycle_check_skipped_while_structure_is_broken():
     assert "combinational-cycle" not in found
 
 
-def test_topological_order_is_lexicographically_greedy():
-    order = topological_order(gen_fig6())
-    assert order[0] == "ff_q_a"
+@pytest.mark.parametrize("design", ["fig6", "gcd1", "gcd2", "gcd3"])
+def test_topological_order_holds_every_cell_once_and_puts_every_net_forward(design):
+    nl = gen_fig6() if design == "fig6" else gen_gcd(int(design[3:]))[0]
+    order = topological_order(nl)
+    assert sorted(order) == nl.ids
     position = {cid: i for i, cid in enumerate(order)}
-    for net in gen_fig6().nets:
+    for net in nl.nets:
         assert position[net.src] < position[net.dst]
 
 
@@ -331,30 +333,30 @@ def test_bad_net_delay_is_a_violation_with_its_edge_kept(bad):
 
 
 def test_order_is_built_on_first_use_and_shared_by_copies(monkeypatch):
-    """Construction only checks acyclicity; the id-ordered order is built once, with
-    the delay graph, by whichever copy reads the graph first, and then shared."""
-    kahns = []
-    real = model._kahn
-    monkeypatch.setattr(model, "_kahn", lambda *args: kahns.append(1) or real(*args))
+    """Construction's pass finds the order; the delay graph around it is built once,
+    by whichever copy reads the graph first, and then shared."""
+    builds = []
+    real = model._delay_graph
+    monkeypatch.setattr(model, "_delay_graph", lambda *args: builds.append(1) or real(*args))
     want = Netlist(gen_random(6, 300).cells, gen_random(6, 300).nets).delay_graph()
     delays = {kind: 0 if kind in SOURCE_KINDS else 3 for kind in CellKind}
     for side in ("copy", "source"):
-        kahns.clear()
+        builds.clear()
         source = gen_random(6, 300)
         copy = source.with_logic_delays(delays)
-        assert kahns == []  # neither construction nor the copy sorts
+        assert builds == []  # neither construction nor the copy builds it
         first, second = (copy, source) if side == "copy" else (source, copy)
         graph = first.delay_graph()
-        assert len(kahns) == 1
+        assert len(builds) == 1
         assert first.delay_graph() is graph and second.delay_graph() is graph
         assert graph.order == want.order and graph == want
-        assert len(kahns) == 1
-    # a cyclic netlist and its copies raise the cycle from the delay graph; no heap Kahn runs
-    kahns.clear()
+        assert len(builds) == 1
+    # a cyclic netlist and its copies raise the cycle from the delay graph; none is built
+    builds.clear()
     loop = Netlist([Cell("x", CellKind.LUT1, 1), Cell("y", CellKind.LUT1, 1)], [Net("x", "y"), Net("y", "x")])
     cycle = Violation("combinational-cycle", "x,y", "combinational cycle through x, y", ("x", "y"))
     for nl in (loop, loop.with_logic_delays(delays), loop):
         with pytest.raises(ValidationError) as err:
             nl.delay_graph()
         assert err.value.violations == (cycle,)
-    assert kahns == []
+    assert builds == []
